@@ -196,7 +196,12 @@ def series_expand(f: ClosedForm, degree: int,
     """All coefficients of total degree <= degree.
 
     Solves c0*a_s = n_s - sum_{0<t<=s} d_t*a_{s-t} along graded-lex order.
+    Parameters are not indeterminates, so a form with parameters is refused.
     """
+    params = sorted(v[1:] for v in f.vars() if v.startswith("$"))
+    if params:
+        raise AlgebraError(
+            f"series expansion needs a form without parameters, got {', '.join(params)}")
     c0 = f.den.constant_term()
     if not isinstance(c0, Fraction) or c0 == 0:
         raise InvalidDenominator("series expansion needs a concrete invertible denominator")

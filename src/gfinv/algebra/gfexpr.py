@@ -21,8 +21,8 @@ from .poly import MONO_ONE, Polynomial, mono_key
 
 
 class GfSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
+    def __init__(self, message: str, pos: Optional[int] = None):
+        super().__init__(message if pos is None else f"{message} (at offset {pos})")
         self.pos = pos
 
 

@@ -27,12 +27,11 @@ from . import __version__
 from .algebra import (
     AlgebraError,
     ClosedForm,
-    ExtendedMass,
     GfSyntaxError,
     format_closed_form,
     format_monomial,
     mono_key,
-    parse_closed_form,
+    parse_closed_form_with_params,
     series_expand,
 )
 from .invariant import Certificate, CertificateKind, Verdict, certify
@@ -67,11 +66,7 @@ def _digest(data: str) -> str:
 
 
 def _mass_str(m) -> Optional[str]:
-    if m is None:
-        return None
-    if isinstance(m, ExtendedMass):
-        return str(m)
-    return str(m)
+    return None if m is None else str(m)
 
 
 def _form_str(f: Optional[ClosedForm], order=None) -> Optional[str]:
@@ -141,10 +136,20 @@ def _load_program(path: str) -> ProgramAst:
     return parse(_read(path))
 
 
+def _parse_form(text: str, variables=None) -> ClosedForm:
+    """A closed form without parameters.  The parser reads an unknown lowercase
+    name as a template parameter; no command-line form may hold one."""
+    f, params = parse_closed_form_with_params(text, variables)
+    if params:
+        raise GfSyntaxError(f"unknown name {params[0]!r} in {text!r}: indeterminates "
+                            "are written X or X_name, and parameters only in templates")
+    return f
+
+
 def _gf_arg(text: str, variables) -> ClosedForm:
     if text.startswith("@"):
         text = _read(text[1:])
-    return parse_closed_form(text, variables)
+    return _parse_form(text, variables)
 
 
 def cmd_check(args, out) -> int:
@@ -241,7 +246,7 @@ def cmd_unroll(args, out) -> int:
 
 def cmd_expand(args, out) -> int:
     t0 = time.monotonic()
-    f = parse_closed_form(args.expression)
+    f = _parse_form(args.expression)
     coeffs = series_expand(f, args.degree)
     t1 = time.monotonic()
     order = sorted(f.vars())

@@ -17,18 +17,23 @@ over the parameters.  The solver runs staged exact elimination:
 Every returned valuation is re-checked against the original system; residual
 systems can be exported to SMT-LIB 2 for an external solver and the model
 imported back.
+
+Stage 4 is the only user of sympy.  It is imported on the first
+factorization, not with this module, so a process that never factors (every
+``check``, ``expand``, ``unroll`` and ``chain``, and any synthesis solved by
+stages 1-3) does not pay its import time.  sympy stays a hard dependency in
+``pyproject.toml`` because that stage needs it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import sympy
 
 from .algebra import (
     ClosedForm,
@@ -184,44 +189,39 @@ def _is_linear(p: Polynomial) -> bool:
     return p.total_degree() <= 1
 
 
-def _poly_to_sympy(p: Polynomial, symbols: Dict[str, sympy.Symbol]):
+def _factor_poly(p: Polynomial) -> List[Polynomial]:
+    """Non-unit irreducible factors (multiplicity collapsed).
+
+    Returns [] when factoring brings nothing (irreducible and multiplicity 1).
+    """
+    import sympy  # loaded on first use only; see the module docstring
+
+    vs = sorted(_param_vars(p))
+    if not vs:
+        return []
+    symbols = {v: sympy.Symbol(v[1:]) for v in vs}
+    names = {s: v for v, s in symbols.items()}
     expr = sympy.Integer(0)
     for m, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for v, e in m:
             term *= symbols[v] ** e
         expr += term
-    return expr
-
-
-def _sympy_to_poly(expr, names: Dict[sympy.Symbol, str]) -> Polynomial:
-    expr = sympy.expand(expr)
-    poly = sympy.Poly(expr, *names.keys()) if names else None
-    out = Polynomial.zero()
-    if poly is None:
-        return Polynomial.const(Fraction(str(sympy.Rational(expr))))
-    for monom, coeff in poly.terms():
-        mono = tuple(sorted(
-            (names[s], e) for s, e in zip(poly.gens, monom) if e))
-        out = out + Polynomial.monomial(mono, Fraction(str(sympy.Rational(coeff))))
-    return out
-
-
-def _factor_poly(p: Polynomial) -> List[Polynomial]:
-    """Non-unit irreducible factors (multiplicity collapsed).
-
-    Returns [] when factoring brings nothing (irreducible and multiplicity 1).
-    """
-    vs = sorted(_param_vars(p))
-    if not vs:
-        return []
-    symbols = {v: sympy.Symbol(v[1:]) for v in vs}
-    names = {s: v for v, s in symbols.items()}
     try:
-        _, factors = sympy.factor_list(_poly_to_sympy(p, symbols))
+        _, factors = sympy.factor_list(expr)
     except Exception:
         return []
-    polys = [_sympy_to_poly(f, names) for f, _ in factors if f.free_symbols]
+    polys = []
+    for f, _ in factors:
+        if not f.free_symbols:
+            continue
+        poly = sympy.Poly(sympy.expand(f), *names)
+        out = Polynomial.zero()
+        for monom, coeff in poly.terms():
+            mono = tuple(sorted(
+                (names[s], e) for s, e in zip(poly.gens, monom) if e))
+            out = out + Polynomial.monomial(mono, Fraction(str(sympy.Rational(coeff))))
+        polys.append(out)
     if not polys:
         return []
     polys.sort(key=lambda q: sorted(q.terms))
@@ -239,7 +239,7 @@ def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
     deg = max(coeffs)
     lcm = 1
     for c in coeffs.values():
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = {d: int(c * lcm) for d, c in coeffs.items() if c}
     roots: List[Fraction] = []
     low = min(ints)
@@ -259,12 +259,6 @@ def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
 
 def _eval_univar(coeffs: Dict[int, Fraction], x: Fraction) -> Fraction:
     return sum((c * x ** d for d, c in coeffs.items()), Fraction(0))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> List[int]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfinv.algebra import (
+    AlgebraError,
     ClosedForm,
     CyclotomicElement,
     InvalidDenominator,
@@ -12,6 +13,7 @@ from gfinv.algebra import (
     UnknownSign,
     const,
     equal,
+    find_negative_coefficient,
     format_closed_form,
     from_poly,
     mass,
@@ -94,6 +96,15 @@ class TestSeriesExpand:
         g = normalize(raw_num, raw_den)
         for k in range(9):
             assert series_expand(f, k) == series_expand(g, k)
+
+    def test_parameters_are_refused(self):
+        # a parameter is not an indeterminate: expanding in it would invent
+        # coefficients (and negative-coefficient witnesses) at monomials like q*X
+        f = normalize(ONE, ONE - Polynomial.var("$q") * X)
+        with pytest.raises(AlgebraError, match="parameters, got q"):
+            series_expand(f, 2)
+        with pytest.raises(AlgebraError):
+            find_negative_coefficient(-f, 2)
 
 
 class TestMass:

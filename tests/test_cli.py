@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from gfinv.algebra import equal, parse_closed_form
 from gfinv.cli import EXIT_ERROR, EXIT_FULL, EXIT_PARTIAL, run
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = Path(__file__).resolve().parent.parent / "src"
+GEO = str(BENCH / "geometric/program.pgcl")
 
 
 def invoke(args):
@@ -25,6 +31,24 @@ class TestExpand:
     def test_bad_expression_is_error(self):
         rc, _, _ = invoke(["expand", "1/(", "--degree", "2"])
         assert rc == EXIT_ERROR
+
+
+class TestUnknownNames:
+    """A lowercase name that is not a program variable would parse as a
+    template parameter; at the command line it is an input error."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("q", ["check", GEO, "--init", "X*q", "--invariant", "(1+2*X)/(2-C)"]),
+        ("y", ["synthesize", GEO, "--init", "X*y"]),
+        ("a", ["expand", "1/(1-a*X)", "--degree", "2"]),
+    ], ids=["check-init", "synthesize-init", "expand"])
+    def test_is_a_one_line_error(self, name, args, capsys):
+        rc, _, text = invoke(args)
+        err = capsys.readouterr().err
+        assert rc == EXIT_ERROR
+        assert text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("gfinv: error:")
+        assert f"unknown name {name!r}" in err
 
 
 class TestSynthesizeCommand:
@@ -116,3 +140,84 @@ class TestCorpusExitCodes:
             else:
                 assert rc == EXIT_PARTIAL, name
             assert rep["outcome"].startswith(want.split(":")[0]), name
+
+
+def fresh_interpreter(script, *argv, hash_seed="0"):
+    """Run `script` in a new Python process with gfinv importable; its stdout."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+RUN_AND_REPORT = """
+import io, json, sys
+from gfinv.cli import run
+reports = []
+for args in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    rc = run(args, out=buf)
+    rep = json.loads(buf.getvalue())
+    rep.pop("timing")
+    reports.append([rc, rep])
+print(json.dumps({"sympy_loaded": "sympy" in sys.modules, "reports": reports}))
+"""
+
+
+class TestLazySympy:
+    """sympy is loaded by the solver's factoring stage and by nothing else."""
+
+    def test_commands_that_never_factor_leave_it_unloaded(self):
+        calls = [
+            ["check", GEO, "--init", "X", "--invariant", "(1+2*X)/(2-C)"],
+            ["synthesize", GEO, "--init", "X"],
+            ["unroll", GEO, "--init", "X", "--steps", "20"],
+            ["expand", "1/(1-X-Y)", "--degree", "8"],
+            ["chain", str(BENCH / "appendix_chain.txt"), "--contraction", "1/2"],
+        ]
+        got = json.loads(fresh_interpreter(RUN_AND_REPORT, json.dumps(calls)))
+        assert [rc for rc, _ in got["reports"]] == [EXIT_FULL] * len(calls)
+        assert got["reports"][1][1]["outcome"] == "ExactPosterior"
+        assert got["sympy_loaded"] is False
+
+    def test_factoring_loads_it(self, corpus):
+        ast, _, expected, d = corpus["sequential_loops"]
+        calls = [["synthesize", str(d / "program.pgcl"),
+                  "--init", (d / "init.gf").read_text().strip(),
+                  "--max-degree", str(expected["max_degree"])]]
+        got = json.loads(fresh_interpreter(RUN_AND_REPORT, json.dumps(calls)))
+        (rc, rep), = got["reports"]
+        assert got["sympy_loaded"] is True
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == expected["outcome"]
+        assert equal(parse_closed_form(rep["candidate"], ast.variables),
+                     parse_closed_form(expected["candidate"], ast.variables))
+
+
+COUNT_GCD_CALLS = """
+import io, json, sys
+from gfinv.algebra import poly
+from gfinv.cli import run
+calls = 0
+def count(frame, event, arg):
+    global calls
+    if event == "call" and frame.f_code is poly.poly_gcd.__code__:
+        calls += 1
+buf = io.StringIO()
+sys.setprofile(count)
+run(sys.argv[1:], out=buf)
+sys.setprofile(None)
+rep = json.loads(buf.getvalue())
+rep.pop("timing")
+print(json.dumps({"poly_gcd_calls": calls, "report": rep}, sort_keys=True))
+"""
+
+
+def test_synthesis_does_not_depend_on_the_hash_seed():
+    # string hashing orders sets of variable names; no choice may depend on it
+    args = ["synthesize", GEO, "--init", "X", "--max-degree", "1"]
+    runs = [json.loads(fresh_interpreter(COUNT_GCD_CALLS, *args, hash_seed=seed))
+            for seed in ("0", "1")]
+    assert runs[0]["poly_gcd_calls"] > 0
+    assert runs[0] == runs[1]
