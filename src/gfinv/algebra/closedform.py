@@ -19,6 +19,7 @@ from .poly import (
     Mono,
     Polynomial,
     mono_degree,
+    mono_div,
     mono_key,
     mono_mul,
     poly_div_exact,
@@ -212,7 +213,7 @@ def series_expand(f: ClosedForm, degree: int,
     for m in _monomials_upto(vs, degree):
         acc = f.num.terms.get(m, Fraction(0))
         for t, d in den_rest:
-            rest = _mono_sub(m, t)
+            rest = mono_div(m, t)
             if rest is None:
                 continue
             prev = coeffs.get(rest)
@@ -222,19 +223,6 @@ def series_expand(f: ClosedForm, degree: int,
         if val:
             coeffs[m] = val
     return coeffs
-
-
-def _mono_sub(a: Mono, b: Mono) -> Optional[Mono]:
-    exps = dict(a)
-    for v, e in b:
-        have = exps.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del exps[v]
-        else:
-            exps[v] = have - e
-    return tuple(sorted(exps.items()))
 
 
 def _monomials_upto(vs: List[str], degree: int) -> Iterable[Mono]:

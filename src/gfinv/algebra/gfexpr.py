@@ -86,6 +86,11 @@ def format_closed_form(f: ClosedForm, order: Optional[Sequence[str]] = None) -> 
 
 # -- parsing ------------------------------------------------------------------
 
+# Parentheses and unary minus nest at most this deep.  Each level costs the
+# recursive-descent parser up to four stack frames, so the limit keeps a
+# malformed input far from Python's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\+|\-|\*|/|\(|\)))")
 
 
@@ -115,6 +120,7 @@ class _Parser:
         self.i = 0
         self.known_vars = list(known_vars) if known_vars else None
         self.parameters: set = set()
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -128,6 +134,11 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise GfSyntaxError(f"expected {op!r}", pos)
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GfSyntaxError("nesting too deep", pos)
 
     def parse(self) -> ClosedForm:
         f = self.expr()
@@ -162,7 +173,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return -self.factor()
+            self.nest(pos)
+            f = -self.factor()
+            self.depth -= 1
+            return f
         f = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -178,8 +192,10 @@ class _Parser:
         if kind == "nat":
             return from_poly(Polynomial.const(val))
         if kind == "op" and val == "(":
+            self.nest(pos)
             f = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return f
         if kind == "ident":
             return from_poly(Polynomial.var(self.resolve(val, pos)))

@@ -93,6 +93,14 @@ class Polynomial:
     def __init__(self, terms: Optional[dict] = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """Wrap ``terms`` as is: the caller guarantees that it stores no zero
+        coefficient, the invariant every other method relies on."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -144,19 +152,25 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
+        # A new key takes ``c`` itself, so an int never meets a Fraction here
+        # (``0 + Fraction`` goes through Fraction's slow reflected path).
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
+            s = out.get(m)
+            if s is None:
+                out[m] = c
             else:
-                out.pop(m, None)
-        return Polynomial(out)
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Polynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -171,7 +185,7 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial()
-            return Polynomial({m: v * c for m, v in self.terms.items()})
+            return Polynomial._of({m: v * c for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: dict = {}
@@ -181,12 +195,16 @@ class Polynomial:
                 if not p:
                     continue
                 m = mono_mul(m1, m2)
-                s = out.get(m, 0) + p
-                if s:
-                    out[m] = s
+                s = out.get(m)
+                if s is None:
+                    out[m] = p
                 else:
-                    out.pop(m, None)
-        return Polynomial(out)
+                    s = s + p
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 

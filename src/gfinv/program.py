@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import ClosedForm, mass, parse_closed_form, shape_nonneg
+from .algebra.gfexpr import MAX_NESTING
 
 
 class ProgramError(Exception):
@@ -389,7 +390,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+|//[^\n]*)"
     r"|(?P<nat>\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>:=|\+=|--|<=|>=|!=|&&|\|\||[-+*/;,(){}\[\]<>=!])"
+    r"|(?P<op>:=|\+=|--|<=|>=|!=|&&|\|\||[-+*/^;,(){}\[\]<>=!])"
 )
 
 _KEYWORDS = {"nat", "skip", "diverge", "while", "if", "else", "iid", "mod",
@@ -402,6 +403,7 @@ class _Tok:
     value: object
     line: int
     col: int
+    pos: int                          # offset in the source
 
 
 def _lex(src: str) -> List[_Tok]:
@@ -414,12 +416,12 @@ def _lex(src: str) -> List[_Tok]:
         text = m.group(0)
         if m.lastgroup != "ws":
             if m.lastgroup == "nat":
-                toks.append(_Tok("num", int(text), line, col))
+                toks.append(_Tok("num", int(text), line, col, pos))
             elif m.lastgroup == "ident":
                 kind = text if text in _KEYWORDS else "ident"
-                toks.append(_Tok(kind, text, line, col))
+                toks.append(_Tok(kind, text, line, col, pos))
             else:
-                toks.append(_Tok(text, text, line, col))
+                toks.append(_Tok(text, text, line, col, pos))
         nl = text.count("\n")
         if nl:
             line += nl
@@ -427,15 +429,17 @@ def _lex(src: str) -> List[_Tok]:
         else:
             col += len(text)
         pos = m.end()
-    toks.append(_Tok("eof", None, line, col))
+    toks.append(_Tok("eof", None, line, col, pos))
     return toks
 
 
 class _ProgParser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _lex(src)
         self.i = 0
         self.variables: List[str] = []
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -455,6 +459,12 @@ class _ProgParser:
         t = self.peek()
         return SyntaxError_(message, t.line, t.col)
 
+    def nest(self):
+        """Enter a block or a guard level; MAX_NESTING bounds the recursion."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.err("nesting too deep")
+
     def check_var(self, name: str, tok: _Tok) -> str:
         if name not in self.variables:
             raise UndeclaredVariable(f"{tok.line}:{tok.col}: undeclared variable {name!r}")
@@ -473,6 +483,7 @@ class _ProgParser:
         return ProgramAst(tuple(self.variables), body)
 
     def parse_stmt_seq(self, until: Tuple[str, ...]) -> Statement:
+        self.nest()
         stmts: List[Statement] = []
         while True:
             t = self.peek()
@@ -488,6 +499,7 @@ class _ProgParser:
         flat: List[Statement] = []
         for s in stmts:
             flat.extend(s.stmts if isinstance(s, Seq) else [s])
+        self.depth -= 1
         return flat[0] if len(flat) == 1 else Seq(tuple(flat))
 
     def parse_stmt(self) -> Statement:
@@ -649,9 +661,9 @@ class _ProgParser:
             self.expect(")")
             return Dirac(n)
         if t.kind == "pgf":
-            self.expect("(")
-            depth, start = 1, self.i
-            text_parts: List[str] = []
+            # the closed-form parser reads the raw text between the parentheses
+            start = self.expect("(").pos + 1
+            depth = 1
             while depth:
                 tok = self.next()
                 if tok.kind == "eof":
@@ -660,10 +672,7 @@ class _ProgParser:
                     depth += 1
                 elif tok.kind == ")":
                     depth -= 1
-                    if not depth:
-                        break
-                text_parts.append(str(tok.value))
-            form = parse_closed_form(" ".join(text_parts), known_vars=["t"])
+            form = parse_closed_form(self.src[start:tok.pos], known_vars=["t"])
             return RawPgf(form)
         raise SyntaxError_(f"expected distribution, found {t.value!r}", t.line, t.col)
 
@@ -688,11 +697,16 @@ class _ProgParser:
         t = self.peek()
         if t.kind == "!":
             self.next()
-            return Not(self.parse_guard_atom())
+            self.nest()
+            g = Not(self.parse_guard_atom())
+            self.depth -= 1
+            return g
         if t.kind == "(":
             self.next()
+            self.nest()
             g = self.parse_guard()
             self.expect(")")
+            self.depth -= 1
             return g
         vt = self.expect("ident")
         v = self.check_var(vt.value, vt)

@@ -25,7 +25,7 @@ from .algebra import (
     has_parameters,
     normalize,
 )
-from .algebra.poly import mono_degree_in
+from .algebra.poly import _as_univar, mono_degree_in
 from . import program as P
 
 
@@ -95,8 +95,8 @@ def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
         return ZERO
     if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
         return f
-    num_by = _univar(f.num, var)
-    den_by = _univar(f.den, var)
+    num_by = _as_univar(f.num, var)
+    den_by = _as_univar(f.den, var)
     d0 = den_by[0]
     b: list = []
     for i in range(bound):
@@ -114,16 +114,6 @@ def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
         term = b[i] * d0 ** (bound - 1 - i)
         num_out = num_out + term * Polynomial.var(var, i) if i else num_out + term
     return normalize(num_out, d0 ** bound)
-
-
-def _univar(p: Polynomial, var: str) -> list:
-    deg = p.degree_in(var)
-    out = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        e = mono_degree_in(m, var)
-        rest = tuple(pair for pair in m if pair[0] != var)
-        out[e][rest] = out[e].get(rest, 0) + c
-    return [Polynomial(d) for d in out]
 
 
 def shift_down(f: ClosedForm, var: str) -> ClosedForm:
@@ -196,7 +186,7 @@ def _constant_section(num: Polynomial) -> bool:
 
 def _subst_poly(p: Polynomial, var: str, h: ClosedForm):
     """p[var/h] cleared to (polynomial, degree): result = poly / h.den^degree."""
-    layers = _univar(p, var)
+    layers = _as_univar(p, var)
     deg = len(layers) - 1
     acc = Polynomial.zero()
     for i, layer in enumerate(layers):

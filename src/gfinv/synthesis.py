@@ -10,8 +10,9 @@ over the parameters.  The solver runs staged exact elimination:
      substitutions linearize further equations),
   2. rational-root branching on single-parameter equations,
   3. exact row reduction over the parameter-monomial basis (surfaces linear
-     consequences of nonlinear equations),
-  4. factor-and-branch (multivariate factorization via sympy),
+     consequences of nonlinear equations), on sparse rows,
+  4. factor-and-branch (multivariate factorization via sympy, over the
+     integers; each distinct polynomial is factored once per solve),
   5. bounded value branching, then 0/1 defaults for leftover free parameters.
 
 Every returned valuation is re-checked against the original system; residual
@@ -193,35 +194,43 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
     """Non-unit irreducible factors (multiplicity collapsed).
 
     Returns [] when factoring brings nothing (irreducible and multiplicity 1).
+    The factors, their signs and their order are those of
+    ``sympy.factor_list`` on the expression: the monomial content gives one
+    factor per parameter, and the rest, cleared of denominators, is factored
+    over the integers in sympy's own generator order.
     """
     import sympy  # loaded on first use only; see the module docstring
+    from sympy.polys.polyutils import _sort_gens
 
     vs = sorted(_param_vars(p))
     if not vs:
         return []
-    symbols = {v: sympy.Symbol(v[1:]) for v in vs}
-    names = {s: v for v, s in symbols.items()}
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
-            term *= symbols[v] ** e
-        expr += term
-    try:
-        _, factors = sympy.factor_list(expr)
-    except Exception:
-        return []
-    polys = []
-    for f, _ in factors:
-        if not f.free_symbols:
-            continue
-        poly = sympy.Poly(sympy.expand(f), *names)
-        out = Polynomial.zero()
-        for monom, coeff in poly.terms():
-            mono = tuple(sorted(
-                (names[s], e) for s, e in zip(poly.gens, monom) if e))
-            out = out + Polynomial.monomial(mono, Fraction(str(sympy.Rational(coeff))))
-        polys.append(out)
+    exps = [dict(m) for m in p.terms]
+    low = {v: min(e.get(v, 0) for e in exps) for v in vs}
+    rest = [v for v in vs if any(e.get(v, 0) != low[v] for e in exps)]
+    polys = [Polynomial.var(v) for v in vs if low[v]]
+    if rest:
+        symbols = {sympy.Symbol(v[1:]): v for v in rest}
+        gens = _sort_gens(symbols)  # the order fixes each factor's sign
+        names = [symbols[s] for s in gens]
+        lcm = 1
+        for c in p.terms.values():
+            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        rep = {tuple(e.get(v, 0) - low[v] for v in names): int(c * lcm)
+               for e, c in zip(exps, p.terms.values())}
+        try:
+            _, factors = sympy.Poly.from_dict(rep, *gens, domain=sympy.ZZ).factor_list()
+        except Exception:
+            return []
+        where = [names.index(v) for v in rest]
+        for f, _ in factors:
+            # later stages iterate terms in insertion order: lex over the
+            # parameters sorted by name
+            terms = sorted(((tuple(k[j] for j in where), c) for k, c in f.terms()),
+                           reverse=True)
+            polys.append(Polynomial({
+                tuple((v, e) for v, e in zip(rest, k) if e): Fraction(int(c))
+                for k, c in terms}))
     if not polys:
         return []
     polys.sort(key=lambda q: sorted(q.terms))
@@ -279,37 +288,41 @@ def _row_reduce(eqs: List[Polynomial]) -> List[Polynomial]:
     """Exact Gaussian elimination over the parameter-monomial basis.
 
     Pivots on the highest monomials first so low-degree (often linear)
-    consequences of nonlinear equations surface.
+    consequences of nonlinear equations surface.  Rows are sparse
+    ``{column: coefficient}`` dicts; the result is the reduced row echelon
+    form with unit pivots, its rows in elimination order and each row's
+    terms in column order.
     """
     monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for e in eqs:
-        row = [Fraction(0)] * len(monos)
-        for m, c in e.terms.items():
-            row[pos[m]] = c
-        rows.append(row)
+    rows = [{pos[m]: c for m, c in e.terms.items()} for e in eqs]
     pivot_row = 0
     for col in range(len(monos)):
-        piv = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue
         rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
         inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        prow = {j: x * inv for j, x in rows[pivot_row].items()}
+        rows[pivot_row] = prow
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or r == pivot_row:
+                continue
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                else:
+                    x = x - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivot_row += 1
         if pivot_row == len(rows):
             break
-    out = []
-    for row in rows:
-        terms = {monos[i]: c for i, c in enumerate(row) if c}
-        if terms:
-            out.append(Polynomial(terms))
-    return out
+    return [Polynomial({monos[i]: row[i] for i in sorted(row)}) for row in rows if row]
 
 
 def _canonical(eqs: List[Polynomial]) -> frozenset:
@@ -322,6 +335,8 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> L
     budget = [max(1, len(system.equations)) * cfg.branch_limit]
     results: List[Dict[str, Fraction]] = []
     all_params = tuple("$" + p for p in system.parameters)
+    # stage 4 meets the same polynomial on many branches; factor it once
+    factored: Dict[frozenset, List[Polynomial]] = {}
 
     def spend():
         budget[0] -= 1
@@ -398,7 +413,10 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> L
                     continue
             # stage 4: factor and branch
             for e in sorted(eqs, key=lambda q: (len(q.terms), q.total_degree())):
-                factors = _factor_poly(e)
+                key = frozenset(e.terms.items())
+                factors = factored.get(key)
+                if factors is None:
+                    factors = factored[key] = _factor_poly(e)
                 if factors:
                     rest = [q for q in eqs if q is not e]
                     for f in factors:

@@ -14,6 +14,7 @@ from gfinv.algebra import (
     const,
     equal,
     find_negative_coefficient,
+    GfSyntaxError,
     format_closed_form,
     from_poly,
     mass,
@@ -24,6 +25,7 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
+from gfinv.algebra.poly import mono_mul
 
 ONE = Polynomial.const(1)
 X = Polynomial.var("x")
@@ -166,6 +168,59 @@ def test_gcd_divides_both(p, q):
     poly_div_exact(q, g)
 
 
+def reference_add(p, q):
+    """Polynomial sum as a dict: accumulate from 0, drop zeros."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def reference_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono_mul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+@given(polys(), polys())
+@settings(deadline=None, derandomize=True)
+def test_sum_and_product_match_the_reference(p, q):
+    for got, want in ((p + q, reference_add(p, q)), (p - q, reference_add(p, -q)),
+                      (p * q, reference_mul(p, q))):
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) is F and c for c in got.terms.values())
+
+
+class TestRingKernels:
+    def test_cancellation_drops_terms(self):
+        p = (X + 1) * (X - 1)
+        assert p.terms == {mono(("x", 2)): F(1), (): F(-1)}
+        q = X * X * 3 + C * F(1, 2) - 7
+        assert (q + (-q)).terms == {}
+        assert (q - q).is_zero()
+
+    def test_cyclotomic_coefficients(self):
+        z = CyclotomicElement.zeta(3)
+        one = CyclotomicElement.from_rational(3, 1)
+        x = mono(("x", 1))
+        p = Polynomial({x: z, (): one})
+        assert (p * p).terms == {mono(("x", 2)): z * z, x: z + z, (): one}
+        assert (p + Polynomial({x: -z})).terms == {(): one}
+        # 1 + z + z^2 = 0 in Q(zeta_3)
+        assert (Polynomial({x: one}) + Polynomial({x: z}) + Polynomial({x: z * z})).is_zero()
+
+
 class TestCyclotomic:
     def test_powers_and_filter_sums(self):
         for d in range(1, 13):
@@ -185,6 +240,12 @@ class TestCyclotomic:
 
 
 class TestPrintParse:
+    def test_deep_nesting_is_a_syntax_error(self):
+        for text in ("(" * 3000 + "X" + ")" * 3000, "-" * 3000 + "X"):
+            with pytest.raises(GfSyntaxError, match="nesting too deep"):
+                parse_closed_form(text)
+        assert parse_closed_form("(" * 50 + "X" + ")" * 50) == from_poly(X)
+
     def test_spec_forms(self):
         f = normalize(ONE + 2 * X, 2 - C)
         assert format_closed_form(f) == "(1 + 2*X)/(2 - C)"

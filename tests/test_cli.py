@@ -32,6 +32,13 @@ class TestExpand:
         rc, _, _ = invoke(["expand", "1/(", "--degree", "2"])
         assert rc == EXIT_ERROR
 
+    def test_deep_nesting_is_a_one_line_error(self, capsys):
+        rc, _, text = invoke(["expand", "(" * 3000 + "X" + ")" * 3000, "--degree", "2"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_ERROR and text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("gfinv: error:")
+        assert "nesting too deep" in err
+
 
 class TestUnknownNames:
     """A lowercase name that is not a program variable would parse as a

@@ -78,6 +78,19 @@ class TestParse:
         kinds = [type(s).__name__ for s in ast.body.stmts]
         assert kinds == ["SampleAssign", "IidIncrement", "IidIncrement", "SampleAssign"]
 
+    def test_pgf_takes_powers(self):
+        power = parse("nat x;\nx := pgf(1/2*T + 1/2*T^2)")
+        product = parse("nat x;\nx := pgf(1/2*T + 1/2*T*T)")
+        assert power == product
+        assert parse(print_program(power)) == power
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        ifs = "nat x;\n" + "if (x < 1) { " * 2000 + "skip" + " }" * 2000
+        guard = "nat x;\nwhile (" + "!" * 2000 + "x < 1) { skip }"
+        for src in (ifs, guard):
+            with pytest.raises(SyntaxError_, match="nesting too deep"):
+                parse(src)
+
     def test_bad_pgf_mass_rejected(self):
         with pytest.raises(InvalidProbability):
             parse("nat x;\nx := pgf(1/2 + 1/4*T)")

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gfinv import synthesis
 from gfinv.algebra import (
     ClosedForm,
     Polynomial,
@@ -10,6 +13,7 @@ from gfinv.algebra import (
     format_closed_form,
     from_poly,
     instantiate,
+    mono_key,
     normalize,
     series_expand,
 )
@@ -19,6 +23,7 @@ from gfinv.synthesis import (
     Failure,
     PolySystem,
     Positivity,
+    SolverBudgetExceeded,
     SynthesisConfig,
     Template,
     analyze_program,
@@ -30,6 +35,8 @@ from gfinv.synthesis import (
     positivity_check,
     solve_system,
     synthesize,
+    _factor_poly,
+    _row_reduce,
 )
 
 ONE = Polynomial.const(1)
@@ -118,6 +125,21 @@ class TestBuildAndSolve:
         system = PolySystem((Polynomial.var("$a") ** 2 + 1,), ("a",))
         assert solve_system(system) == []
 
+    def test_each_distinct_polynomial_is_factored_once(self, monkeypatch):
+        walk = parse("nat x;\nwhile (x > 0 && x < 3) { {x := x - 1} [1/2] {x := x + 1} }")
+        tpl = list(enumerate_templates(["x"], 3))[3]
+        system = build_system(tpl, walk.body, G_X)
+        seen = []
+
+        def counting(p):
+            seen.append(frozenset(p.terms.items()))
+            return _factor_poly(p)
+
+        monkeypatch.setattr(synthesis, "_factor_poly", counting)
+        with pytest.raises(SolverBudgetExceeded):
+            solve_system(system)
+        assert seen and len(seen) == len(set(seen))
+
     def test_solver_soundness_on_random_systems(self):
         rng = random.Random(11)
         names = ["$a", "$b", "$c"]
@@ -144,6 +166,144 @@ class TestBuildAndSolve:
                             term *= val.assignment[v[1:]] ** exp
                         total += term
                     assert total == 0
+
+
+# -- the exact kernels under the solver, against their dense/Expr references ------
+
+def dense_row_reduce(eqs):
+    """Reference: Gaussian elimination over dense lists of Fractions."""
+    monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
+    pos = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for e in eqs:
+        row = [F(0)] * len(monos)
+        for m, c in e.terms.items():
+            row[pos[m]] = c
+        rows.append(row)
+    pivot_row = 0
+    for col in range(len(monos)):
+        piv = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
+        inv = 1 / rows[pivot_row][col]
+        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    out = []
+    for row in rows:
+        terms = {monos[i]: c for i, c in enumerate(row) if c}
+        if terms:
+            out.append(Polynomial(terms))
+    return out
+
+
+def expr_factor_poly(p):
+    """Reference: sympy.factor_list on the expression, read back per factor."""
+    import sympy
+
+    vs = sorted(v for v in p.vars() if v.startswith("$"))
+    if not vs:
+        return []
+    symbols = {v: sympy.Symbol(v[1:]) for v in vs}
+    names = {s: v for v, s in symbols.items()}
+    expr = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= symbols[v] ** e
+        expr += term
+    _, factors = sympy.factor_list(expr)
+    polys = []
+    for f, _ in factors:
+        if not f.free_symbols:
+            continue
+        poly = sympy.Poly(sympy.expand(f), *names)
+        out = Polynomial.zero()
+        for monom, coeff in poly.terms():
+            mono = tuple(sorted(
+                (names[s], e) for s, e in zip(poly.gens, monom) if e))
+            out = out + Polynomial.monomial(mono, F(str(sympy.Rational(coeff))))
+        polys.append(out)
+    if not polys:
+        return []
+    polys.sort(key=lambda q: sorted(q.terms))
+    if len(polys) >= 2 or polys[0].total_degree() < p.total_degree():
+        return polys
+    return []
+
+
+def param_polys(names, max_exp=2, max_terms=4, min_terms=0):
+    monomial = st.lists(st.tuples(st.sampled_from(names), st.integers(1, max_exp)),
+                        max_size=2).map(lambda ps: tuple(sorted(dict(ps).items())))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    return st.dictionaries(monomial, coeff, min_size=min_terms,
+                           max_size=max_terms).map(Polynomial)
+
+
+def as_lists(polys):
+    return [list(p.terms.items()) for p in polys]
+
+
+@st.composite
+def row_systems(draw):
+    """Equations plus linear combinations of them (rank-deficient), zeros too."""
+    base = draw(st.lists(param_polys(["$a", "$b", "$c"]), max_size=5))
+    eqs = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if not base:
+            break
+        combo = Polynomial.zero()
+        for e in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            combo = combo + e * draw(st.fractions(-3, 3, max_denominator=2))
+        eqs.insert(draw(st.integers(0, len(eqs))), combo)
+    return eqs
+
+
+@given(row_systems())
+@settings(deadline=None, derandomize=True)
+def test_row_reduce_matches_dense_reference(eqs):
+    assert as_lists(_row_reduce(eqs)) == as_lists(dense_row_reduce(eqs))
+
+
+# names that sympy orders differently from Python: x..z and p..w come first,
+# and a2 sorts before a10
+FACTOR_NAMES = ["$a2", "$a10", "$b1", "$p", "$x"]
+
+
+def product(parts, integer=False):
+    p = Polynomial.const(1)
+    for q in parts:
+        p = p * (q * q.content().denominator if integer else q)
+    return p
+
+
+@given(st.lists(param_polys(FACTOR_NAMES, max_terms=3, min_terms=1), min_size=1, max_size=3),
+       st.booleans())
+@settings(deadline=None, derandomize=True, max_examples=60)
+def test_factor_poly_matches_expr_factor_list(parts, integer):
+    p = product(parts, integer)
+    assert as_lists(_factor_poly(p)) == as_lists(expr_factor_poly(p))
+
+
+def test_factor_poly_keeps_the_order_of_factors_with_equal_monomials():
+    a2, a10, b1, p, x = (Polynomial.var(v) for v in FACTOR_NAMES)
+    cases = [
+        [x, p, a2 + a10, a2 - a10],
+        [b1 * b1, a2 - 2 * a10, a2 + 3 * a10, a2 * F(1, 2) - a10],
+        [x - p, x + p, x * 2 - p, a10],
+        [a10 * x, a2 * a2 - b1, b1 - a2 * a2 * 3],
+    ]
+    for parts in cases:
+        p = product(parts)
+        got = _factor_poly(p)
+        assert len({tuple(sorted(q.terms)) for q in got}) < len(got)
+        assert as_lists(got) == as_lists(expr_factor_poly(p))
 
 
 class TestPositivity:
