@@ -1,10 +1,12 @@
 """Rational closed forms of formal power series.
 
 A closed form is a fraction num/den of polynomials whose denominator has a
-nonzero constant term, hence is invertible in the power-series ring.  Forms
-are kept GCD-reduced with an integer-primitive denominator whose constant
-term (leading coefficient, for parametric denominators) is positive, so
-structurally equal series normalize to identical representations.
+nonzero constant term, hence is invertible in the power-series ring.  Every
+form is scaled to an integer-primitive denominator whose constant term
+(leading coefficient, for parametric denominators) is positive.  Forms
+without parameters are also GCD-reduced, so structurally equal series
+normalize to identical representations.  Forms with ``$``-parameters (the
+templates of synthesis) are only scaled; see ``normalize``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class ClosedForm:
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         other = _lift(other)
+        if self.den == other.den:
+            return normalize(self.num + other.num, self.den)
         return normalize(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -134,9 +138,14 @@ ONE = ClosedForm(Polynomial.const(1), Polynomial.const(1))
 
 
 def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
-    """GCD-reduce and scale-canonicalize num/den.
+    """Scale-canonicalize num/den, and GCD-reduce it when it has no parameters.
 
-    Raises InvalidDenominator when the reduced denominator has zero constant
+    A form with ``$``-parameters is not reduced: it is only scaled.  Its
+    unreduced common factors vanish only where a denominator would be
+    identically zero, and synthesis filters such valuations as invalid, so
+    they never change the series a valuation encodes.
+
+    Raises InvalidDenominator when the (reduced) denominator has zero constant
     term (for parametric denominators: when it is identically zero).
     """
     if den.is_zero():
@@ -144,7 +153,11 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
     if num.is_zero():
         _require_invertible(den)
         return ClosedForm(Polynomial(), Polynomial.const(1))
-    if not den.is_const() and not num.is_const() and _worth_gcd(num, den):
+    # Parametric pseudo-remainder sequences blow up quickly, so parametric
+    # pairs are never GCD-reduced; ClosedForm.__add__ keeps their
+    # denominators from compounding instead.
+    if not den.is_const() and not num.is_const() \
+            and not any(v.startswith("$") for v in num.vars() | den.vars()):
         g = poly_gcd(num, den)
         if not g.is_const() or g.constant_term() != 1:
             num = poly_div_exact(num, g)
@@ -162,20 +175,6 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
             scale = -scale
     inv = 1 / scale
     return ClosedForm(num * inv, den * inv)
-
-
-# Parametric pseudo-remainder sequences blow up quickly; above this size the
-# reduction is skipped for parametric pairs.  Unreduced common factors only
-# add redundant (equivalent) equations to synthesis systems, never change the
-# encoded series.
-PARAM_GCD_TERM_BUDGET = 150
-
-
-def _worth_gcd(num: Polynomial, den: Polynomial) -> bool:
-    size = len(num.terms) * len(den.terms)
-    parametric = any(v.startswith("$") for v in num.vars()) or \
-        any(v.startswith("$") for v in den.vars())
-    return size <= PARAM_GCD_TERM_BUDGET if parametric else True
 
 
 def _require_invertible(den: Polynomial) -> None:

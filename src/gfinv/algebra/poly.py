@@ -489,8 +489,10 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def _gcd_prs(p: Polynomial, q: Polynomial, pvars: set) -> Polynomial:
     """Primitive pseudo-remainder sequence gcd candidate."""
-    # Ties go by name, never by string-hash order.  Of the fixed orders tried,
-    # taking the last name made the fewest gcd calls on the synthesis benchmark.
+    # Ties go by name, never by string-hash order.  The last name was chosen
+    # when normalize still reduced parametric forms, whose ties were between
+    # template parameters; it now reduces only parameter-free forms, so the
+    # synthesis benchmark no longer meets such ties.
     v = min(sorted(pvars, reverse=True), key=lambda w: max(p.degree_in(w), q.degree_in(w)))
     pu, qu = _as_univar(p, v), _as_univar(q, v)
     cont_p, cont_q = _multi_content(pu), _multi_content(qu)

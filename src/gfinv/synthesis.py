@@ -28,7 +28,6 @@ stages 1-3) does not pay its import time.  sympy stays a hard dependency in
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import time
@@ -59,11 +58,6 @@ from .semantics import SemanticsError, apply_statement, char_functional
 
 class SolverBudgetExceeded(Exception):
     pass
-
-
-class Positivity(enum.Enum):
-    NONNEG = "nonneg"
-    UNKNOWN = "unknown"
 
 
 # -- templates -------------------------------------------------------------------
@@ -155,11 +149,13 @@ def parse_template(text: str, variables: Sequence[str]) -> Template:
 def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem:
     """Coefficient comparison of Phi(template) = template.
 
-    The normalized difference Phi(I) - I must vanish; grouping its numerator
-    by program-variable monomials yields one parameter-polynomial equation per
-    monomial.  (Common factors cancelled by normalization only vanish where
-    a denominator would be identically zero, and such valuations are filtered
-    as invalid anyway.)
+    The difference Phi(I) - I must vanish; grouping its numerator by
+    program-variable monomials yields one parameter-polynomial equation per
+    monomial.  Parametric forms are not GCD-reduced, only added over equal
+    denominators where they share one (see ``normalize``), so the numerator
+    may keep common factors with the denominator.  Such a factor vanishes
+    only where a denominator would be identically zero, and such valuations
+    are filtered as invalid anyway.
     """
     phi = char_functional(loop, g, template.form)
     diff = phi - template.form
@@ -284,20 +280,22 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _row_reduce(eqs: List[Polynomial]) -> List[Polynomial]:
+def _row_reduce(eqs: List[Polynomial], deadline: float = math.inf) -> List[Polynomial]:
     """Exact Gaussian elimination over the parameter-monomial basis.
 
     Pivots on the highest monomials first so low-degree (often linear)
     consequences of nonlinear equations surface.  Rows are sparse
     ``{column: coefficient}`` dicts; the result is the reduced row echelon
     form with unit pivots, its rows in elimination order and each row's
-    terms in column order.
+    terms in column order.  Raises TimeoutError once ``time.monotonic()``
+    passes the deadline, checked at every pivot column.
     """
     monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
     rows = [{pos[m]: c for m, c in e.terms.items()} for e in eqs]
     pivot_row = 0
     for col in range(len(monos)):
+        _check_deadline(deadline)
         piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue
@@ -325,12 +323,22 @@ def _row_reduce(eqs: List[Polynomial]) -> List[Polynomial]:
     return [Polynomial({monos[i]: row[i] for i in sorted(row)}) for row in rows if row]
 
 
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise TimeoutError("deadline reached while solving")
+
+
 def _canonical(eqs: List[Polynomial]) -> frozenset:
     return frozenset(frozenset(e.terms.items()) for e in eqs)
 
 
-def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> List[Valuation]:
-    """All consistent valuations found by the staged solver (possibly empty)."""
+def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
+                 deadline: float = math.inf) -> List[Valuation]:
+    """All consistent valuations found by the staged solver (possibly empty).
+
+    Raises SolverBudgetExceeded when the branch budget runs out, and
+    TimeoutError once ``time.monotonic()`` passes the deadline.
+    """
     cfg = config or SolverConfig()
     budget = [max(1, len(system.equations)) * cfg.branch_limit]
     results: List[Dict[str, Fraction]] = []
@@ -339,6 +347,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> L
     factored: Dict[frozenset, List[Polynomial]] = {}
 
     def spend():
+        _check_deadline(deadline)
         budget[0] -= 1
         if budget[0] < 0:
             raise SolverBudgetExceeded(
@@ -372,6 +381,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> L
 
     def attempt(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set):
         while True:
+            _check_deadline(deadline)
             eqs = [e for e in eqs if not e.is_zero()]
             if any(e.is_const() for e in eqs):
                 return
@@ -407,7 +417,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None) -> L
             key = _canonical(eqs)
             if key not in seen_rr:
                 seen_rr.add(key)
-                reduced = _row_reduce(eqs)
+                reduced = _row_reduce(eqs, deadline)
                 if _canonical(reduced) != key:
                     eqs = reduced
                     continue
@@ -458,15 +468,6 @@ def _eval_equation(e: Polynomial, val: Dict[str, Fraction]) -> Fraction:
             term *= val[v[1:]] ** exp
         total += term
     return total
-
-
-# -- positivity --------------------------------------------------------------------
-
-def positivity_check(f: ClosedForm) -> Positivity:
-    """Nonneg iff the form (or its negation) has nonnegative numerator
-    coefficients over a denominator with positive constant term and
-    nonpositive remaining coefficients; Unknown otherwise."""
-    return Positivity.NONNEG if shape_nonneg(f) else Positivity.UNKNOWN
 
 
 # -- SMT-LIB escape hatch ------------------------------------------------------------
@@ -546,7 +547,10 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     """Search templates, solve, filter, verify; first full certificate wins.
 
     Returns a Certificate on success, else a Failure naming the stage at
-    which every candidate died, with per-template diagnostics.
+    which every candidate died, with per-template diagnostics.  ``timeout_s``
+    is checked between templates, between candidates and inside the solver;
+    a search it stops without a partial certificate fails at stage
+    ``timeout``.
     """
     cfg = config or SynthesisConfig()
     deadline = time.monotonic() + cfg.timeout_s
@@ -579,11 +583,15 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
             last_stage = "solve"
             continue
         try:
-            valuations = solve_system(system, cfg.solver)
+            valuations = solve_system(system, cfg.solver, deadline)
         except SolverBudgetExceeded as e:
             diagnostics.append(f"{desc}: {e}")
             last_stage = "solve"
             continue
+        except TimeoutError:
+            diagnostics.append(f"{desc}: timeout reached while solving")
+            last_stage = "timeout"
+            break
         if not valuations:
             diagnostics.append(f"{desc}: equation system unsatisfiable")
             last_stage = "solve"
@@ -603,7 +611,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 diagnostics.append(f"{desc}: trivial zero candidate filtered")
                 last_stage = "instantiate"
                 continue
-            if positivity_check(candidate) != Positivity.NONNEG:
+            if not shape_nonneg(candidate):
                 neg = find_negative_coefficient(candidate, cfg.scan_degree)
                 if neg is None:
                     diagnostics.append(
@@ -702,7 +710,7 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
     last_cert: Optional[Certificate] = None
     for seg in top_level_segments(ast):
         if isinstance(seg, P.While):
-            if any(isinstance(s, P.While) for s in _walk(seg.body)):
+            if any(isinstance(s, P.While) for s in P._stmts(seg.body)):
                 fail = Failure("structure", "nested loops are not supported; "
                                "only top-level loops with loop-free bodies are analyzed")
                 segments.append(SegmentResult("loop", fail, print_guard(seg.guard),
@@ -721,7 +729,7 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
                 # segment; stop here with the partial certificate
                 return ProgramAnalysis(segments, res, None, res.posterior)
         else:
-            if any(isinstance(s, P.While) for s in _walk(seg)):
+            if any(isinstance(s, P.While) for s in P._stmts(seg)):
                 fail = Failure("structure", "loops nested under conditionals or "
                                "choices are not supported")
                 segments.append(SegmentResult("straight", fail, "straight-line"))
@@ -751,7 +759,7 @@ def _loop_vars(loop: P.While) -> set:
             guard_vars(gd.inner)
 
     guard_vars(loop.guard)
-    for s in _walk(loop.body):
+    for s in P._stmts(loop.body):
         if isinstance(s, (P.AssignConst, P.Decrement, P.SampleAssign)):
             out.add(s.var)
         elif isinstance(s, P.IidIncrement):
@@ -761,18 +769,3 @@ def _loop_vars(loop: P.While) -> set:
         elif isinstance(s, P.IfThenElse):
             guard_vars(s.guard)
     return out
-
-
-def _walk(s: P.Statement):
-    yield s
-    if isinstance(s, P.Seq):
-        for t in s.stmts:
-            yield from _walk(t)
-    elif isinstance(s, P.Choice):
-        yield from _walk(s.left)
-        yield from _walk(s.right)
-    elif isinstance(s, P.IfThenElse):
-        yield from _walk(s.then)
-        yield from _walk(s.els)
-    elif isinstance(s, P.While):
-        yield from _walk(s.body)

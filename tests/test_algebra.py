@@ -25,6 +25,7 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
+from gfinv.algebra import closedform
 from gfinv.algebra.poly import mono_mul
 
 ONE = Polynomial.const(1)
@@ -61,6 +62,29 @@ class TestNormalize:
     def test_denominator_constant_positive(self):
         f = normalize(ONE, Polynomial.const(-2) + C)
         assert f.den.constant_term() > 0
+
+    def test_parametric_pairs_are_not_gcd_reduced(self, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return poly_gcd(p, q)
+
+        monkeypatch.setattr(closedform, "poly_gcd", counting)
+        a = Polynomial.var("$a")
+        f = normalize((ONE - X) * a * 2, (ONE - X) * (ONE + a * X) * 2)
+        assert calls == []
+        # the common factor stays; only the content is scaled out
+        assert f.num == (ONE - X) * a and f.den == (ONE - X) * (ONE + a * X)
+        normalize((ONE - X) * 2, (ONE - X) * (2 - C))
+        assert len(calls) == 1
+
+    def test_parametric_invalid_denominators_rejected(self):
+        a = Polynomial.var("$a")
+        with pytest.raises(InvalidDenominator):
+            normalize(a * X, Polynomial.zero())
+        with pytest.raises(InvalidDenominator):
+            normalize(a, a * X)
 
 
 class TestEqual:
@@ -139,9 +163,9 @@ class TestMass:
 
 # ring laws on random small polynomials
 
-def polys(max_terms=4):
+def polys(max_terms=4, max_exp=3):
     monomial = st.lists(
-        st.tuples(st.sampled_from(["x", "c", "y"]), st.integers(1, 3)),
+        st.tuples(st.sampled_from(["x", "c", "y"]), st.integers(1, max_exp)),
         max_size=2).map(lambda ps: tuple(sorted(dict(ps).items())))
     term = st.tuples(monomial, st.fractions(min_value=-4, max_value=4,
                                             max_denominator=4))
@@ -166,6 +190,19 @@ def test_gcd_divides_both(p, q):
         return
     poly_div_exact(p, g)
     poly_div_exact(q, g)
+
+
+@given(polys(3, 2), polys(3, 2), polys(3, 2), polys(2, 2))
+@settings(deadline=None, derandomize=True)
+def test_sum_over_one_denominator_matches_cross_multiplication(p, q, d, h):
+    # constant term 2; the factor h*x + 1 is shared with f's numerator, so
+    # both sides have a common factor to cancel (exponents stay at 2: the
+    # cross-multiplied side's GCD is slow on larger inputs)
+    den = (d * X + 2) * (h * X + 1)
+    f, g = ClosedForm(p * (h * X + 1), den), ClosedForm(q, den)
+    got = f + g
+    want = normalize(f.num * g.den + g.num * f.den, f.den * g.den)
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
 
 
 def reference_add(p, q):

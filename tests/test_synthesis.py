@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,13 +17,13 @@ from gfinv.algebra import (
     mono_key,
     normalize,
     series_expand,
+    shape_nonneg,
 )
 from gfinv.invariant import CertificateKind
-from gfinv.program import parse
+from gfinv.program import While, parse, top_level_segments
 from gfinv.synthesis import (
     Failure,
     PolySystem,
-    Positivity,
     SolverBudgetExceeded,
     SynthesisConfig,
     Template,
@@ -32,7 +33,6 @@ from gfinv.synthesis import (
     export_smtlib,
     import_smt_model,
     parse_template,
-    positivity_check,
     solve_system,
     synthesize,
     _factor_poly,
@@ -139,6 +139,30 @@ class TestBuildAndSolve:
         with pytest.raises(SolverBudgetExceeded):
             solve_system(system)
         assert seen and len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("name, want", [
+        ("thirds_geometric", {"a0": 0, "a1": 1, "a2": F(1, 3), "a3": F(1, 3),
+                              "b1": 0, "b2": 0, "b3": F(-1, 3)}),
+        ("residue_k3", {"a0": 0, "a1": 1, "a2": F(1, 2), "a3": 0,
+                        "b1": 0, "b2": 0, "b3": F(-1, 2)}),
+    ])
+    def test_degree_three_valuations_are_pinned(self, corpus, name, want):
+        # the single valuation found when parametric forms were GCD-reduced
+        if name == "residue_k3":
+            ast = parse("nat x; while (x = 1 mod 3) { {x := x + 3} [1/2] {x := x + 1} }")
+        else:
+            ast = corpus[name][0]
+        loop = next(s for s in top_level_segments(ast) if isinstance(s, While))
+        tpl = list(enumerate_templates(["x"], 3))[3]
+        vals = solve_system(build_system(tpl, loop, G_X))
+        assert [(v.assignment, v.free) for v in vals] == [(want, ())]
+
+    def test_past_deadline_raises(self):
+        system = PolySystem((Polynomial.var("$a") * Polynomial.var("$b") - 1,), ("a", "b"))
+        with pytest.raises(TimeoutError):
+            solve_system(system, deadline=0.0)
+        with pytest.raises(TimeoutError):
+            _row_reduce(list(system.equations), deadline=0.0)
 
     def test_solver_soundness_on_random_systems(self):
         rng = random.Random(11)
@@ -308,17 +332,17 @@ def test_factor_poly_keeps_the_order_of_factors_with_equal_monomials():
 
 class TestPositivity:
     def test_occupation_form(self):
-        assert positivity_check(OCC) == Positivity.NONNEG
+        assert shape_nonneg(OCC)
 
     def test_sequential_loops_diagnostic_form(self):
         mixed = normalize(2 * C, C * C - 3 * C + 2) + from_poly(ONE)
-        assert positivity_check(mixed) == Positivity.UNKNOWN
+        assert not shape_nonneg(mixed)
         # ... even though the series is in fact nonnegative
         assert all(v >= 0 for v in series_expand(mixed, 15).values())
 
     def test_negation_pattern(self):
         f = ClosedForm(-X, Polynomial.const(-1) + C * F(1, 2))
-        assert positivity_check(f) == Positivity.NONNEG
+        assert shape_nonneg(f)
 
     def test_nonneg_verdict_implies_nonneg_series(self, corpus):
         # internal consistency on every stored closed form in the corpus
@@ -329,7 +353,7 @@ class TestPositivity:
                 if not text:
                     continue
                 f = parse_closed_form(text, ast.variables)
-                if positivity_check(f) == Positivity.NONNEG:
+                if shape_nonneg(f):
                     assert all(v >= 0 for v in series_expand(f, 15).values()), name
 
 
@@ -405,6 +429,24 @@ class TestSynthesize:
                 if found:
                     break
             assert found, name
+
+    def test_residue_loop_mod_five(self):
+        ast = parse("nat x; while (x = 1 mod 5) { {x := x + 5} [1/2] {x := x + 1} }")
+        res = synthesize(ast.body, G_X, SynthesisConfig(max_den_degree=5))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        assert equal(res.invariant, normalize(2 * X + X * X, 2 - Polynomial.var("x", 5)))
+
+    def test_solver_honours_the_deadline(self, corpus):
+        # without a deadline, the solver spends about 6 s exhausting its budget
+        # on the automatic degree-3 template on sequential_loops' first loop
+        ast, init, _, _ = corpus["sequential_loops"]
+        loop = next(s for s in top_level_segments(ast) if isinstance(s, While))
+        tpl = list(enumerate_templates(["c", "x"], 3))[3]
+        start = time.monotonic()
+        res = synthesize(loop, init, SynthesisConfig(timeout_s=2.0, user_template=tpl))
+        assert time.monotonic() - start < 2.0 + 2
+        assert isinstance(res, Failure) and res.stage == "timeout"
+        assert any("timeout reached while solving" in d for d in res.diagnostics)
 
 
 class TestUserTemplates:
