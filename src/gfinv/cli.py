@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -187,9 +186,6 @@ def cmd_synthesize(args, out) -> int:
     ast = _load_program(args.program)
     g = _gf_arg(args.init, ast.variables)
     config = SynthesisConfig(max_den_degree=args.max_degree, timeout_s=args.timeout)
-    branch = os.environ.get("GFINV_BRANCH_LIMIT")
-    if branch:
-        config.solver.branch_limit = int(branch)
     if args.template:
         config.user_template = parse_template(_read(args.template), ast.variables)
     t1 = time.monotonic()

@@ -6,8 +6,9 @@ requiring the fixed-point equation Phi(I) = I, cross-multiplied and compared
 coefficient-wise per program monomial, yields a polynomial equation system
 over the parameters.  The solver runs staged exact elimination:
 
-  1. substitution of linear equations (Gaussian elimination, repeated as
-     substitutions linearize further equations),
+  1. substitution t := -rest/c: of linear equations first, then of quadratic
+     ones in which a numerator parameter t occurs only in one term c*t,
+     repeated as substitutions linearize further equations,
   2. rational-root branching on single-parameter equations,
   3. exact row reduction over the parameter-monomial basis (surfaces linear
      consequences of nonlinear equations), on sparse rows,
@@ -68,23 +69,18 @@ class Template:
     parameters: Tuple[str, ...]          # bare names, no $ prefix
     provenance: str                      # "auto(d=..)" or "user"
 
-    def instantiated(self, valuation: Dict[str, Fraction]) -> ClosedForm:
-        return instantiate(self.form, valuation)
-
 
 @dataclass(frozen=True)
 class PolySystem:
     equations: Tuple[Polynomial, ...]    # parameter polynomials, each == 0
     parameters: Tuple[str, ...]
+    numerator: Tuple[str, ...] = ()      # the numerator block (see build_system)
 
 
 @dataclass(frozen=True)
 class Valuation:
     assignment: Dict[str, Fraction]
     free: Tuple[str, ...] = ()
-
-    def items(self):
-        return self.assignment.items()
 
 
 def enumerate_templates(variables: Sequence[str], max_den_degree: int) -> Iterator[Template]:
@@ -156,6 +152,10 @@ def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem
     may keep common factors with the denominator.  Such a factor vanishes
     only where a denominator would be identically zero, and such valuations
     are filtered as invalid anyway.
+
+    The numerator block is the parameters of the template's numerator that
+    do not occur in its denominator.  Phi is affine, so each equation is
+    linear in them jointly; the block is left empty if some monomial is not.
     """
     phi = char_functional(loop, g, template.form)
     diff = phi - template.form
@@ -166,7 +166,11 @@ def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem
         eqs.setdefault(prog, Polynomial.zero())
         eqs[prog] = eqs[prog] + Polynomial.monomial(par, c)
     ordered = [eqs[k] for k in sorted(eqs, key=mono_key)]
-    return PolySystem(tuple(ordered), template.parameters)
+    block = _param_vars(template.form.num) - _param_vars(template.form.den)
+    if any(sum(e for v, e in m if v in block) > 1 for q in ordered for m in q.terms):
+        block = set()
+    return PolySystem(tuple(ordered), template.parameters,
+                      tuple(sorted(v[1:] for v in block)))
 
 
 # -- solver ------------------------------------------------------------------------
@@ -182,8 +186,19 @@ def _param_vars(p: Polynomial) -> set:
     return {v for v in p.vars() if v.startswith("$")}
 
 
-def _is_linear(p: Polynomial) -> bool:
-    return p.total_degree() <= 1
+def _pivot(eqs: List[Polynomial], block: set) -> Optional[Tuple[Polynomial, str]]:
+    """Stage 1's pick: an equation and a parameter t that occurs in it only in
+    one term c*t, c rational.  A linear equation first; failing that, one of
+    degree 2 whose t is in the numerator block: isolating t from one of higher
+    degree compounds the system's degree, which costs stages 3-4 more."""
+    linear = [e for e in eqs if e.total_degree() <= 1]
+    if linear:
+        e = min(linear, key=lambda q: (len(_param_vars(q)), sorted(q.terms)))
+        return e, sorted(_param_vars(e))[0]
+    isolable = [(e, t) for e in eqs if e.total_degree() == 2
+                for t in sorted(block & _param_vars(e))
+                if ((t, 1),) in e.terms and sum(t in dict(m) for m in e.terms) == 1]
+    return min(isolable, key=lambda p: (len(p[0].terms), sorted(p[0].terms)), default=None)
 
 
 def _factor_poly(p: Polynomial) -> List[Polynomial]:
@@ -343,6 +358,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
     budget = [max(1, len(system.equations)) * cfg.branch_limit]
     results: List[Dict[str, Fraction]] = []
     all_params = tuple("$" + p for p in system.parameters)
+    block = {"$" + p for p in system.numerator}
     # stage 4 meets the same polynomial on many branches; factor it once
     factored: Dict[frozenset, List[Polynomial]] = {}
 
@@ -352,6 +368,15 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
         if budget[0] < 0:
             raise SolverBudgetExceeded(
                 f"solver exceeded budget ({len(system.equations)} eqs x {cfg.branch_limit})")
+
+    def branch(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set,
+               t: str, values: Iterable[Fraction]):
+        for value in values:
+            spend()
+            expr = Polynomial.const(value)
+            new_subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
+            new_subst[t] = expr
+            attempt([q.subs_var(t, expr) for q in eqs], new_subst, seen_rr)
 
     def finish(subst: Dict[str, Polynomial]):
         free = sorted(set(all_params) - set(subst))
@@ -364,20 +389,16 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
             combos = [()]
         for combo in combos:
             val: Dict[str, Fraction] = dict(zip(free, combo))
-            ok = True
             # resolve substitution chains against the chosen defaults
-            for t in subst:
-                expr = subst[t]
+            for t, expr in subst.items():
                 for fvar, fval in val.items():
                     expr = expr.subs_var(fvar, fval)
                 if not expr.is_const():
-                    ok = False
                     break
                 val[t] = expr.constant_term()
-            if not ok:
-                continue
-            results.append(({p[1:]: val.get(p, Fraction(0)) for p in all_params},
-                            tuple(p[1:] for p in free)))
+            else:
+                results.append(({p[1:]: val.get(p, Fraction(0)) for p in all_params},
+                                tuple(p[1:] for p in free)))
 
     def attempt(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set):
         while True:
@@ -388,14 +409,12 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
             if not eqs:
                 finish(subst)
                 return
-            # stage 1: linear elimination
-            linear = [e for e in eqs if _is_linear(e)]
-            if linear:
-                e = min(linear, key=lambda q: (len(_param_vars(q)), sorted(q.terms)))
-                t = sorted(_param_vars(e))[0]
-                coef = e.terms.get(((t, 1),), Fraction(0))
-                rest = e - Polynomial.monomial(((t, 1),), coef)
-                expr = rest * (-1 / coef)
+            # stage 1: exact substitution t := -rest/c
+            pivot = _pivot(eqs, block)
+            if pivot is not None:
+                e, t = pivot
+                coef = e.terms[((t, 1),)]
+                expr = (e - Polynomial.monomial(((t, 1),), coef)) * (-1 / coef)
                 eqs = [q.subs_var(t, expr) for q in eqs if q is not e]
                 subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
                 subst[t] = expr
@@ -405,13 +424,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
             if singles:
                 e = min(singles, key=lambda q: (q.total_degree(), len(q.terms)))
                 t = sorted(_param_vars(e))[0]
-                for root in _rational_roots(e, t):
-                    spend()
-                    expr = Polynomial.const(root)
-                    new_eqs = [q.subs_var(t, expr) for q in eqs if q is not e]
-                    new_subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
-                    new_subst[t] = expr
-                    attempt(new_eqs, new_subst, seen_rr)
+                branch(eqs, subst, seen_rr, t, _rational_roots(e, t))  # e becomes 0, dropped
                 return
             # stage 3: row reduction over the monomial basis
             key = _canonical(eqs)
@@ -434,15 +447,8 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
                         attempt(rest + [f], dict(subst), seen_rr)
                     return
             # stage 5: bounded value branching over 0/1
-            params = sorted({v for e in eqs for v in _param_vars(e)})
-            for t in params:
-                for value in cfg.default_values:
-                    spend()
-                    expr = Polynomial.const(value)
-                    new_eqs = [q.subs_var(t, expr) for q in eqs]
-                    new_subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
-                    new_subst[t] = expr
-                    attempt(new_eqs, new_subst, seen_rr)
+            for t in sorted({v for e in eqs for v in _param_vars(e)}):
+                branch(eqs, subst, seen_rr, t, cfg.default_values)
             return
 
     attempt(list(system.equations), {}, set())
@@ -602,7 +608,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 last_stage = "timeout"
                 break
             try:
-                candidate = template.instantiated(val.assignment)
+                candidate = instantiate(template.form, val.assignment)
             except InvalidDenominator:
                 diagnostics.append(f"{desc}: valuation makes denominator invalid")
                 last_stage = "instantiate"
@@ -748,9 +754,7 @@ def _loop_vars(loop: P.While) -> set:
     out = set()
 
     def guard_vars(gd):
-        if isinstance(gd, (P.Lt, P.Geq, P.Eq, P.Neq)):
-            out.add(gd.var)
-        elif isinstance(gd, P.ModEq):
+        if isinstance(gd, (P.Lt, P.Geq, P.Eq, P.Neq, P.ModEq)):
             out.add(gd.var)
         elif isinstance(gd, (P.And, P.Or)):
             guard_vars(gd.left)

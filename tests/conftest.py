@@ -24,3 +24,8 @@ def load_bench(name):
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_bench(name) for name in bench_names()}
+
+
+def pytest_generate_tests(metafunc):
+    if "bench_name" in metafunc.fixturenames:
+        metafunc.parametrize("bench_name", bench_names())

@@ -229,6 +229,35 @@ class TestCriterion3:
                                                      ": " + "; ".join(failures)))
 
 
+class TestCorpusExpectations:
+    """Each corpus program meets its expected.json: the outcome, the closed
+    forms, the masses and the verdict it names."""
+
+    def test_expected_json(self, bench_name, corpus, corpus_results):
+        ast, init, expected, d = corpus[bench_name]
+        mode, verdict, res, _ = corpus_results[bench_name]
+        cert, failure = (res, None) if mode == "check" else (res.certificate, res.failure)
+        if failure is not None:
+            outcome = f"failure:{failure.stage}"
+        else:
+            outcome = cert.kind.value if cert is not None else "none"
+        want = expected["outcome"]
+        assert outcome.startswith("failure:") if want == "failure" else outcome == want
+        for key in ("invariant", "posterior"):
+            if expected.get(key):
+                assert equal(getattr(cert, key), parse_closed_form(expected[key], ast.variables))
+        if "candidate" in expected:
+            assert equal(failure.candidate,
+                         parse_closed_form(expected["candidate"], ast.variables))
+        if "diagnostic_contains" in expected:
+            assert any(expected["diagnostic_contains"] in m for m in failure.diagnostics)
+        for key in ("mass_invariant", "ert_upper_bound"):
+            if key in expected:
+                assert str(getattr(cert, key)) == expected[key]
+        if "verdict" in expected:
+            assert verdict.value == expected["verdict"]
+
+
 class TestCriterion4:
     def test_oracle_soundness_sweep(self, corpus, corpus_results):
         t0 = time.monotonic()

@@ -24,7 +24,6 @@ from gfinv.program import While, parse, top_level_segments
 from gfinv.synthesis import (
     Failure,
     PolySystem,
-    SolverBudgetExceeded,
     SynthesisConfig,
     Template,
     analyze_program,
@@ -36,6 +35,7 @@ from gfinv.synthesis import (
     solve_system,
     synthesize,
     _factor_poly,
+    _pivot,
     _row_reduce,
 )
 
@@ -126,9 +126,10 @@ class TestBuildAndSolve:
         assert solve_system(system) == []
 
     def test_each_distinct_polynomial_is_factored_once(self, monkeypatch):
-        walk = parse("nat x;\nwhile (x > 0 && x < 3) { {x := x - 1} [1/2] {x := x + 1} }")
-        tpl = list(enumerate_templates(["x"], 3))[3]
-        system = build_system(tpl, walk.body, G_X)
+        # a*b = 0 branches on a and on b, and both branches then meet
+        # (c + 1)(d + 1) = 0
+        a, b, c, d = (Polynomial.var("$" + n) for n in "abcd")
+        system = PolySystem((a * b, (c + 1) * (d + 1)), ("a", "b", "c", "d"))
         seen = []
 
         def counting(p):
@@ -136,9 +137,34 @@ class TestBuildAndSolve:
             return _factor_poly(p)
 
         monkeypatch.setattr(synthesis, "_factor_poly", counting)
-        with pytest.raises(SolverBudgetExceeded):
-            solve_system(system)
+        vals = [v.assignment for v in solve_system(system)]
+        assert any(v["a"] == 0 and v["c"] == -1 for v in vals)
+        assert any(v["b"] == 0 and v["d"] == -1 for v in vals)
         assert seen and len(seen) == len(set(seen))
+
+    def test_a_numerator_parameter_in_one_term_is_eliminated(self):
+        a, b, t = (Polynomial.var("$" + n) for n in "abt")
+        isolable = 2 * t + a * b - 2
+        other = a * b - 2 * b
+        assert _pivot([other, isolable], {"$t"}) == (isolable, "$t")
+        assert _pivot([other, isolable], set()) is None
+        assert _pivot([other, isolable + t * b], {"$t"}) is None
+        system = PolySystem((isolable, other), ("a", "b", "t"), ("t",))
+        vals = [(dict(v.assignment), v.free) for v in solve_system(system)]
+        assert vals == [({"a": 2, "b": 0, "t": 1}, ("b",)), ({"a": 2, "b": 1, "t": 0}, ("b",)),
+                        ({"a": 0, "b": 0, "t": 1}, ("a",)), ({"a": 1, "b": 0, "t": 1}, ("a",))]
+
+    def test_the_numerator_block_comes_from_structure(self):
+        # parameters are named freely: here the denominator's is called a0
+        tpl = parse_template("(b0*X + b1)/(1 - a0*C)", ["x", "c"])
+        assert build_system(tpl, GEO.body, G_X).numerator == ("b0", "b1")
+        shared = parse_template("(a*X + b)/(1 - a*C)", ["x", "c"])
+        assert build_system(shared, GEO.body, G_X).numerator == ("b",)
+        # a product of two numerator parameters is not linear in the block
+        product = parse_template("(a*b*X + a)/(1 - c*C)", ["x", "c"])
+        assert build_system(product, GEO.body, G_X).numerator == ()
+        auto = list(enumerate_templates(["c", "x"], 1))[1]
+        assert build_system(auto, GEO.body, G_X).numerator == ("a0", "a1", "a2")
 
     @pytest.mark.parametrize("name, want", [
         ("thirds_geometric", {"a0": 0, "a1": 1, "a2": F(1, 3), "a3": F(1, 3),
@@ -436,14 +462,25 @@ class TestSynthesize:
         assert res.kind == CertificateKind.EXACT_POSTERIOR
         assert equal(res.invariant, normalize(2 * X + X * X, 2 - Polynomial.var("x", 5)))
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_bounded_walk_certifies(self, n):
+        ast = parse(f"nat x; while (x > 0 && x < {n}) {{ {{x := x - 1}} [1/2] {{x := x + 1}} }}")
+        res = synthesize(ast.body, G_X, SynthesisConfig(max_den_degree=n))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        # gambler's ruin from 1: exit at 0 w.p. (N-1)/N, at N w.p. 1/N
+        post = Polynomial.const(F(n - 1, n)) + Polynomial.var("x", n) * F(1, n)
+        occ = sum((Polynomial.var("x", j) * F(2 * (n - j), n) for j in range(1, n)),
+                  Polynomial.zero())
+        assert equal(res.invariant, from_poly(occ + post))
+        assert equal(res.posterior, from_poly(post))
+
     def test_solver_honours_the_deadline(self, corpus):
-        # without a deadline, the solver spends about 6 s exhausting its budget
-        # on the automatic degree-3 template on sequential_loops' first loop
-        ast, init, _, _ = corpus["sequential_loops"]
+        # solving fast_dice_roller's degree-1 automatic template runs past a
+        # 60 s deadline
+        ast, init, _, _ = corpus["fast_dice_roller"]
         loop = next(s for s in top_level_segments(ast) if isinstance(s, While))
-        tpl = list(enumerate_templates(["c", "x"], 3))[3]
         start = time.monotonic()
-        res = synthesize(loop, init, SynthesisConfig(timeout_s=2.0, user_template=tpl))
+        res = synthesize(loop, init, SynthesisConfig(timeout_s=2.0))
         assert time.monotonic() - start < 2.0 + 2
         assert isinstance(res, Failure) and res.stage == "timeout"
         assert any("timeout reached while solving" in d for d in res.diagnostics)
@@ -461,6 +498,15 @@ class TestUserTemplates:
         assert tpl.parameters == ("b",)
         inst = instantiate(tpl.form, {"b": F(1, 2)})
         assert equal(inst, normalize(2 * X + ONE, ONE - C * F(1, 2)))
+
+    def test_a_product_of_parameters_is_solved(self):
+        # p*q = 1 has a family of solutions and nothing to factor: the 0/1
+        # value branching picks p = 1
+        tpl = parse_template("(p*q + 2*X)/(2 - C)", GEO.variables)
+        assert build_system(tpl, GEO.body, G_X).numerator == ()
+        res = synthesize(GEO.body, G_X, SynthesisConfig(user_template=tpl))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        assert equal(res.invariant, OCC)
 
 
 class TestSmtLib:
