@@ -21,7 +21,7 @@ from .closedform import (
     shape_nonneg,
     var,
 )
-from .cyclotomic import CyclotomicElement, cyclotomic_poly, euler_phi
+from .cyclotomic import CyclotomicElement, cyclotomic_poly
 from .gfexpr import (
     GfSyntaxError,
     format_closed_form,

@@ -11,19 +11,16 @@ templates of synthesis) are only scaled; see ``normalize``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .poly import (
     MONO_ONE,
     Mono,
     Polynomial,
-    mono_degree,
     mono_div,
     mono_key,
-    mono_mul,
     poly_div_exact,
     poly_gcd,
 )

@@ -6,7 +6,6 @@ multiplication and rational scaling are needed, never field inversion.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -39,10 +38,6 @@ def _div_exact_int(a: list, b: list) -> list:
     if any(r):
         raise ArithmeticError("inexact cyclotomic division")
     return out
-
-
-def euler_phi(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
 class CyclotomicElement:

@@ -16,8 +16,8 @@ import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .closedform import ClosedForm, from_poly, normalize
-from .poly import MONO_ONE, Polynomial, mono_key
+from .closedform import ClosedForm, from_poly
+from .poly import MONO_ONE, Polynomial
 
 
 class GfSyntaxError(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -235,9 +235,6 @@ class Polynomial:
     def degree_in(self, var: str) -> int:
         return max((mono_degree_in(m, var) for m in self.terms), default=0)
 
-    def coeff_of(self, m: Mono):
-        return self.terms.get(m, Fraction(0))
-
     def sorted_terms(self, order: Optional[Sequence[str]] = None):
         return sorted(self.terms.items(), key=lambda t: mono_key(t[0], order))
 
@@ -284,40 +281,12 @@ class Polynomial:
                 out.pop(rest, None)
         return Polynomial(out)
 
-    def scale_var(self, var: str, factor) -> "Polynomial":
-        """X_var -> factor * X_var: multiply each term by factor**exp."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = mono_degree_in(m, var)
-            if e:
-                c = c * (factor ** e)
-            if c:
-                out[m] = out.get(m, 0) + c
-        return Polynomial({m: c for m, c in out.items() if c})
-
     def eval_ones(self):
         """Value at all variables = 1 (the coefficient sum)."""
         total = Fraction(0)
         for c in self.terms.values():
             total = total + c
         return total
-
-    def derivative(self, var: str) -> "Polynomial":
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = mono_degree_in(m, var)
-            if not e:
-                continue
-            rest = [(v, x) for v, x in m if v != var]
-            if e > 1:
-                rest.append((var, e - 1))
-            mm = tuple(sorted(rest))
-            s = out.get(mm, 0) + c * e
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        return Polynomial(out)
 
     # -- rational content ----------------------------------------------------
 

@@ -33,7 +33,7 @@ from .algebra import (
     parse_closed_form_with_params,
     series_expand,
 )
-from .invariant import Certificate, CertificateKind, Verdict, certify
+from .invariant import Certificate, CertificateKind, certify
 from .oracle import (
     Diverges,
     FiniteChain,
@@ -41,14 +41,12 @@ from .oracle import (
     best_contraction_bound,
     chain_occupation,
     chain_posterior,
-    crosscheck,
     kleene_iterate,
     measure_from_closed_form,
 )
 from .program import ProgramAst, ProgramError, While, classify, parse
 from .semantics import SemanticsError
 from .synthesis import (
-    Failure,
     ProgramAnalysis,
     SynthesisConfig,
     analyze_program,
@@ -135,6 +133,12 @@ def _load_program(path: str) -> ProgramAst:
     return parse(_read(path))
 
 
+def _single_loop(ast: ProgramAst, command: str) -> While:
+    if not classify(ast).is_single_loop:
+        raise ProgramError(f"{command} requires a program that is a single while loop")
+    return ast.body if isinstance(ast.body, While) else ast.body.stmts[0]
+
+
 def _parse_form(text: str, variables=None) -> ClosedForm:
     """A closed form without parameters.  The parser reads an unknown lowercase
     name as a template parameter; no command-line form may hold one."""
@@ -154,10 +158,7 @@ def _gf_arg(text: str, variables) -> ClosedForm:
 def cmd_check(args, out) -> int:
     t0 = time.monotonic()
     ast = _load_program(args.program)
-    cls = classify(ast)
-    if not cls.is_single_loop:
-        raise ProgramError("check requires a program that is a single while loop")
-    loop = ast.body if isinstance(ast.body, While) else ast.body.stmts[0]
+    loop = _single_loop(ast, "check")
     g = _gf_arg(args.init, ast.variables)
     candidate = _gf_arg(args.invariant, ast.variables)
     t1 = time.monotonic()
@@ -206,10 +207,7 @@ def cmd_synthesize(args, out) -> int:
 def cmd_unroll(args, out) -> int:
     t0 = time.monotonic()
     ast = _load_program(args.program)
-    cls = classify(ast)
-    if not cls.is_single_loop:
-        raise ProgramError("unroll requires a program that is a single while loop")
-    loop = ast.body if isinstance(ast.body, While) else ast.body.stmts[0]
+    loop = _single_loop(ast, "unroll")
     g = _gf_arg(args.init, ast.variables)
     m = measure_from_closed_form(g, args.init_degree, ast.variables)
     res = kleene_iterate(loop, m, ast.variables, args.steps, support_cap=args.cap)

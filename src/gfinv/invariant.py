@@ -58,12 +58,17 @@ class Certificate:
     mass_invariant: Optional[ExtendedMass]
     mass_initial: Optional[Fraction]
     mass_posterior: Optional[Fraction]
-    ert_upper_bound: Optional[ExtendedMass]
     past: bool
 
     @property
     def is_full(self) -> bool:
         return self.kind == CertificateKind.EXACT_POSTERIOR
+
+    @property
+    def ert_upper_bound(self) -> Optional[ExtendedMass]:
+        """|I| bounds the expected number of guard evaluations (equals it for
+        exact invariants)."""
+        return self.mass_invariant
 
 
 def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
@@ -91,12 +96,6 @@ def posterior_upper_bound(loop: P.While, invariant: ClosedForm) -> ClosedForm:
     return invariant - restrict_guard(invariant, loop.guard)
 
 
-def ert_upper_bound(invariant: ClosedForm) -> ExtendedMass:
-    """|I| bounds the expected number of guard evaluations (equals it for
-    exact invariants)."""
-    return mass(invariant)
-
-
 def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
                     verdict: Verdict) -> Certificate:
     """Build the strongest certificate the mass checks support.
@@ -120,18 +119,17 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
                 kind=CertificateKind.EXACT_POSTERIOR,
                 loop=loop, initial=g, invariant=invariant, verdict=verdict,
                 posterior=bound, mass_invariant=mass_i, mass_initial=mass_g,
-                mass_posterior=mass_b.value, ert_upper_bound=mass_i, past=True)
+                mass_posterior=mass_b.value, past=True)
         return Certificate(
             kind=CertificateKind.PAST_WITNESS,
             loop=loop, initial=g, invariant=invariant, verdict=verdict,
             posterior=None, mass_invariant=mass_i, mass_initial=mass_g,
-            mass_posterior=mass_b.value if mass_b.finite else None,
-            ert_upper_bound=mass_i, past=True)
+            mass_posterior=mass_b.value if mass_b.finite else None, past=True)
     return Certificate(
         kind=CertificateKind.UPPER_BOUND_ONLY,
         loop=loop, initial=g, invariant=invariant, verdict=verdict,
         posterior=bound, mass_invariant=mass_i, mass_initial=mass_g,
-        mass_posterior=None, ert_upper_bound=mass_i, past=False)
+        mass_posterior=None, past=False)
 
 
 def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
@@ -156,6 +154,5 @@ def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
                 else CertificateKind.SUPERINVARIANT)
         cert = Certificate(kind=kind, loop=loop, initial=g, invariant=candidate,
                            verdict=verdict, posterior=None, mass_invariant=None,
-                           mass_initial=None, mass_posterior=None,
-                           ert_upper_bound=None, past=False)
+                           mass_initial=None, mass_posterior=None, past=False)
     return verdict, cert

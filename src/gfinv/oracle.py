@@ -11,9 +11,9 @@ States are tuples of naturals, one slot per declared program variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import ClosedForm, Mono, mono_key, series_expand
 from . import program as P

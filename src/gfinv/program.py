@@ -14,7 +14,7 @@ constant desugars into repeated decrements and therefore saturates at zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -217,10 +217,6 @@ Statement = Union[
 
 @dataclass(frozen=True)
 class Classification:
-    is_loop_free: bool
-    is_redip: bool
-    is_clredip: bool              # strict: no constant/sample assignments
-    is_clredip_with_assignments: bool
     is_single_loop: bool          # exactly one while, loop-free body
 
 
@@ -228,10 +224,6 @@ class Classification:
 class ProgramAst:
     variables: Tuple[str, ...]
     body: Statement
-
-    @property
-    def classification(self) -> Classification:
-        return classify(self)
 
 
 # -- classification --------------------------------------------------------------
@@ -251,71 +243,19 @@ def _stmts(s: Statement):
         yield from _stmts(s.body)
 
 
-def _dist_has_closed_form(d: DistExpr) -> bool:
-    return True  # every supported DistExpr carries a rational closed-form PGF
-
-
 def classify(ast: ProgramAst) -> Classification:
-    nodes = list(_stmts(ast.body))
-    loop_free = not any(isinstance(s, (While, Diverge)) for s in nodes)
-    redip = not any(isinstance(s, Diverge) for s in nodes)
     top = ast.body
     if isinstance(top, Seq) and len(top.stmts) == 1:
         top = top.stmts[0]
     single = isinstance(top, While) and not any(
         isinstance(s, (While, Diverge)) for s in _stmts(top.body)
     )
-    # The clReDiP question concerns the analyzed loop's body (or, for a
-    # loop-free program, the statement itself).
-    scope = top.body if single else ast.body
-    scope_nodes = list(_stmts(scope))
-    scope_loop_free = not any(isinstance(s, (While, Diverge)) for s in scope_nodes)
-    dists_closed = all(
-        _dist_has_closed_form(s.dist)
-        for s in scope_nodes if isinstance(s, (IidIncrement, SampleAssign))
-    )
-    has_assign = any(isinstance(s, (AssignConst, SampleAssign)) for s in scope_nodes)
-    clredip = scope_loop_free and dists_closed and not has_assign
-    clredip_wa = scope_loop_free and dists_closed
-    return Classification(loop_free, redip, clredip, clredip_wa, single)
+    return Classification(single)
 
 
 def top_level_segments(ast: ProgramAst) -> List[Statement]:
-    """Top-level statements with while-loops isolated as their own segment."""
-    stmts = list(ast.body.stmts) if isinstance(ast.body, Seq) else [ast.body]
-    return stmts
-
-
-def max_increment(s: Statement) -> int:
-    """Crude bound on how much one execution can raise any single variable's
-    value times degree contribution; used to pick safe comparison degrees."""
-    if isinstance(s, AssignConst):
-        return s.value
-    if isinstance(s, IidIncrement):
-        return _dist_span(s.dist)
-    if isinstance(s, SampleAssign):
-        return _dist_span(s.dist)
-    if isinstance(s, Choice):
-        return max(max_increment(s.left), max_increment(s.right))
-    if isinstance(s, Seq):
-        return sum(max_increment(t) for t in s.stmts)
-    if isinstance(s, IfThenElse):
-        return max(max_increment(s.then), max_increment(s.els))
-    if isinstance(s, While):
-        return max_increment(s.body)
-    return 0
-
-
-def _dist_span(d: DistExpr) -> int:
-    if isinstance(d, Dirac):
-        return d.value
-    if isinstance(d, UniformRange):
-        return d.hi
-    if isinstance(d, Bernoulli):
-        return 1
-    if isinstance(d, RawPgf):
-        return max(2, d.form.num.total_degree())
-    return 2  # geometric and friends: truncation handles the tail
+    """The top-level statements: the body's Seq split once, not recursively."""
+    return list(ast.body.stmts) if isinstance(ast.body, Seq) else [ast.body]
 
 
 # -- desugaring -------------------------------------------------------------------
@@ -347,41 +287,6 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int) -> St
     if len(out) == 1 and isinstance(out[0], AssignConst) and constant == 0 and not others:
         return out[0]
     return out[0] if len(out) == 1 else Seq(tuple(out))
-
-
-def desugar(ast: ProgramAst) -> ProgramAst:
-    """Rewrite equality/disequality guards into rectangular combinations.
-
-    Assignment sugar is already eliminated by the parser; programs built
-    programmatically go through the same rewriting here.
-    """
-    return ProgramAst(ast.variables, _desugar_stmt(ast.body))
-
-
-def _desugar_guard(g: Guard) -> Guard:
-    if isinstance(g, Eq):
-        return And(Geq(g.var, g.value), Lt(g.var, g.value + 1))
-    if isinstance(g, Neq):
-        return Or(Lt(g.var, g.value), Geq(g.var, g.value + 1))
-    if isinstance(g, And):
-        return And(_desugar_guard(g.left), _desugar_guard(g.right))
-    if isinstance(g, Or):
-        return Or(_desugar_guard(g.left), _desugar_guard(g.right))
-    if isinstance(g, Not):
-        return Not(_desugar_guard(g.inner))
-    return g
-
-
-def _desugar_stmt(s: Statement) -> Statement:
-    if isinstance(s, Seq):
-        return Seq(tuple(_desugar_stmt(t) for t in s.stmts))
-    if isinstance(s, Choice):
-        return Choice(s.prob, _desugar_stmt(s.left), _desugar_stmt(s.right))
-    if isinstance(s, IfThenElse):
-        return IfThenElse(_desugar_guard(s.guard), _desugar_stmt(s.then), _desugar_stmt(s.els))
-    if isinstance(s, While):
-        return While(_desugar_guard(s.guard), _desugar_stmt(s.body))
-    return s
 
 
 # -- parser -----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Forward measure semantics of loop-free statements on rational closed forms.
 
-Implements the four primitive series operations (restriction, downward shift,
-substitution, formal derivative) on closed forms, guard restriction including
+Implements the primitive series operations (restriction, downward shift,
+substitution) on closed forms, guard restriction including
 roots-of-unity filters for modulo guards, the statement transformer, and the
 loop characteristic functional  Phi(I) = g + transform(body, [guard] * I).
 
@@ -12,13 +12,11 @@ always re-runs concretely on instantiated candidates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
     ClosedForm,
     CyclotomicElement,
-    InvalidDenominator,
     Polynomial,
     ZERO,
     from_poly,
@@ -194,11 +192,6 @@ def _subst_poly(p: Polynomial, var: str, h: ClosedForm):
             continue
         acc = acc + layer * h.num ** i * h.den ** (deg - i)
     return acc, deg
-
-
-def formal_derivative(f: ClosedForm, var: str) -> ClosedForm:
-    num = f.num.derivative(var) * f.den - f.num * f.den.derivative(var)
-    return normalize(num, f.den * f.den)
 
 
 # -- guard restriction -----------------------------------------------------------

@@ -14,11 +14,13 @@ over the parameters.  The solver runs staged exact elimination:
      consequences of nonlinear equations), on sparse rows,
   4. factor-and-branch (multivariate factorization via sympy, over the
      integers; each distinct polynomial is factored once per solve),
-  5. bounded value branching, then 0/1 defaults for leftover free parameters.
+  5. value branching over 0/1 on the smallest remaining parameter (the
+     recursion reaches every 0/1 assignment once), then 0/1 defaults for
+     leftover free parameters.
 
-Every returned valuation is re-checked against the original system; residual
-systems can be exported to SMT-LIB 2 for an external solver and the model
-imported back.
+Every returned valuation is re-checked against the original system.  The
+stages are incomplete: an empty result means no solution was found, not that
+none exists.
 
 Stage 4 is the only user of sympy.  It is imported on the first
 factorization, not with this module, so a process that never factors (every
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,19 +42,16 @@ from .algebra import (
     ClosedForm,
     InvalidDenominator,
     Polynomial,
-    UnknownSign,
-    equal,
     find_negative_coefficient,
     format_closed_form,
     has_parameters,
     instantiate,
     mono_key,
-    normalize,
     parse_closed_form_with_params,
     shape_nonneg,
 )
 from .algebra.closedform import _monomials_upto
-from .invariant import Certificate, CertificateKind, Verdict, certify
+from .invariant import Certificate, CertificateKind, certify
 from . import program as P
 from .semantics import SemanticsError, apply_statement, char_functional
 
@@ -175,11 +174,9 @@ def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem
 
 # -- solver ------------------------------------------------------------------------
 
-@dataclass
-class SolverConfig:
-    branch_limit: int = 64
-    default_values: Tuple[Fraction, ...] = (Fraction(0), Fraction(1))
-    max_free_combos: int = 8
+BRANCH_LIMIT = 64                            # branches per equation
+DEFAULT_VALUES = (Fraction(0), Fraction(1))  # stage 5 and leftover free parameters
+MAX_FREE_COMBOS = 8                          # default assignments per solution
 
 
 def _param_vars(p: Polynomial) -> set:
@@ -347,15 +344,13 @@ def _canonical(eqs: List[Polynomial]) -> frozenset:
     return frozenset(frozenset(e.terms.items()) for e in eqs)
 
 
-def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
-                 deadline: float = math.inf) -> List[Valuation]:
+def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuation]:
     """All consistent valuations found by the staged solver (possibly empty).
 
     Raises SolverBudgetExceeded when the branch budget runs out, and
     TimeoutError once ``time.monotonic()`` passes the deadline.
     """
-    cfg = config or SolverConfig()
-    budget = [max(1, len(system.equations)) * cfg.branch_limit]
+    budget = [max(1, len(system.equations)) * BRANCH_LIMIT]
     results: List[Dict[str, Fraction]] = []
     all_params = tuple("$" + p for p in system.parameters)
     block = {"$" + p for p in system.numerator}
@@ -367,7 +362,7 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
         budget[0] -= 1
         if budget[0] < 0:
             raise SolverBudgetExceeded(
-                f"solver exceeded budget ({len(system.equations)} eqs x {cfg.branch_limit})")
+                f"solver exceeded budget ({len(system.equations)} eqs x {BRANCH_LIMIT})")
 
     def branch(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set,
                t: str, values: Iterable[Fraction]):
@@ -383,8 +378,8 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
         combos: Iterable[Tuple[Fraction, ...]]
         if free:
             combos = itertools.islice(
-                itertools.product(cfg.default_values, repeat=len(free)),
-                cfg.max_free_combos)
+                itertools.product(DEFAULT_VALUES, repeat=len(free)),
+                MAX_FREE_COMBOS)
         else:
             combos = [()]
         for combo in combos:
@@ -446,9 +441,9 @@ def solve_system(system: PolySystem, config: Optional[SolverConfig] = None,
                         spend()
                         attempt(rest + [f], dict(subst), seen_rr)
                     return
-            # stage 5: bounded value branching over 0/1
-            for t in sorted({v for e in eqs for v in _param_vars(e)}):
-                branch(eqs, subst, seen_rr, t, cfg.default_values)
+            # stage 5: 0/1 on the smallest parameter; later levels take the rest
+            t = min(v for e in eqs for v in _param_vars(e))
+            branch(eqs, subst, seen_rr, t, DEFAULT_VALUES)
             return
 
     attempt(list(system.equations), {}, set())
@@ -476,68 +471,15 @@ def _eval_equation(e: Polynomial, val: Dict[str, Fraction]) -> Fraction:
     return total
 
 
-# -- SMT-LIB escape hatch ------------------------------------------------------------
-
-def export_smtlib(system: PolySystem) -> str:
-    lines = ["(set-logic QF_NRA)"]
-    for p in system.parameters:
-        lines.append(f"(declare-const {p} Real)")
-    for e in system.equations:
-        lines.append(f"(assert (= {_smt_poly(e)} 0))")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
-
-
-def _smt_rat(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c) if c >= 0 else f"(- {-c})"
-    mag = f"(/ {abs(c.numerator)} {c.denominator})"
-    return mag if c >= 0 else f"(- {mag})"
-
-
-def _smt_poly(e: Polynomial) -> str:
-    terms = []
-    for m, c in e.sorted_terms():
-        factors = [_smt_rat(c)]
-        for v, exp in m:
-            factors.extend([v[1:]] * exp)
-        terms.append(factors[0] if len(factors) == 1 else "(* " + " ".join(factors) + ")")
-    if not terms:
-        return "0"
-    return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
-
-
-def import_smt_model(text: str, parameters: Sequence[str]) -> Valuation:
-    """Read a get-model response (define-fun lines) into a Valuation."""
-    import re
-    values: Dict[str, Fraction] = {}
-    pat = re.compile(r"\(define-fun\s+(\w+)\s*\(\)\s*Real\s+(.+?)\)\s*$", re.M | re.S)
-    for name, body in pat.findall(text):
-        values[name] = _parse_smt_value(body.strip())
-    missing = [p for p in parameters if p not in values]
-    return Valuation({p: values.get(p, Fraction(0)) for p in parameters}, tuple(missing))
-
-
-def _parse_smt_value(s: str) -> Fraction:
-    s = s.strip()
-    if s.startswith("(-"):
-        return -_parse_smt_value(s[2:-1])
-    if s.startswith("(/"):
-        a, b = s[2:-1].split()
-        return Fraction(a) / Fraction(b)
-    return Fraction(s)
-
-
 # -- the search loop -----------------------------------------------------------------
+
+SCAN_DEGREE = 15    # series degree searched for a negative candidate coefficient
+
 
 @dataclass
 class SynthesisConfig:
     max_den_degree: int = 3
     timeout_s: float = 60.0
-    refute_degree: int = 25
-    scan_degree: int = 15
-    solver: SolverConfig = field(default_factory=SolverConfig)
     user_template: Optional[Template] = None
 
 
@@ -589,7 +531,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
             last_stage = "solve"
             continue
         try:
-            valuations = solve_system(system, cfg.solver, deadline)
+            valuations = solve_system(system, deadline)
         except SolverBudgetExceeded as e:
             diagnostics.append(f"{desc}: {e}")
             last_stage = "solve"
@@ -599,7 +541,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
             last_stage = "timeout"
             break
         if not valuations:
-            diagnostics.append(f"{desc}: equation system unsatisfiable")
+            diagnostics.append(f"{desc}: no solution found by the staged solver")
             last_stage = "solve"
             continue
         for val in valuations:
@@ -618,7 +560,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 last_stage = "instantiate"
                 continue
             if not shape_nonneg(candidate):
-                neg = find_negative_coefficient(candidate, cfg.scan_degree)
+                neg = find_negative_coefficient(candidate, SCAN_DEGREE)
                 if neg is None:
                     diagnostics.append(
                         f"{desc}: cannot determine positivity of "
@@ -630,7 +572,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                         f"{desc}: negative coefficient {neg[1]} at {neg[0]}")
                     last_stage = "positivity"
                 continue
-            verdict, cert = certify(loop, g, candidate, cfg.refute_degree)
+            verdict, cert = certify(loop, g, candidate)
             if cert is None:
                 diagnostics.append(f"{desc}: verification verdict {verdict.value}")
                 last_stage = "verify"

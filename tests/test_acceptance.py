@@ -447,7 +447,6 @@ def _corpus_loop_bodies(corpus):
     for name, (ast, _, _, _) in sorted(corpus.items()):
         for seg in top_level_segments(ast):
             if isinstance(seg, While):
-                cls = P.classify(P.ProgramAst(ast.variables, seg.body))
-                if cls.is_loop_free:
+                if not any(isinstance(s, (While, P.Diverge)) for s in P._stmts(seg.body)):
                     out.append((name, seg.body, list(ast.variables)))
     return out

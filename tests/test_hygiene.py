@@ -1,0 +1,44 @@
+"""Source hygiene checks that need no linter: stdlib ``ast`` only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gfinv"
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for every import; ``from __future__`` is exempt."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _used_names(tree: ast.Module) -> set:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted annotations such as "Guard" name a type without a Name node
+    annotations = [n.annotation for n in ast.walk(tree)
+                   if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation is not None]
+    annotations += [n.returns for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.returns]
+    for ann in annotations:
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":      # re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [f"{path.relative_to(SRC)}:{line}: {name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -9,6 +9,7 @@ from gfinv.algebra import (
     equal,
     format_closed_form,
     from_poly,
+    mass,
     normalize,
 )
 from gfinv.invariant import (
@@ -16,7 +17,6 @@ from gfinv.invariant import (
     CertificateKind,
     Verdict,
     certify,
-    ert_upper_bound,
     exact_posterior,
     posterior_upper_bound,
     verify,
@@ -64,17 +64,17 @@ class TestPosteriorBound:
 
 class TestErt:
     def test_geometric_expected_guard_evaluations(self):
-        m = ert_upper_bound(OCC)
+        m = mass(OCC)
         assert m.finite and m.value == 3
 
     def test_infinite_for_random_walk(self):
-        assert not ert_upper_bound(normalize(ONE + X, ONE - X)).finite
+        assert not mass(normalize(ONE + X, ONE - X)).finite
 
     def test_unsatisfiable_guard_counts_one_evaluation_per_unit_mass(self):
         loop = parse("nat x;\nwhile (x < 0) { skip }").body
         g = from_poly(X)
         assert verify(loop, g, g) == Verdict.EXACT
-        assert ert_upper_bound(g).value == 1
+        assert mass(g).value == 1
 
 
 class TestExactPosterior:

@@ -1,10 +1,8 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from gfinv import program as P
-from gfinv.oracle import SparseMeasure, kleene_iterate, exec_loopfree
 from gfinv.program import (
     Bernoulli,
     Choice,
@@ -17,7 +15,6 @@ from gfinv.program import (
     UndeclaredVariable,
     While,
     classify,
-    desugar,
     parse,
     print_program,
 )
@@ -117,26 +114,10 @@ class TestClassify:
     def test_geometric_flags(self):
         c = classify(parse(GEOMETRIC))
         assert c.is_single_loop
-        assert c.is_redip
-        # the body contains x := 0, so it is not strictly closed
-        assert not c.is_clredip
-        assert c.is_clredip_with_assignments
-
-    def test_diverge_not_redip(self):
-        c = classify(parse("diverge"))
-        assert not c.is_redip
 
     def test_nested_not_single(self):
         c = classify(parse("nat x;\nwhile (x < 1) { while (x < 2) { skip } }"))
         assert not c.is_single_loop
-
-    def test_monotone_implications(self, corpus):
-        for name, (ast, _, _, _) in corpus.items():
-            c = classify(ast)
-            if c.is_clredip:
-                assert c.is_clredip_with_assignments
-            if c.is_clredip_with_assignments:
-                assert c.is_redip
 
 
 class TestPrintRoundTrip:
@@ -149,38 +130,3 @@ class TestPrintRoundTrip:
                "while ((x = 1 mod 3) && (!(y > 2) || x != 5)) { x := x + 3 }")
         ast = parse(src)
         assert parse(print_program(ast)) == ast
-
-
-def _random_measure(rng, nvars, support=6):
-    entries = {}
-    for _ in range(support):
-        state = tuple(rng.randrange(4) for _ in range(nvars))
-        entries[state] = entries.get(state, F(0)) + F(1, rng.randrange(1, 5))
-    return SparseMeasure(entries)
-
-
-class TestDesugarSemantics:
-    def test_desugar_preserves_oracle_semantics(self, corpus):
-        rng = random.Random(7)
-        for name, (ast, _, _, _) in corpus.items():
-            sweet = ast
-            sour = desugar(ast)
-            segs = zip(_segments(sweet), _segments(sour))
-            for a, b in segs:
-                for _ in range(3):
-                    m = _random_measure(rng, len(ast.variables))
-                    if isinstance(a, While):
-                        ra = kleene_iterate(a, m, ast.variables, 5, support_cap=24)
-                        rb = kleene_iterate(b, m, ast.variables, 5, support_cap=24)
-                        assert ra.occ_lower.entries == rb.occ_lower.entries, name
-                        assert ra.post_lower.entries == rb.post_lower.entries, name
-                        assert ra.residual == rb.residual, name
-                    else:
-                        ea = exec_loopfree(a, m, ast.variables, support_cap=24)
-                        eb = exec_loopfree(b, m, ast.variables, support_cap=24)
-                        assert ea.entries == eb.entries, name
-
-
-def _segments(ast):
-    from gfinv.program import top_level_segments
-    return top_level_segments(ast)

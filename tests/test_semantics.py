@@ -15,15 +15,14 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
-from gfinv.oracle import SparseMeasure, exec_loopfree, measure_from_closed_form
-from gfinv.program import max_increment, parse
+from gfinv.oracle import SparseMeasure, eval_guard, exec_loopfree, measure_from_closed_form
+from gfinv.program import parse
 from gfinv.semantics import (
     ConstantTermNonzero,
     DivergentMarginalization,
     NestedLoop,
     apply_statement,
     char_functional,
-    formal_derivative,
     marginalize,
     mod_filter,
     restrict,
@@ -98,6 +97,45 @@ class TestRestrictGuard:
                 normalize(got.num.subs_var("$a", F(1)), got.den), 7).items():
             assert dict(m).get("x", 0) % 2 == 1
 
+    def test_eq_and_neq_match_their_rectangular_rewrites(self):
+        # the oracle and the closed-form semantics both read Eq/Neq directly;
+        # each must agree with the Lt/Geq rewrite, and with the other
+        rng = random.Random(7)
+        vars = ["x", "y"]
+        for _ in range(20):
+            m = _random_sparse_measure(rng, vars)
+            f = from_poly(sum((Polynomial.monomial(_mono(vars, s), c)
+                               for s, c in m.entries.items()), Polynomial.zero()))
+            for guard, rewrite in GUARD_REWRITES:
+                for s in m.entries:
+                    assert eval_guard(guard, s, vars) == eval_guard(rewrite, s, vars)
+                taken = restrict_guard(f, guard)
+                assert equal(taken, restrict_guard(f, rewrite)), guard
+                want = {_mono(vars, s): c for s, c in m.entries.items()
+                        if eval_guard(guard, s, vars)}
+                assert series_expand(taken, 10, order=vars) == want, guard
+
+
+# Eq/Neq guards and their rectangular rewrites, as data
+GUARD_REWRITES = [
+    rewrite
+    for v in ("x", "y") for k in range(4)
+    for rewrite in ((P.Eq(v, k), P.And(P.Geq(v, k), P.Lt(v, k + 1))),
+                    (P.Neq(v, k), P.Or(P.Lt(v, k), P.Geq(v, k + 1))))
+]
+
+
+def _random_sparse_measure(rng, vars, support=6):
+    entries = {}
+    for _ in range(support):
+        state = tuple(rng.randrange(5) for _ in vars)
+        entries[state] = entries.get(state, F(0)) + F(1, rng.randrange(1, 5))
+    return SparseMeasure(entries)
+
+
+def _mono(vars, state):
+    return tuple((v, e) for v, e in zip(vars, state) if e)
+
 
 def _corpus_guards(ast):
     out = []
@@ -164,27 +202,6 @@ class TestSubstitute:
             substitute(from_poly(X), "x", const(1) + from_poly(Y))
 
 
-class TestFormalDerivative:
-    def test_quotient_rule_geometric(self):
-        got = formal_derivative(GEO_HALF, "c")
-        assert equal(got, normalize(ONE, (2 - C) ** 2))
-
-    def test_polynomial(self):
-        assert equal(formal_derivative(from_poly(X * X), "x"), from_poly(2 * X))
-
-    def test_matches_series_shift(self):
-        got = formal_derivative(OCC, "c")
-        assert equal(got, normalize(ONE + 2 * X, (2 - C) ** 2))
-        d = series_expand(got, 4)
-        f = series_expand(OCC, 5)
-        for m, v in d.items():
-            k = dict(m).get("c", 0)
-            up = dict(m)
-            up["c"] = k + 1
-            shifted = tuple(sorted((a, b) for a, b in up.items() if b))
-            assert v == f.get(shifted, F(0)) * (k + 1)
-
-
 class TestCharFunctional:
     def test_fixed_point_of_occupation_form(self):
         phi = char_functional(geometric_loop, from_poly(X), OCC)
@@ -225,6 +242,36 @@ def _random_nonneg_form(rng, vars, polynomial_only):
         den = den - Polynomial.var(v) * w
     den = den + Polynomial.const(sum(weights, F(0)) + rng.randrange(1, 3))
     return normalize(num, den)
+
+
+def max_increment(s) -> int:
+    """Crude bound on how much one execution can raise any single variable;
+    picks the truncation margin of the oracle comparison."""
+    if isinstance(s, P.AssignConst):
+        return s.value
+    if isinstance(s, (P.IidIncrement, P.SampleAssign)):
+        return _dist_span(s.dist)
+    if isinstance(s, P.Choice):
+        return max(max_increment(s.left), max_increment(s.right))
+    if isinstance(s, P.Seq):
+        return sum(max_increment(t) for t in s.stmts)
+    if isinstance(s, P.IfThenElse):
+        return max(max_increment(s.then), max_increment(s.els))
+    if isinstance(s, P.While):
+        return max_increment(s.body)
+    return 0
+
+
+def _dist_span(d) -> int:
+    if isinstance(d, P.Dirac):
+        return d.value
+    if isinstance(d, P.UniformRange):
+        return d.hi
+    if isinstance(d, P.Bernoulli):
+        return 1
+    if isinstance(d, P.RawPgf):
+        return max(2, d.form.num.total_degree())
+    return 2  # geometric: truncation handles the tail
 
 
 STATEMENTS = [

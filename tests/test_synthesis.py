@@ -29,8 +29,6 @@ from gfinv.synthesis import (
     analyze_program,
     build_system,
     enumerate_templates,
-    export_smtlib,
-    import_smt_model,
     parse_template,
     solve_system,
     synthesize,
@@ -124,6 +122,15 @@ class TestBuildAndSolve:
     def test_no_rational_solution(self):
         system = PolySystem((Polynomial.var("$a") ** 2 + 1,), ("a",))
         assert solve_system(system) == []
+
+    def test_value_branching_reaches_a_product_of_four_parameters(self):
+        # nothing factors p0*p1*p2*p3 - 1; stage 5 branches on one parameter
+        # per level, so the all-ones assignment is reached within the budget
+        ps = [Polynomial.var(f"$p{i}") for i in range(4)]
+        system = PolySystem((ps[0] * ps[1] * ps[2] * ps[3] - 1,),
+                            ("p0", "p1", "p2", "p3"))
+        vals = solve_system(system)
+        assert [v.assignment for v in vals] == [{f"p{i}": F(1) for i in range(4)}]
 
     def test_each_distinct_polynomial_is_factored_once(self, monkeypatch):
         # a*b = 0 branches on a and on b, and both branches then meet
@@ -423,6 +430,15 @@ class TestSynthesize:
         assert isinstance(res, Failure)
         assert any("infinite coefficient" in d for d in res.diagnostics)
 
+    def test_an_empty_solution_set_is_not_called_unsatisfiable(self):
+        # the staged solver is incomplete: finding nothing proves nothing
+        loop = parse("nat x;\nwhile (x = 1) { skip }").body
+        g = normalize(X + Polynomial.var("x", 2), Polynomial.const(2))
+        res = synthesize(loop, g, SynthesisConfig(max_den_degree=2))
+        found = [d for d in res.diagnostics if "no solution found by the staged solver" in d]
+        assert len(found) == 2
+        assert not any("unsatisfiable" in d for d in res.diagnostics)
+
     def test_random_walk_upper_bound(self):
         walk = parse("nat x;\nwhile (x > 0) { { x := x - 1 } [1/2] { x := x + 1 } }")
         res = synthesize(walk.body, G_X, SynthesisConfig(max_den_degree=1))
@@ -507,32 +523,6 @@ class TestUserTemplates:
         res = synthesize(GEO.body, G_X, SynthesisConfig(user_template=tpl))
         assert res.kind == CertificateKind.EXACT_POSTERIOR
         assert equal(res.invariant, OCC)
-
-
-class TestSmtLib:
-    def test_export_shape(self):
-        system = PolySystem((Polynomial.var("$a") * Polynomial.var("$b") - 2,
-                             Polynomial.var("$a") + F(1, 2)), ("a", "b"))
-        text = export_smtlib(system)
-        assert "(set-logic QF_NRA)" in text
-        assert "(declare-const a Real)" in text
-        assert "(declare-const b Real)" in text
-        assert text.count("(assert (= ") == 2
-        assert "(check-sat)" in text and "(get-model)" in text
-
-    def test_model_import(self):
-        model = """
-        sat
-        (model
-          (define-fun a () Real (- (/ 1 2)))
-          (define-fun b () Real (- 4.0))
-        )
-        """
-        val = import_smt_model(model, ["a", "b", "missing"])
-        assert val.assignment["a"] == F(-1, 2)
-        assert val.assignment["b"] == F(-4)
-        assert val.assignment["missing"] == 0
-        assert val.free == ("missing",)
 
 
 class TestAnalyzeProgram:
