@@ -21,7 +21,6 @@ from .closedform import (
     shape_nonneg,
     var,
 )
-from .cyclotomic import CyclotomicElement, cyclotomic_poly
 from .gfexpr import (
     GfSyntaxError,
     format_closed_form,

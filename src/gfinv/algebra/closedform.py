@@ -175,8 +175,7 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
 
 
 def _require_invertible(den: Polynomial) -> None:
-    c0 = den.constant_term()
-    if isinstance(c0, Fraction) and c0 == 0:
+    if den.constant_term() == 0:
         # A parametric constant term (a polynomial in parameters) is accepted
         # as long as it is not identically zero; instantiation re-checks.
         if not any(all(v.startswith("$") for v, _ in m) for m in den.terms):
@@ -200,7 +199,7 @@ def series_expand(f: ClosedForm, degree: int,
         raise AlgebraError(
             f"series expansion needs a form without parameters, got {', '.join(params)}")
     c0 = f.den.constant_term()
-    if not isinstance(c0, Fraction) or c0 == 0:
+    if c0 == 0:
         raise InvalidDenominator("series expansion needs a concrete invertible denominator")
     vs = sorted(f.vars(), key=lambda v: (order.index(v) if order and v in order else 10**9, v)) \
         if order else sorted(f.vars())
@@ -256,16 +255,11 @@ def shape_nonneg(f: ClosedForm) -> bool:
 
 
 def _shape_pair(num: Polynomial, den: Polynomial) -> bool:
-    c0 = den.constant_term()
-    if not isinstance(c0, Fraction) or c0 <= 0:
+    if den.constant_term() <= 0:
         return False
-    for m, c in den.terms.items():
-        if m != MONO_ONE and (not isinstance(c, Fraction) or c > 0):
-            return False
-    for c in num.terms.values():
-        if not isinstance(c, Fraction) or c < 0:
-            return False
-    return True
+    if any(c > 0 for m, c in den.terms.items() if m != MONO_ONE):
+        return False
+    return all(c >= 0 for c in num.terms.values())
 
 
 def mass(f: ClosedForm) -> ExtendedMass:

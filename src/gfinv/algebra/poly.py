@@ -1,9 +1,8 @@
-"""Multivariate polynomials with exact coefficients.
+"""Multivariate polynomials with exact rational coefficients.
 
-Coefficients are normally ``fractions.Fraction``; any value supporting
-``+ - * ==`` and truthiness (e.g. a cyclotomic field element) works for the
-ring operations.  Monomials are sorted tuples of ``(variable, exponent)``
-pairs with positive exponents; the empty tuple is the constant monomial.
+Coefficients are ``fractions.Fraction``, and a stored coefficient is never
+zero.  Monomials are sorted tuples of ``(variable, exponent)`` pairs with
+positive exponents; the empty tuple is the constant monomial.
 
 Term iteration, leading terms and canonical printing use graded
 lexicographic order on a fixed variable order (alphabetical by default;
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -242,9 +241,6 @@ class Polynomial:
         """(monomial, coeff) maximal in graded-lex order."""
         m = max(self.terms, key=lambda t: mono_key(t, order))
         return m, self.terms[m]
-
-    def map_coeffs(self, fn: Callable) -> "Polynomial":
-        return Polynomial({m: fn(c) for m, c in self.terms.items()})
 
     # -- substitution and evaluation ----------------------------------------
 

@@ -129,10 +129,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_program(path: str) -> ProgramAst:
-    return parse(_read(path))
-
-
 def _single_loop(ast: ProgramAst, command: str) -> While:
     if not classify(ast).is_single_loop:
         raise ProgramError(f"{command} requires a program that is a single while loop")
@@ -157,7 +153,8 @@ def _gf_arg(text: str, variables) -> ClosedForm:
 
 def cmd_check(args, out) -> int:
     t0 = time.monotonic()
-    ast = _load_program(args.program)
+    source = _read(args.program)
+    ast = parse(source)
     loop = _single_loop(ast, "check")
     g = _gf_arg(args.init, ast.variables)
     candidate = _gf_arg(args.invariant, ast.variables)
@@ -168,7 +165,7 @@ def cmd_check(args, out) -> int:
         "tool": "gfinv",
         "version": __version__,
         "mode": "check",
-        "program_digest": _digest(_read(args.program)),
+        "program_digest": _digest(source),
         "verdict": verdict.value,
         "timing": {"parse_s": t1 - t0, "check_s": t2 - t1},
         "diagnostics": [],
@@ -184,7 +181,8 @@ def cmd_check(args, out) -> int:
 
 def cmd_synthesize(args, out) -> int:
     t0 = time.monotonic()
-    ast = _load_program(args.program)
+    source = _read(args.program)
+    ast = parse(source)
     g = _gf_arg(args.init, ast.variables)
     config = SynthesisConfig(max_den_degree=args.max_degree, timeout_s=args.timeout)
     if args.template:
@@ -196,7 +194,7 @@ def cmd_synthesize(args, out) -> int:
         "tool": "gfinv",
         "version": __version__,
         "mode": "synthesize",
-        "program_digest": _digest(_read(args.program)),
+        "program_digest": _digest(source),
         "timing": {"parse_s": t1 - t0, "synthesize_s": t2 - t1},
     }
     report.update(_analysis_report(analysis, list(ast.variables)))
@@ -206,7 +204,8 @@ def cmd_synthesize(args, out) -> int:
 
 def cmd_unroll(args, out) -> int:
     t0 = time.monotonic()
-    ast = _load_program(args.program)
+    source = _read(args.program)
+    ast = parse(source)
     loop = _single_loop(ast, "unroll")
     g = _gf_arg(args.init, ast.variables)
     m = measure_from_closed_form(g, args.init_degree, ast.variables)
@@ -225,7 +224,7 @@ def cmd_unroll(args, out) -> int:
         "tool": "gfinv",
         "version": __version__,
         "mode": "unroll",
-        "program_digest": _digest(_read(args.program)),
+        "program_digest": _digest(source),
         "outcome": "lower-bounds",
         "steps": args.steps,
         "occupation_lower": fmt(res.occ_lower),
@@ -263,7 +262,8 @@ def cmd_expand(args, out) -> int:
 
 def cmd_chain(args, out) -> int:
     t0 = time.monotonic()
-    chain = FiniteChain.parse(_read(args.chain))
+    source = _read(args.chain)
+    chain = FiniteChain.parse(source)
     occ = chain_occupation(chain)
     post = chain_posterior(chain, occ)
     t1 = time.monotonic()
@@ -271,7 +271,7 @@ def cmd_chain(args, out) -> int:
         "tool": "gfinv",
         "version": __version__,
         "mode": "chain",
-        "program_digest": _digest(_read(args.chain)),
+        "program_digest": _digest(source),
         "outcome": "occupation",
         "occupation": {s: ("oo" if v is None else str(v)) for s, v in occ.items()},
         "posterior": {s: str(v) for s, v in post.items()},

@@ -1,9 +1,10 @@
 """Forward measure semantics of loop-free statements on rational closed forms.
 
 Implements the primitive series operations (restriction, downward shift,
-substitution) on closed forms, guard restriction including
-roots-of-unity filters for modulo guards, the statement transformer, and the
-loop characteristic functional  Phi(I) = g + transform(body, [guard] * I).
+substitution) on closed forms, guard restriction including modulo guards
+(filtered over the norm of the denominator, in rational arithmetic), the
+statement transformer, and the loop characteristic functional
+Phi(I) = g + transform(body, [guard] * I).
 
 Forms may contain template parameters ($-prefixed indeterminates); in that
 case convergence checks for marginalization are deferred, and certification
@@ -12,18 +13,15 @@ always re-runs concretely on instantiated candidates.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .algebra import (
     ClosedForm,
-    CyclotomicElement,
     Polynomial,
     ZERO,
     from_poly,
     has_parameters,
     normalize,
 )
-from .algebra.poly import _as_univar, mono_degree_in
+from .algebra.poly import _as_univar, mono_degree_in, mono_div
 from . import program as P
 
 
@@ -41,10 +39,6 @@ class ConstantTermNonzero(SemanticsError):
 
 
 class NestedLoop(SemanticsError):
-    pass
-
-
-class UnsupportedModFilter(SemanticsError):
     pass
 
 
@@ -219,62 +213,68 @@ def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
 
 
 def mod_filter(f: ClosedForm, var: str, residue: int, modulus: int) -> ClosedForm:
-    """[var = residue mod modulus] * f by the roots-of-unity filter:
-    (1/d) * sum_j zeta^(-rj) * f[X_var -> zeta^j X_var], computed in Q(zeta_d);
-    the imaginary parts cancel exactly and the result is rational.
+    """[var = residue mod modulus] * f, in rational arithmetic.
+
+    With d = modulus, write den = sum_{u<d} var^u * D_u, each D_u a polynomial
+    in var^d.  Multiplication by den on the basis 1, var, ..., var^(d-1) over
+    the polynomials in var^d has the matrix M[t][s] = D_{(t-s) mod d}, times
+    var^d when t < s.  Its determinant is the norm N = prod_j den(zeta^j var)
+    over the d-th roots of unity zeta^j, a polynomial in var^d; and since
+    adj(M) M = N I, the cofactors of M's row 0 are the coordinates of the
+    polynomial N/den on that basis, so den divides N exactly.  Then
+    f = num*(N/den) / N, and as N holds only powers of var^d, the filter keeps
+    the terms of num*(N/den) whose exponent of var is residue mod d.
+
+    The roots-of-unity filter (1/d) sum_j zeta^(-rj) f(zeta^j var) gives this
+    numerator and denominator, both times d; normalize divides that out, so
+    the two methods return identical terms, for parametric forms too.
     """
     d = modulus
     if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
         return f if residue % d == 0 else ZERO
-    nums = []
-    dens = []
-    for j in range(d):
-        zj = CyclotomicElement.zeta(d, j)
-        nums.append(_scale_var_cyclo(f.num, var, zj, d))
-        dens.append(_scale_var_cyclo(f.den, var, zj, d))
-    total_num = Polynomial.zero()
-    for j in range(d):
-        w = CyclotomicElement.zeta(d, (-residue * j) % d)
-        term = nums[j].map_coeffs(lambda c, w=w: w * c)
-        for k in range(d):
-            if k != j:
-                term = term * dens[k]
-        total_num = total_num + term
-    total_den = Polynomial.const(1)
-    for k in range(d):
-        total_den = total_den * dens[k]
-    num_q = _to_rational_poly(total_num)
-    den_q = _to_rational_poly(total_den)
-    if num_q is None or den_q is None:
-        raise UnsupportedModFilter("cyclotomic filter did not reduce to rationals")
-    return normalize(num_q, den_q * d)
+    den_parts = _residue_parts(f.den, var, d)
+    num_parts = _residue_parts(f.num, var, d)
+    shifted = [p * Polynomial.var(var, d) for p in den_parts]
+
+    def entry(t: int, s: int) -> Polynomial:
+        return (shifted if t < s else den_parts)[(t - s) % d]
+
+    minors = {(): Polynomial.const(1)}
+
+    def minor(cols: tuple) -> Polynomial:
+        """Determinant of M's last len(cols) rows on the columns cols."""
+        if cols in minors:
+            return minors[cols]
+        row = d - len(cols)
+        acc = Polynomial.zero()
+        for i, s in enumerate(cols):
+            a = entry(row, s)
+            if a.is_zero():
+                continue
+            sub = minor(cols[:i] + cols[i + 1:])
+            acc = acc + a * sub if i % 2 == 0 else acc - a * sub
+        minors[cols] = acc
+        return acc
+
+    cols = tuple(range(d))
+    section = Polynomial.zero()
+    for t in cols:
+        # the cofactor of M[0][t] is the coefficient of var^t in N/den; of the
+        # parts of num, only var^a * P_a with a + t = residue mod d is kept
+        a = (residue - t) % d
+        if num_parts[a]:
+            cofactor = minor(cols[:t] + cols[t + 1:]) * (-1) ** t
+            section = section + num_parts[a] * cofactor * Polynomial.var(var, a + t)
+    return normalize(section, minor(cols))
 
 
-def _scale_var_cyclo(p: Polynomial, var: str, factor: CyclotomicElement, d: int) -> Polynomial:
-    out = {}
+def _residue_parts(p: Polynomial, var: str, d: int) -> list:
+    """[P_0, ..., P_(d-1)] with p = sum_u var^u * P_u, each P_u in var^d."""
+    parts: list = [{} for _ in range(d)]
     for m, c in p.terms.items():
-        e = mono_degree_in(m, var) % d
-        if e:
-            out[m] = c * (factor ** e)
-        elif isinstance(c, CyclotomicElement):
-            out[m] = c
-        else:
-            out[m] = CyclotomicElement.from_rational(d, c)
-    return Polynomial(out)
-
-
-def _to_rational_poly(p: Polynomial) -> Optional[Polynomial]:
-    out = {}
-    for m, c in p.terms.items():
-        if isinstance(c, CyclotomicElement):
-            r = c.to_rational()
-            if r is None:
-                return None
-            if r:
-                out[m] = r
-        else:
-            out[m] = c
-    return Polynomial(out)
+        u = mono_degree_in(m, var) % d
+        parts[u][mono_div(m, ((var, u),)) if u else m] = c
+    return [Polynomial(t) for t in parts]
 
 
 # -- the statement transformer ----------------------------------------------------

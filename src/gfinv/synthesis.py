@@ -628,7 +628,6 @@ def _divergence_probe(loop: P.While, g: ClosedForm, steps: int = 48) -> Optional
 class SegmentResult:
     kind: str                       # "loop" or "straight"
     outcome: object                 # Certificate | Failure | ClosedForm
-    description: str
     initial: Optional[ClosedForm] = None
     loop: Optional[P.While] = None
 
@@ -651,7 +650,7 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
     closed-form semantics, each top-level loop is synthesized with the current
     measure as its initial measure, and certified exact posteriors thread into
     the next segment.  Nested loops are rejected."""
-    from .program import top_level_segments, print_guard
+    from .program import top_level_segments
 
     segments: List[SegmentResult] = []
     current = g
@@ -661,12 +660,10 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
             if any(isinstance(s, P.While) for s in P._stmts(seg.body)):
                 fail = Failure("structure", "nested loops are not supported; "
                                "only top-level loops with loop-free bodies are analyzed")
-                segments.append(SegmentResult("loop", fail, print_guard(seg.guard),
-                                              initial=current, loop=seg))
+                segments.append(SegmentResult("loop", fail, initial=current, loop=seg))
                 return ProgramAnalysis(segments, None, fail, None)
             res = synthesize(seg, current, config)
-            segments.append(SegmentResult("loop", res, print_guard(seg.guard),
-                                          initial=current, loop=seg))
+            segments.append(SegmentResult("loop", res, initial=current, loop=seg))
             if isinstance(res, Failure):
                 return ProgramAnalysis(segments, None, res, None)
             last_cert = res
@@ -680,15 +677,15 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
             if any(isinstance(s, P.While) for s in P._stmts(seg)):
                 fail = Failure("structure", "loops nested under conditionals or "
                                "choices are not supported")
-                segments.append(SegmentResult("straight", fail, "straight-line"))
+                segments.append(SegmentResult("straight", fail))
                 return ProgramAnalysis(segments, None, fail, None)
             try:
                 current = apply_statement(seg, current)
             except SemanticsError as e:
                 fail = Failure("semantics", str(e))
-                segments.append(SegmentResult("straight", fail, "straight-line"))
+                segments.append(SegmentResult("straight", fail))
                 return ProgramAnalysis(segments, None, fail, None)
-            segments.append(SegmentResult("straight", current, "straight-line"))
+            segments.append(SegmentResult("straight", current))
     return ProgramAnalysis(segments, last_cert, None, current)
 
 

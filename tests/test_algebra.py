@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gfinv.algebra import (
     AlgebraError,
     ClosedForm,
-    CyclotomicElement,
     InvalidDenominator,
     Polynomial,
     UnknownSign,
@@ -246,34 +245,6 @@ class TestRingKernels:
         q = X * X * 3 + C * F(1, 2) - 7
         assert (q + (-q)).terms == {}
         assert (q - q).is_zero()
-
-    def test_cyclotomic_coefficients(self):
-        z = CyclotomicElement.zeta(3)
-        one = CyclotomicElement.from_rational(3, 1)
-        x = mono(("x", 1))
-        p = Polynomial({x: z, (): one})
-        assert (p * p).terms == {mono(("x", 2)): z * z, x: z + z, (): one}
-        assert (p + Polynomial({x: -z})).terms == {(): one}
-        # 1 + z + z^2 = 0 in Q(zeta_3)
-        assert (Polynomial({x: one}) + Polynomial({x: z}) + Polynomial({x: z * z})).is_zero()
-
-
-class TestCyclotomic:
-    def test_powers_and_filter_sums(self):
-        for d in range(1, 13):
-            z = CyclotomicElement.zeta(d)
-            assert z ** d == CyclotomicElement.from_rational(d, 1)
-            for k in range(2 * d + 1):
-                total = CyclotomicElement.from_rational(d, 0)
-                for j in range(d):
-                    total = total + CyclotomicElement.zeta(d, j * k)
-                want = d if k % d == 0 else 0
-                assert total == CyclotomicElement.from_rational(d, want), (d, k)
-
-    def test_rational_detection(self):
-        z = CyclotomicElement.zeta(5)
-        assert z.to_rational() is None
-        assert (z ** 5).to_rational() == 1
 
 
 class TestPrintParse:

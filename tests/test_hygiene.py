@@ -1,9 +1,15 @@
-"""Source hygiene checks that need no linter: stdlib ``ast`` only."""
+"""Source hygiene checks that need no linter: stdlib ``ast`` and ``re`` only."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gfinv"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gfinv"
+# where a name counts as used: the package, its tests and the benchmark,
+# which wraps some functions by name
+USERS = ("src", "tests", "perfbench")
 
 
 def _imported_names(tree: ast.Module):
@@ -42,3 +48,22 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(SRC)}:{line}: {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_module_level_definition_is_named_somewhere():
+    words = re.compile(r"\w+")
+    sources = {path: path.read_text(encoding="utf-8")
+               for d in USERS for path in sorted((ROOT / d).rglob("*.py"))}
+    named = Counter(w for text in sources.values() for w in words.findall(text))
+    unused = []
+    for path, text in sources.items():
+        if not path.is_relative_to(SRC) or path.name == "__init__.py":
+            continue
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            if named[node.name] == words.findall(own).count(node.name):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)

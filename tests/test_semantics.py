@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from gfinv.algebra import (
     const,
     equal,
     from_poly,
+    instantiate,
     mass,
     normalize,
     series_expand,
@@ -97,6 +99,32 @@ class TestRestrictGuard:
                 normalize(got.num.subs_var("$a", F(1)), got.den), 7).items():
             assert dict(m).get("x", 0) % 2 == 1
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 12])
+    def test_mod_filter_keeps_the_residue_class_of_the_series(self, d):
+        rng = random.Random(d)
+        degree = d + 3
+        for _ in range(2):
+            f = _random_bivariate_form(rng)
+            series = series_expand(f, degree, order=["x", "y"])
+            for var in ("x", "y"):
+                for r in rng.sample(range(d), min(d, 3)):
+                    got = series_expand(mod_filter(f, var, r, d), degree, order=["x", "y"])
+                    assert got == {m: c for m, c in series.items()
+                                   if dict(m).get(var, 0) % d == r}, (d, var, r)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mod_filter_commutes_with_instantiation(self, d):
+        # synthesis filters templates with parameters and instantiates the
+        # solution afterwards; certification filters the instantiated form
+        rng = random.Random(100 + d)
+        for _ in range(4):
+            t, params = _random_template(rng)
+            r = rng.randrange(d)
+            val = {p: F(rng.randrange(-3, 4), rng.randrange(1, 4)) for p in params}
+            val["$b0"] = F(rng.randrange(1, 4))
+            assert instantiate(mod_filter(t, "x", r, d), val) \
+                == mod_filter(instantiate(t, val), "x", r, d), (d, r, val)
+
     def test_eq_and_neq_match_their_rectangular_rewrites(self):
         # the oracle and the closed-form semantics both read Eq/Neq directly;
         # each must agree with the Lt/Geq rewrite, and with the other
@@ -114,6 +142,34 @@ class TestRestrictGuard:
                 want = {_mono(vars, s): c for s, c in m.entries.items()
                         if eval_guard(guard, s, vars)}
                 assert series_expand(taken, 10, order=vars) == want, guard
+
+
+XY_MONOS = [Polynomial.monomial(m) for m in
+            ((), (("x", 1),), (("y", 1),), (("x", 1), ("y", 1)), (("x", 2),), (("y", 2),))]
+
+
+def _random_bivariate_form(rng):
+    """num/den without parameters; den has a constant term, x and y."""
+    num = sum((m * F(rng.randrange(-4, 5), rng.randrange(1, 4))
+               for m in rng.sample(XY_MONOS, 3)), Polynomial.zero())
+    den = ONE + X * F(rng.randrange(1, 4), rng.randrange(2, 5)) \
+        - Y * F(rng.randrange(1, 4), rng.randrange(2, 5))
+    for m in rng.sample(XY_MONOS[3:], rng.randrange(2)):
+        den = den + m * F(rng.randrange(-2, 3), 4)
+    return normalize(num if num else ONE, den)
+
+
+def _random_template(rng):
+    """A degree-2 template in x and y over a few monomials, and its parameters."""
+    num_monos = rng.sample(XY_MONOS, 3)
+    den_monos = rng.sample(XY_MONOS[1:], 2)
+    params = [f"$a{i}" for i in range(len(num_monos))] + \
+        [f"$b{i + 1}" for i in range(len(den_monos))]
+    num = sum((m * Polynomial.var(p) for m, p in zip(num_monos, params)), Polynomial.zero())
+    den = Polynomial.var("$b0") + sum(
+        (m * Polynomial.var(p) for m, p in zip(den_monos, params[len(num_monos):])),
+        Polynomial.zero())
+    return normalize(num, den), params
 
 
 # Eq/Neq guards and their rectangular rewrites, as data
@@ -289,6 +345,17 @@ STATEMENTS = [
                          P.Decrement("x")), False),
 ]
 
+# test_linearity does not draw these: on some of its forms, normalizing the
+# filtered results stalls in poly_gcd's pseudo-remainder sequence
+MOD_STATEMENTS = [
+    ("ite_mod2", P.IfThenElse(P.ModEq("x", 1, 2), P.IidIncrement("y", P.Dirac(1), None),
+                              P.Decrement("x")), False),
+    ("ite_mod3", P.IfThenElse(P.ModEq("y", 2, 3), P.Decrement("y"),
+                              P.IidIncrement("x", P.Dirac(1), None)), False),
+    ("ite_mod5", P.IfThenElse(P.ModEq("x", 0, 5), P.Skip(),
+                              P.IidIncrement("y", P.Dirac(2), None)), False),
+]
+
 
 class TestOracleEquivalence:
     """Coefficient soundness: the symbolic transformer and the exact oracle
@@ -296,9 +363,9 @@ class TestOracleEquivalence:
 
     K = 8
 
-    @pytest.mark.parametrize("name,stmt,poly_only", STATEMENTS)
+    @pytest.mark.parametrize("name,stmt,poly_only", STATEMENTS + MOD_STATEMENTS)
     def test_statement_matches_oracle(self, name, stmt, poly_only):
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(name.encode()))
         vars = ["x", "y"]
         for trial in range(6):
             f = _random_nonneg_form(rng, vars, poly_only)
@@ -336,8 +403,9 @@ class TestOracleEquivalence:
 
     def test_mass_feasibility(self):
         rng = random.Random(4)
+        statements = STATEMENTS + MOD_STATEMENTS
         for _ in range(30):
-            name, stmt, poly_only = STATEMENTS[rng.randrange(len(STATEMENTS))]
+            name, stmt, poly_only = statements[rng.randrange(len(statements))]
             f = _random_nonneg_form(rng, ["x", "y"], poly_only)
             try:
                 out = apply_statement(stmt, f)
