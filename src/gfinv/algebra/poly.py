@@ -49,16 +49,6 @@ def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     return tuple(sorted(exps.items()))
 
 
-def mono_gcd(a: Mono, b: Mono) -> Mono:
-    da, db = dict(a), dict(b)
-    out = []
-    for v, e in da.items():
-        f = db.get(v, 0)
-        if f and e:
-            out.append((v, min(e, f)))
-    return tuple(sorted(out))
-
-
 def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
@@ -341,12 +331,6 @@ def poly_div_exact(p: Polynomial, d: Polynomial) -> Polynomial:
     return Polynomial(q)
 
 
-# Full multivariate gcd is abandoned in favour of monomial/content gcd when
-# the operand term-count product exceeds this budget; partial reduction keeps
-# every consumer (equality, series expansion) correct, only less canceled.
-GCD_TERM_BUDGET = 4000
-
-
 def _as_univar(p: Polynomial, v: str) -> list:
     """Dense coefficient list in v; entries are polynomials in the other vars."""
     deg = p.degree_in(v)
@@ -358,122 +342,54 @@ def _as_univar(p: Polynomial, v: str) -> list:
     return [Polynomial(d) for d in coeffs]
 
 
-def _from_univar(coeffs: list, v: str) -> Polynomial:
-    out: dict = {}
-    for e, poly in enumerate(coeffs):
-        for m, c in poly.terms.items():
-            mm = mono_mul(m, ((v, e),)) if e else m
-            out[mm] = out.get(mm, 0) + c
-    return Polynomial(out)
-
-
-def _univar_deg(coeffs: list) -> int:
-    d = len(coeffs) - 1
-    while d >= 0 and coeffs[d].is_zero():
-        d -= 1
-    return d
-
-
-def _pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of dense polynomial lists (coefficients Polynomial)."""
-    da, db = _univar_deg(a), _univar_deg(b)
-    lb = b[db]
-    r = list(a)
-    while True:
-        dr = _univar_deg(r)
-        if dr < db or dr < 0:
-            return r[: max(dr + 1, 0)]
-        lead = r[dr]
-        shift = dr - db
-        r = [c * lb for c in r]
-        for i in range(db + 1):
-            r[shift + i] = r[shift + i] - lead * b[i]
-        r = r[: _univar_deg(r) + 1]
-        if not r:
-            return []
-
-
-def _multi_content(coeffs: list) -> Polynomial:
-    g = Polynomial()
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        g = poly_gcd(g, c)
-        if g.is_const() and not g.is_zero():
-            break
-    return g if not g.is_zero() else Polynomial.const(1)
-
-
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd over Q[vars], integer-primitive with positive leading coefficient.
 
-    Falls back to a monomial-only gcd past the term budget; because the budget
-    can also degrade recursive content computations (leaving spurious factors
-    from pseudo-remainders), the non-trivial candidate is verified by exact
-    division before being returned.
+    Heuristic integer GCD (GCDHEU; Char, Geddes & Gonnet 1989): evaluate one
+    variable at a large integer, take the gcd of the images, and read the
+    candidate back from its integer coefficients' symmetric digits in that
+    base.  A candidate is kept only when ``poly_div_exact`` divides both
+    operands by it, which makes it the gcd.  When every evaluation point
+    fails, the gcd is given up as 1: callers then cancel less, but stay exact.
     """
     if p.is_zero():
         return q.primitive()[1] if not q.is_zero() else Polynomial()
     if q.is_zero():
         return p.primitive()[1]
-    mg = MONO_ONE
-    if p.terms and q.terms:
-        pm = None
-        for m in p.terms:
-            pm = m if pm is None else mono_gcd(pm, m)
-            if not pm:
-                break
-        qm = None
-        for m in q.terms:
-            qm = m if qm is None else mono_gcd(qm, m)
-            if not qm:
-                break
-        mg = mono_gcd(pm or MONO_ONE, qm or MONO_ONE)
-    if mg:
-        shift = Polynomial.monomial(mg)
-        p = poly_div_exact(p, shift)
-        q = poly_div_exact(q, shift)
-    base = Polynomial.monomial(mg)
-    if p.is_const() or q.is_const():
-        return base
-    if len(p.terms) * len(q.terms) > GCD_TERM_BUDGET:
-        return base
-    pvars = p.vars() & q.vars()
-    if not pvars:
-        return base
-    cand = _gcd_prs(p, q, pvars)
-    if not cand.is_const():
-        try:
-            poly_div_exact(p, cand)
-            poly_div_exact(q, cand)
-        except NotDivisible:
-            return base
-        return (base * cand).primitive()[1]
-    return base
+    f, g = p.primitive()[1], q.primitive()[1]
+    h = _heu_gcd(f, g, sorted(f.vars() | g.vars()))
+    return Polynomial.const(1) if h is None else h.primitive()[1]
 
 
-def _gcd_prs(p: Polynomial, q: Polynomial, pvars: set) -> Polynomial:
-    """Primitive pseudo-remainder sequence gcd candidate."""
-    # Ties go by name, never by string-hash order.  The last name was chosen
-    # when normalize still reduced parametric forms, whose ties were between
-    # template parameters; it now reduces only parameter-free forms, so the
-    # synthesis benchmark no longer meets such ties.
-    v = min(sorted(pvars, reverse=True), key=lambda w: max(p.degree_in(w), q.degree_in(w)))
-    pu, qu = _as_univar(p, v), _as_univar(q, v)
-    cont_p, cont_q = _multi_content(pu), _multi_content(qu)
-    cont = poly_gcd(cont_p, cont_q)
-    a = [poly_div_exact(c, cont_p) for c in pu]
-    b = [poly_div_exact(c, cont_q) for c in qu]
-    if _univar_deg(a) < _univar_deg(b):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b)
-        if not any(not c.is_zero() for c in r):
-            break
-        rc = _multi_content(r)
-        a, b = b, [poly_div_exact(c, rc) for c in r]
-        if _univar_deg(b) == 0:
-            b = [Polynomial.const(1)]
-            break
-    gcd_pp = _from_univar(b, v)
-    return (cont * gcd_pp).primitive()[1]
+def _heu_gcd(f: Polynomial, g: Polynomial, vars: list) -> Optional[Polynomial]:
+    """gcd of nonzero integer polynomials in ``vars``, or None on give-up."""
+    cf, cg = f.content(), g.content()
+    c = Fraction(math.gcd(cf.numerator, cg.numerator))
+    if f.is_const() or g.is_const():
+        return Polynomial.const(c)
+    f, g = f * (1 / cf), g * (1 / cg)
+    v = vars[-1]
+    xi = 2 * min(max(abs(a.numerator) for a in r.terms.values()) for r in (f, g)) + 29
+    for _ in range(6):
+        ff, gg = f.subs_var(v, xi), g.subs_var(v, xi)
+        h = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
+        if h is not None:
+            cand: dict = {}
+            for m, a in h.terms.items():
+                n, e = a.numerator, 0
+                while n:
+                    digit = n % xi
+                    if digit > xi // 2:
+                        digit -= xi
+                    if digit:
+                        cand[mono_mul(m, ((v, e),)) if e else m] = Fraction(digit)
+                    n, e = (n - digit) // xi, e + 1
+            cand_pp = Polynomial._of(cand).primitive()[1]
+            try:
+                poly_div_exact(f, cand_pp)
+                poly_div_exact(g, cand_pp)
+                return cand_pp * c
+            except NotDivisible:
+                pass
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None

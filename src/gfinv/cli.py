@@ -43,6 +43,7 @@ from .oracle import (
     chain_posterior,
     kleene_iterate,
     measure_from_closed_form,
+    parse_rational,
 )
 from .program import ProgramAst, ProgramError, While, classify, parse
 from .semantics import SemanticsError
@@ -279,7 +280,7 @@ def cmd_chain(args, out) -> int:
         "diagnostics": [],
     }
     if args.contraction is not None:
-        c = Fraction(args.contraction)
+        c = parse_rational(args.contraction, "--contraction")
         try:
             bound = best_contraction_bound(chain, c)
             report["contraction_factor"] = str(c)
@@ -300,8 +301,21 @@ def cmd_chain(args, out) -> int:
     return EXIT_FULL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line, like every other input error."""
+        self.exit(EXIT_ERROR, f"gfinv: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type of every count option: an integer of 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gfinv",
         description="Exact posterior inference and occupation-invariant synthesis "
                     "for discrete probabilistic loops.")
@@ -312,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--init", required=True, help="initial measure (closed form)")
     c.add_argument("--invariant", required=True,
                    help="candidate closed form, or @file")
-    c.add_argument("--refute-degree", type=int, default=25)
+    c.add_argument("--refute-degree", type=_count, default=25)
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("synthesize", help="search for an invariant")
     s.add_argument("program")
     s.add_argument("--init", required=True)
     s.add_argument("--template", help="user template file")
-    s.add_argument("--max-degree", type=int, default=3,
+    s.add_argument("--max-degree", type=_count, default=3,
                    help="maximum denominator total degree")
     s.add_argument("--timeout", type=float, default=60.0)
     s.set_defaults(fn=cmd_synthesize)
@@ -327,15 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     u = sub.add_parser("unroll", help="oracle lower bounds by loop unrolling")
     u.add_argument("program")
     u.add_argument("--init", required=True)
-    u.add_argument("--steps", type=int, required=True)
-    u.add_argument("--cap", type=int, default=64, help="support cap per sampling")
-    u.add_argument("--init-degree", type=int, default=24,
+    u.add_argument("--steps", type=_count, required=True)
+    u.add_argument("--cap", type=_count, default=64, help="support cap per sampling")
+    u.add_argument("--init-degree", type=_count, default=24,
                    help="truncation degree for the initial measure")
     u.set_defaults(fn=cmd_unroll)
 
     e = sub.add_parser("expand", help="series-expand a closed form")
     e.add_argument("expression")
-    e.add_argument("--degree", type=int, required=True)
+    e.add_argument("--degree", type=_count, required=True)
     e.set_defaults(fn=cmd_expand)
 
     ch = sub.add_parser("chain", help="finite-chain expected visiting times")

@@ -297,6 +297,14 @@ def kleene_iterate(loop: P.While, g: SparseMeasure, vars: Sequence[str],
 
 # -- finite Markov chains -------------------------------------------------------------
 
+def parse_rational(text: str, where: str) -> Fraction:
+    """``Fraction(text)``, or an OracleError naming ``where`` (also for x/0)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise OracleError(f"{where}: {text!r} is not a rational number") from None
+
+
 @dataclass
 class FiniteChain:
     states: List[str]
@@ -324,19 +332,18 @@ class FiniteChain:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "init":
-                if len(parts) != 3:
-                    raise OracleError(f"line {lineno}: expected 'init state mass'")
-                note(parts[1])
-                initial[parts[1]] = initial.get(parts[1], Fraction(0)) + Fraction(parts[2])
+            shape = "'init state mass'" if parts[0] == "init" else "'src dst prob'"
+            if len(parts) != 3:
+                raise OracleError(f"line {lineno}: expected {shape}")
+            head, state, value = parts[0], parts[1], parse_rational(parts[2], f"line {lineno}")
+            if head == "init":
+                note(state)
+                initial[state] = initial.get(state, Fraction(0)) + value
             else:
-                if len(parts) != 3:
-                    raise OracleError(f"line {lineno}: expected 'src dst prob'")
-                src, dst, prob = parts
-                note(src)
-                note(dst)
-                transitions.setdefault(src, {})
-                transitions[src][dst] = transitions[src].get(dst, Fraction(0)) + Fraction(prob)
+                note(head)
+                note(state)
+                row = transitions.setdefault(head, {})
+                row[state] = row.get(state, Fraction(0)) + value
         chain = FiniteChain(states, transitions, initial)
         chain.validate()
         return chain

@@ -24,7 +24,7 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
-from gfinv.algebra import closedform
+from gfinv.algebra import closedform, poly
 from gfinv.algebra.poly import mono_mul
 
 ONE = Polynomial.const(1)
@@ -77,6 +77,15 @@ class TestNormalize:
         assert f.num == (ONE - X) * a and f.den == (ONE - X) * (ONE + a * X)
         normalize((ONE - X) * 2, (ONE - X) * (2 - C))
         assert len(calls) == 1
+
+    def test_a_gcd_given_up_still_gives_an_equal_form(self, monkeypatch):
+        num, den = (ONE - X) * (2 + C), (ONE - X) * (2 - C)
+        reduced = normalize(num, den)
+        monkeypatch.setattr(poly, "_heu_gcd", lambda f, g, vars: None)
+        f = normalize(num, den)
+        # nothing is cancelled, and the form still denotes the same series
+        assert f.num == num and f.den == den
+        assert equal(f, reduced) and reduced.den == 2 - C
 
     def test_parametric_invalid_denominators_rejected(self):
         a = Polynomial.var("$a")
@@ -180,23 +189,35 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys(), polys())
+@given(polys(), polys(), polys(3, 2))
 @settings(max_examples=100, deadline=None)
-def test_gcd_divides_both(p, q):
+def test_gcd_divides_both(p, q, shared):
+    import sympy
+
+    p, q = p * shared, q * shared
     g = poly_gcd(p, q)
     if g.is_zero():
         assert p.is_zero() and q.is_zero()
         return
     poly_div_exact(p, g)
     poly_div_exact(q, g)
+    # and it is maximal: sympy's gcd is the same up to a rational unit
+    assert sympy.cancel(to_sympy(g) / sympy.gcd(to_sympy(p), to_sympy(q))).is_Rational
 
 
-@given(polys(3, 2), polys(3, 2), polys(3, 2), polys(2, 2))
+def to_sympy(p):
+    import sympy
+
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
+                       for m, c in p.terms.items()))
+
+
+@given(polys(3, 3), polys(3, 3), polys(3, 3), polys(2, 3))
 @settings(deadline=None, derandomize=True)
 def test_sum_over_one_denominator_matches_cross_multiplication(p, q, d, h):
     # constant term 2; the factor h*x + 1 is shared with f's numerator, so
-    # both sides have a common factor to cancel (exponents stay at 2: the
-    # cross-multiplied side's GCD is slow on larger inputs)
+    # both sides have a common factor to cancel
     den = (d * X + 2) * (h * X + 1)
     f, g = ClosedForm(p * (h * X + 1), den), ClosedForm(q, den)
     got = f + g

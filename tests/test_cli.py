@@ -22,6 +22,15 @@ def invoke(args):
     return rc, (json.loads(text) if text.strip() else None), text
 
 
+def refusal(args, capsys):
+    """The one stderr line of a refused call, after checking that it is one."""
+    rc, _, text = invoke(args)
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR and text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gfinv: error:")
+    return err
+
+
 class TestExpand:
     def test_fig1_annotation(self):
         rc, rep, _ = invoke(["expand", "1/(2-C)", "--degree", "2"])
@@ -33,11 +42,8 @@ class TestExpand:
         assert rc == EXIT_ERROR
 
     def test_deep_nesting_is_a_one_line_error(self, capsys):
-        rc, _, text = invoke(["expand", "(" * 3000 + "X" + ")" * 3000, "--degree", "2"])
-        err = capsys.readouterr().err
-        assert rc == EXIT_ERROR and text == ""
-        assert len(err.splitlines()) == 1 and err.startswith("gfinv: error:")
-        assert "nesting too deep" in err
+        args = ["expand", "(" * 3000 + "X" + ")" * 3000, "--degree", "2"]
+        assert "nesting too deep" in refusal(args, capsys)
 
 
 class TestUnknownNames:
@@ -50,12 +56,31 @@ class TestUnknownNames:
         ("a", ["expand", "1/(1-a*X)", "--degree", "2"]),
     ], ids=["check-init", "synthesize-init", "expand"])
     def test_is_a_one_line_error(self, name, args, capsys):
-        rc, _, text = invoke(args)
-        err = capsys.readouterr().err
-        assert rc == EXIT_ERROR
-        assert text == ""
-        assert len(err.splitlines()) == 1 and err.startswith("gfinv: error:")
-        assert f"unknown name {name!r}" in err
+        assert f"unknown name {name!r}" in refusal(args, capsys)
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("chain, extra, where", [
+        ("s1 s2 1/0\ninit s1 1\n", [], "line 1: '1/0'"),
+        ("s1 s2 1\ninit s1 1/0\n", [], "line 2: '1/0'"),
+        ("s1 s2 1\ninit s1 1\n", ["--contraction", "1/0"], "--contraction: '1/0'"),
+    ], ids=["transition", "init", "contraction"])
+    def test_chain_with_a_zero_denominator(self, chain, extra, where, tmp_path, capsys):
+        path = tmp_path / "chain.txt"
+        path.write_text(chain)
+        assert where in refusal(["chain", str(path)] + extra, capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["unroll", GEO, "--init", "X", "--steps", "-1"],
+        ["unroll", GEO, "--init", "X", "--steps", "3", "--cap", "-1"],
+        ["unroll", GEO, "--init", "X", "--steps", "3", "--init-degree", "-1"],
+        ["check", GEO, "--init", "X", "--invariant", "X", "--refute-degree", "-3"],
+        ["synthesize", GEO, "--init", "X", "--max-degree", "-1"],
+        ["expand", "1/(2-C)", "--degree", "-1"],
+    ], ids=lambda args: args[-2])
+    def test_a_negative_count_is_refused(self, args, capsys):
+        err = refusal(args, capsys)
+        assert f"argument {args[-2]}: expected an integer of 0 or more" in err
 
 
 class TestSynthesizeCommand:

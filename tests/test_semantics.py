@@ -1,4 +1,5 @@
 import random
+import time
 import zlib
 from fractions import Fraction as F
 
@@ -345,8 +346,6 @@ STATEMENTS = [
                          P.Decrement("x")), False),
 ]
 
-# test_linearity does not draw these: on some of its forms, normalizing the
-# filtered results stalls in poly_gcd's pseudo-remainder sequence
 MOD_STATEMENTS = [
     ("ite_mod2", P.IfThenElse(P.ModEq("x", 1, 2), P.IidIncrement("y", P.Dirac(1), None),
                               P.Decrement("x")), False),
@@ -363,34 +362,48 @@ class TestOracleEquivalence:
 
     K = 8
 
+    def assert_matches_oracle(self, stmt, f, symbolic, label):
+        vars = ["x", "y"]
+        truncated = measure_from_closed_form(f, self.K, vars)
+        pushed = exec_loopfree(stmt, truncated, vars, support_cap=self.K + 4)
+        margin = max_increment(stmt) + 1
+        got = series_expand(symbolic, self.K, order=vars)
+        for state, value in pushed.entries.items():
+            if sum(state) <= self.K - margin:
+                m = tuple(sorted((v, e) for v, e in zip(vars, state) if e))
+                assert got.get(m, F(0)) == value, (label, state)
+        for m, value in got.items():
+            deg = sum(e for _, e in m)
+            if deg <= self.K - margin:
+                state = tuple(dict(m).get(v, 0) for v in vars)
+                assert pushed.entries.get(state, F(0)) == value, (label, m)
+
     @pytest.mark.parametrize("name,stmt,poly_only", STATEMENTS + MOD_STATEMENTS)
     def test_statement_matches_oracle(self, name, stmt, poly_only):
         rng = random.Random(zlib.crc32(name.encode()))
-        vars = ["x", "y"]
         for trial in range(6):
-            f = _random_nonneg_form(rng, vars, poly_only)
+            f = _random_nonneg_form(rng, ["x", "y"], poly_only)
             try:
                 symbolic = apply_statement(stmt, f)
             except DivergentMarginalization:
                 continue
-            truncated = measure_from_closed_form(f, self.K, vars)
-            pushed = exec_loopfree(stmt, truncated, vars, support_cap=self.K + 4)
-            margin = max_increment(stmt) + 1
-            got = series_expand(symbolic, self.K, order=vars)
-            for state, value in pushed.entries.items():
-                if sum(state) <= self.K - margin:
-                    m = tuple(sorted((v, e) for v, e in zip(vars, state) if e))
-                    assert got.get(m, F(0)) == value, (name, trial, state)
-            for m, value in got.items():
-                deg = sum(e for _, e in m)
-                if deg <= self.K - margin:
-                    state = tuple(dict(m).get(v, 0) for v in vars)
-                    assert pushed.entries.get(state, F(0)) == value, (name, trial, m)
+            self.assert_matches_oracle(stmt, f, symbolic, (name, trial))
+
+    def test_mod5_filter_of_a_bivariate_form_normalizes_quickly(self):
+        # ite_mod5: the else branch normalizes an 18-term numerator over the
+        # 7-term norm denominator, one gcd of two dense bivariate polynomials
+        stmt = MOD_STATEMENTS[2][1]
+        f = normalize(12 + 16 * Y + 4 * X * X, 7 - X - 2 * Y)
+        start = time.perf_counter()
+        symbolic = apply_statement(stmt, f)
+        assert time.perf_counter() - start < 1
+        self.assert_matches_oracle(stmt, f, symbolic, "mod5")
 
     def test_linearity(self):
         rng = random.Random(99)
+        statements = STATEMENTS + MOD_STATEMENTS
         for _ in range(40):
-            name, stmt, poly_only = STATEMENTS[rng.randrange(len(STATEMENTS))]
+            name, stmt, poly_only = statements[rng.randrange(len(statements))]
             f = _random_nonneg_form(rng, ["x", "y"], poly_only)
             g = _random_nonneg_form(rng, ["x", "y"], poly_only)
             a, b = F(rng.randrange(0, 4), 3), F(rng.randrange(0, 4), 3)
