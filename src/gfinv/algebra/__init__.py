@@ -41,6 +41,7 @@ from .poly import (
     mono_mul,
     poly_div_exact,
     poly_gcd,
+    row_reduce,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,6 +12,7 @@ callers with a program context pass their own order).
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -393,3 +394,43 @@ def _heu_gcd(f: Polynomial, g: Polynomial, vars: list) -> Optional[Polynomial]:
                 pass
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+# -- sparse exact elimination ------------------------------------------------
+
+def row_reduce(rows: list, deadline: float = math.inf) -> list:
+    """Reduced row echelon form of sparse rows over Q (exact Gauss-Jordan).
+
+    A row is a ``{column: Fraction}`` dict over integer columns and stores no
+    zero: a row is a pivot candidate for a column exactly when it holds that
+    key.  Columns are pivoted in increasing order and each pivot is scaled to
+    1.  The nonzero rows come back in elimination order, row i holding the
+    i-th pivot, each with its columns in increasing order.  The rows passed
+    in are reduced in place.  Raises TimeoutError once ``time.monotonic()``
+    passes the deadline, checked at every column.
+    """
+    pivot_row = 0
+    for col in sorted({j for row in rows for j in row}):
+        if time.monotonic() > deadline:
+            raise TimeoutError("deadline reached while solving")
+        piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
+        if piv is None:
+            continue
+        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
+        inv = 1 / rows[pivot_row][col]
+        prow = {j: x * inv for j, x in rows[pivot_row].items()}
+        rows[pivot_row] = prow
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or r == pivot_row:
+                continue
+            for j, y in prow.items():
+                x = row[j] - f * y if j in row else -f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [dict(sorted(row.items())) for row in rows if row]

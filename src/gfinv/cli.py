@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -59,8 +60,11 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
 
-def _digest(data: str) -> str:
-    return hashlib.sha256(data.encode()).hexdigest()[:16]
+def _report(mode: str, digested: str, **fields) -> Dict:
+    """The header every report starts with, then ``fields``."""
+    return {"tool": "gfinv", "version": __version__, "mode": mode,
+            "program_digest": hashlib.sha256(digested.encode()).hexdigest()[:16],
+            "diagnostics": [], **fields}
 
 
 def _mass_str(m) -> Optional[str]:
@@ -162,15 +166,8 @@ def cmd_check(args, out) -> int:
     t1 = time.monotonic()
     verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree)
     t2 = time.monotonic()
-    report = {
-        "tool": "gfinv",
-        "version": __version__,
-        "mode": "check",
-        "program_digest": _digest(source),
-        "verdict": verdict.value,
-        "timing": {"parse_s": t1 - t0, "check_s": t2 - t1},
-        "diagnostics": [],
-    }
+    report = _report("check", source, verdict=verdict.value,
+                     timing={"parse_s": t1 - t0, "check_s": t2 - t1})
     if cert is not None:
         report["outcome"] = cert.kind.value
         report.update(_cert_payload(cert, list(ast.variables)))
@@ -191,14 +188,9 @@ def cmd_synthesize(args, out) -> int:
     t1 = time.monotonic()
     analysis = analyze_program(ast, g, config)
     t2 = time.monotonic()
-    report = {
-        "tool": "gfinv",
-        "version": __version__,
-        "mode": "synthesize",
-        "program_digest": _digest(source),
-        "timing": {"parse_s": t1 - t0, "synthesize_s": t2 - t1},
-    }
-    report.update(_analysis_report(analysis, list(ast.variables)))
+    report = _report("synthesize", source,
+                     timing={"parse_s": t1 - t0, "synthesize_s": t2 - t1},
+                     **_analysis_report(analysis, list(ast.variables)))
     _emit(report, out)
     return _outcome_exit(report)
 
@@ -221,19 +213,10 @@ def cmd_unroll(args, out) -> int:
             out_map[format_monomial(mono, order)] = str(v)
         return dict(sorted(out_map.items()))
 
-    report = {
-        "tool": "gfinv",
-        "version": __version__,
-        "mode": "unroll",
-        "program_digest": _digest(source),
-        "outcome": "lower-bounds",
-        "steps": args.steps,
-        "occupation_lower": fmt(res.occ_lower),
-        "posterior_lower": fmt(res.post_lower),
-        "residual": str(res.residual),
-        "timing": {"unroll_s": t1 - t0},
-        "diagnostics": [],
-    }
+    report = _report("unroll", source, outcome="lower-bounds", steps=args.steps,
+                     occupation_lower=fmt(res.occ_lower),
+                     posterior_lower=fmt(res.post_lower), residual=str(res.residual),
+                     timing={"unroll_s": t1 - t0})
     _emit(report, out)
     return EXIT_FULL
 
@@ -246,17 +229,8 @@ def cmd_expand(args, out) -> int:
     order = sorted(f.vars())
     table = {format_monomial(m, order): str(c)
              for m, c in sorted(coeffs.items(), key=lambda t: mono_key(t[0], order))}
-    report = {
-        "tool": "gfinv",
-        "version": __version__,
-        "mode": "expand",
-        "program_digest": _digest(args.expression),
-        "outcome": "expanded",
-        "degree": args.degree,
-        "coefficients": table,
-        "timing": {"expand_s": t1 - t0},
-        "diagnostics": [],
-    }
+    report = _report("expand", args.expression, outcome="expanded", degree=args.degree,
+                     coefficients=table, timing={"expand_s": t1 - t0})
     _emit(report, out)
     return EXIT_FULL
 
@@ -268,22 +242,15 @@ def cmd_chain(args, out) -> int:
     occ = chain_occupation(chain)
     post = chain_posterior(chain, occ)
     t1 = time.monotonic()
-    report = {
-        "tool": "gfinv",
-        "version": __version__,
-        "mode": "chain",
-        "program_digest": _digest(source),
-        "outcome": "occupation",
-        "occupation": {s: ("oo" if v is None else str(v)) for s, v in occ.items()},
-        "posterior": {s: str(v) for s, v in post.items()},
-        "timing": {"chain_s": t1 - t0},
-        "diagnostics": [],
-    }
+    report = _report("chain", source, outcome="occupation",
+                     occupation={s: ("oo" if v is None else str(v)) for s, v in occ.items()},
+                     posterior={s: str(v) for s, v in post.items()},
+                     timing={"chain_s": t1 - t0})
     if args.contraction is not None:
         c = parse_rational(args.contraction, "--contraction")
+        report["contraction_factor"] = str(c)
         try:
             bound = best_contraction_bound(chain, c)
-            report["contraction_factor"] = str(c)
             report["contraction_posterior_bound"] = {s: str(v) for s, v in bound.items()}
             improves = all(
                 Fraction(post.get(s, 0)) <= bound[s] for s in bound
@@ -295,7 +262,6 @@ def cmd_chain(args, out) -> int:
                     "exact occupation posterior is pointwise below the best "
                     f"{c}-contraction bound (strictly at some state)")
         except Diverges as e:
-            report["contraction_factor"] = str(c)
             report["diagnostics"].append(str(e))
     _emit(report, out)
     return EXIT_FULL
@@ -312,6 +278,18 @@ def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    """argparse type of ``--timeout``: a finite number greater than 0.  A NaN
+    would switch every deadline off, since no time compares greater."""
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite number of seconds greater than 0, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--template", help="user template file")
     s.add_argument("--max-degree", type=_count, default=3,
                    help="maximum denominator total degree")
-    s.add_argument("--timeout", type=float, default=60.0)
+    s.add_argument("--timeout", type=_seconds, default=60.0)
     s.set_defaults(fn=cmd_synthesize)
 
     u = sub.add_parser("unroll", help="oracle lower bounds by loop unrolling")

@@ -112,24 +112,18 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
     if not mass_g_ext.finite:
         raise UnknownSign("initial measure has infinite mass")
     mass_g = mass_g_ext.value
+    given = dict(loop=loop, initial=g, invariant=invariant, verdict=verdict,
+                 mass_invariant=mass_i, mass_initial=mass_g)
     if mass_i.finite:
         mass_b = mass(bound)
         if mass_b.finite and mass_b.value == mass_g:
-            return Certificate(
-                kind=CertificateKind.EXACT_POSTERIOR,
-                loop=loop, initial=g, invariant=invariant, verdict=verdict,
-                posterior=bound, mass_invariant=mass_i, mass_initial=mass_g,
-                mass_posterior=mass_b.value, past=True)
-        return Certificate(
-            kind=CertificateKind.PAST_WITNESS,
-            loop=loop, initial=g, invariant=invariant, verdict=verdict,
-            posterior=None, mass_invariant=mass_i, mass_initial=mass_g,
-            mass_posterior=mass_b.value if mass_b.finite else None, past=True)
-    return Certificate(
-        kind=CertificateKind.UPPER_BOUND_ONLY,
-        loop=loop, initial=g, invariant=invariant, verdict=verdict,
-        posterior=bound, mass_invariant=mass_i, mass_initial=mass_g,
-        mass_posterior=None, past=False)
+            return Certificate(CertificateKind.EXACT_POSTERIOR, posterior=bound,
+                               mass_posterior=mass_b.value, past=True, **given)
+        return Certificate(CertificateKind.PAST_WITNESS, posterior=None,
+                           mass_posterior=mass_b.value if mass_b.finite else None,
+                           past=True, **given)
+    return Certificate(CertificateKind.UPPER_BOUND_ONLY, posterior=bound,
+                       mass_posterior=None, past=False, **given)
 
 
 def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,

@@ -3,8 +3,9 @@
 Executes loop-free statements exactly on finite maps from states to
 rationals, tracks every truncated probability tail in an explicit residual,
 iterates loops Kleene-style to certified lower bounds, computes exact
-expected visiting times of finite Markov chains by linear solve, and
-cross-checks closed forms against oracle runs.
+expected visiting times of finite Markov chains by sparse exact elimination
+(``row_reduce``, the template solver's kernel), and cross-checks closed
+forms against oracle runs.
 
 States are tuples of naturals, one slot per declared program variable.
 """
@@ -15,17 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import ClosedForm, Mono, mono_key, series_expand
+from .algebra import ClosedForm, Mono, mono_key, row_reduce, series_expand
 from . import program as P
 
 State = Tuple[int, ...]
 
 
 class OracleError(Exception):
-    pass
-
-
-class SingularSystem(OracleError):
     pass
 
 
@@ -313,9 +310,16 @@ class FiniteChain:
 
     def validate(self) -> None:
         for src, row in self.transitions.items():
+            for dst, p in row.items():
+                if not 0 <= p <= 1:
+                    raise OracleError(f"transition {src} -> {dst} has probability {p}, "
+                                      "outside [0, 1]")
             total = sum(row.values(), Fraction(0))
             if total != 1:
                 raise OracleError(f"transition row of {src} sums to {total}, not 1")
+        for s, mass in self.initial.items():
+            if mass < 0:
+                raise OracleError(f"initial mass of {s} is {mass}, which is negative")
 
     @staticmethod
     def parse(text: str) -> "FiniteChain":
@@ -358,100 +362,54 @@ class FiniteChain:
         return "\n".join(lines) + "\n"
 
 
-def _reachable(chain: FiniteChain) -> List[str]:
-    seen = [s for s in chain.states if chain.initial.get(s)]
-    frontier = list(seen)
-    while frontier:
-        s = frontier.pop()
-        for t in chain.transitions.get(s, {}):
-            if t not in seen:
-                seen.append(t)
-                frontier.append(t)
+def _forward(chain: FiniteChain, sources) -> set:
+    """The states reachable from ``sources`` with positive probability, the
+    sources included."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for t, p in chain.transitions.get(stack.pop(), {}).items():
+            if p and t not in seen:
+                seen.add(t)
+                stack.append(t)
     return seen
-
-
-def _closed_recurrent_states(chain: FiniteChain, reachable: List[str]) -> set:
-    """States of reachable non-terminal SCCs with no exit (infinite visits)."""
-    fwd_cache: Dict[str, set] = {}
-
-    def fwd(s: str) -> set:
-        if s not in fwd_cache:
-            seen = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for t in chain.transitions.get(u, {}):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            fwd_cache[s] = seen
-        return fwd_cache[s]
-
-    bad: set = set()
-    for s in reachable:
-        if s not in chain.transitions or s in bad:
-            continue
-        scc = {t for t in fwd(s) if s in fwd(t)}
-        closed = all(dst in scc for t in scc for dst in chain.transitions.get(t, {}))
-        if closed:
-            bad |= scc
-    return bad
 
 
 def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
     """Expected total visits per state; Infinite (None) on states of reachable
-    closed recurrent classes."""
+    closed recurrent classes.
+
+    A reachable non-terminal state lies in such a class exactly when every
+    state it reaches reaches it back.  On the other reachable non-terminal
+    states, the transient ones, o = iota + P^T o has one solution: one sparse
+    row per state, iota in the last column, reduced by ``row_reduce``.
+    """
     chain.validate()
-    reachable = _reachable(chain)
-    bad = _closed_recurrent_states(chain, reachable)
-    transient = [s for s in reachable if s in chain.transitions and s not in bad]
-    n = len(transient)
+    reachable = _forward(chain, [s for s in chain.states if chain.initial.get(s)])
+    fwd = {s: _forward(chain, [s]) for s in chain.states
+           if s in reachable and s in chain.transitions}
+    bad = {s for s, seen in fwd.items() if all(s in fwd.get(t, ()) for t in seen)}
+    transient = [s for s in fwd if s not in bad]
     pos = {s: i for i, s in enumerate(transient)}
-    # o = iota + P^T o on transient states
-    a = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [chain.initial.get(s, Fraction(0)) for s in transient]
-    for i, s in enumerate(transient):
-        a[i][i] += 1
-    for s in transient:
+    n = len(transient)
+    rows = [{i: Fraction(1), n: chain.initial.get(s, Fraction(0))}
+            for i, s in enumerate(transient)]
+    for j, s in enumerate(transient):
         for t, p in chain.transitions[s].items():
             if t in pos:
-                a[pos[t]][pos[s]] -= p
-    occ_t = _solve_linear(a, rhs)
-    out: Dict[str, object] = {}
-    for s in chain.states:
-        if s in bad:
-            out[s] = None  # infinite expected visits
-        elif s in pos:
-            out[s] = occ_t[pos[s]]
-        elif s in reachable:
-            total = chain.initial.get(s, Fraction(0))
-            for src in transient:
-                p = chain.transitions[src].get(s)
-                if p:
-                    total += p * occ_t[pos[src]]
-            # terminal states downstream of an infinite class are unreachable
-            # from it (closed classes have no exits)
-            out[s] = total
-        else:
-            out[s] = Fraction(0)
+                rows[pos[t]][j] = rows[pos[t]].get(j, 0) - p
+    solved = row_reduce([{k: x for k, x in row.items() if x} for row in rows])
+    occ = {s: row.get(n, Fraction(0)) for s, row in zip(transient, solved)}
+    out: Dict[str, object] = {
+        s: None if s in bad else occ.get(s, chain.initial.get(s, Fraction(0)))
+        for s in chain.states}
+    # a terminal state is entered only from transient states: closed classes
+    # have no exits
+    for s in transient:
+        for t, p in chain.transitions[s].items():
+            if t not in chain.transitions:
+                out[t] += p * occ[s]
     return out
-
-
-def _solve_linear(a: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise SingularSystem("occupation system is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[str, Fraction]:

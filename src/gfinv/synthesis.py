@@ -48,6 +48,7 @@ from .algebra import (
     instantiate,
     mono_key,
     parse_closed_form_with_params,
+    row_reduce,
     shape_nonneg,
 )
 from .algebra.closedform import _monomials_upto
@@ -204,8 +205,8 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
     Returns [] when factoring brings nothing (irreducible and multiplicity 1).
     The factors, their signs and their order are those of
     ``sympy.factor_list`` on the expression: the monomial content gives one
-    factor per parameter, and the rest, cleared of denominators, is factored
-    over the integers in sympy's own generator order.
+    factor per parameter, and the rest, divided by its positive rational
+    content, is factored over the integers in sympy's own generator order.
     """
     import sympy  # loaded on first use only; see the module docstring
     from sympy.polys.polyutils import _sort_gens
@@ -221,10 +222,8 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
         symbols = {sympy.Symbol(v[1:]): v for v in rest}
         gens = _sort_gens(symbols)  # the order fixes each factor's sign
         names = [symbols[s] for s in gens]
-        lcm = 1
-        for c in p.terms.values():
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        rep = {tuple(e.get(v, 0) - low[v] for v in names): int(c * lcm)
+        content = p.content()
+        rep = {tuple(e.get(v, 0) - low[v] for v in names): int(c / content)
                for e, c in zip(exps, p.terms.values())}
         try:
             _, factors = sympy.Poly.from_dict(rep, *gens, domain=sympy.ZZ).factor_list()
@@ -249,15 +248,10 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
 
 def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
     """All rational roots of a univariate parameter polynomial."""
-    coeffs: Dict[int, Fraction] = {}
-    for m, c in p.terms.items():
-        deg = m[0][1] if m else 0
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + c
+    coeffs = {(m[0][1] if m else 0): c for m, c in p.terms.items()}
     deg = max(coeffs)
-    lcm = 1
-    for c in coeffs.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {d: int(c * lcm) for d, c in coeffs.items() if c}
+    content = p.content()
+    ints = {d: int(c / content) for d, c in coeffs.items()}
     roots: List[Fraction] = []
     low = min(ints)
     if low > 0:
@@ -293,46 +287,13 @@ def _divisors(n: int) -> List[int]:
 
 
 def _row_reduce(eqs: List[Polynomial], deadline: float = math.inf) -> List[Polynomial]:
-    """Exact Gaussian elimination over the parameter-monomial basis.
-
-    Pivots on the highest monomials first so low-degree (often linear)
-    consequences of nonlinear equations surface.  Rows are sparse
-    ``{column: coefficient}`` dicts; the result is the reduced row echelon
-    form with unit pivots, its rows in elimination order and each row's
-    terms in column order.  Raises TimeoutError once ``time.monotonic()``
-    passes the deadline, checked at every pivot column.
-    """
+    """``row_reduce`` over the parameter-monomial basis, column i holding the
+    i-th highest monomial: pivoting on the highest monomials first surfaces
+    low-degree (often linear) consequences of nonlinear equations."""
     monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
-    rows = [{pos[m]: c for m, c in e.terms.items()} for e in eqs]
-    pivot_row = 0
-    for col in range(len(monos)):
-        _check_deadline(deadline)
-        piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        prow = {j: x * inv for j, x in rows[pivot_row].items()}
-        rows[pivot_row] = prow
-        for r, row in enumerate(rows):
-            f = row.get(col)
-            if f is None or r == pivot_row:
-                continue
-            for j, y in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * y
-                else:
-                    x = x - f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [Polynomial({monos[i]: row[i] for i in sorted(row)}) for row in rows if row]
+    rows = row_reduce([{pos[m]: c for m, c in e.terms.items()} for e in eqs], deadline)
+    return [Polynomial({monos[i]: c for i, c in row.items()}) for row in rows]
 
 
 def _check_deadline(deadline: float) -> None:

@@ -70,6 +70,20 @@ class TestMalformedNumbers:
         path.write_text(chain)
         assert where in refusal(["chain", str(path)] + extra, capsys)
 
+    @pytest.mark.parametrize("chain, extra, where", [
+        ("s1 s2 -1/2\ns1 s3 3/2\ninit s1 1\n", [], "s1 -> s2 has probability -1/2"),
+        ("s1 s2 1\ninit s1 -1\n", ["--contraction", "1/2"], "initial mass of s1 is -1"),
+    ], ids=["probability", "mass"])
+    def test_chain_with_a_negative_number(self, chain, extra, where, tmp_path, capsys):
+        path = tmp_path / "chain.txt"
+        path.write_text(chain)
+        assert where in refusal(["chain", str(path)] + extra, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_a_timeout_that_is_not_a_positive_finite_number_is_refused(self, value, capsys):
+        err = refusal(["synthesize", GEO, "--init", "X", "--timeout", value], capsys)
+        assert "argument --timeout: expected a finite number of seconds greater than 0" in err
+
     @pytest.mark.parametrize("args", [
         ["unroll", GEO, "--init", "X", "--steps", "-1"],
         ["unroll", GEO, "--init", "X", "--steps", "3", "--cap", "-1"],
@@ -81,6 +95,20 @@ class TestMalformedNumbers:
     def test_a_negative_count_is_refused(self, args, capsys):
         err = refusal(args, capsys)
         assert f"argument {args[-2]}: expected an integer of 0 or more" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["check", GEO, "--init", "X", "--invariant", "(1+2*X)/(2-C)"],
+    ["synthesize", GEO, "--init", "X", "--max-degree", "1"],
+    ["unroll", GEO, "--init", "X", "--steps", "3"],
+    ["expand", "1/(2-C)", "--degree", "2"],
+    ["chain", str(BENCH / "appendix_chain.txt")],
+], ids=lambda args: args[0])
+def test_every_report_starts_with_the_same_header(args):
+    _, rep, _ = invoke(args)
+    assert rep["tool"] == "gfinv" and rep["mode"] == args[0]
+    assert {"version", "program_digest", "diagnostics", "timing"} <= set(rep)
+    assert len(rep["program_digest"]) == 16
 
 
 class TestSynthesizeCommand:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -126,11 +127,41 @@ class TestChain:
         occ = chain_occupation(chain)
         assert occ["a"] is None and occ["b"] == F(1, 2)
 
+    def test_a_zero_probability_edge_leads_nowhere(self):
+        # a stays at a forever: the edge to b does not make a transient
+        chain = FiniteChain.parse("a a 1\na b 0\ninit a 1\n")
+        assert chain_occupation(chain) == {"a": None, "b": F(0)}
+
     def test_round_trip_format(self):
         chain = FiniteChain.parse(APPENDIX_CHAIN)
         again = FiniteChain.parse(chain.format())
         assert again.transitions == chain.transitions
         assert again.initial == chain.initial
+
+    def test_bounded_walk_of_200_states_is_solved_quickly(self):
+        # gambler's ruin from 1 on 0..200: the walk ends at 200 with 1/200
+        lines = [f"s{i} s{i - 1} 1/2\ns{i} s{i + 1} 1/2" for i in range(1, 200)]
+        chain = FiniteChain.parse("\n".join(lines) + "\ninit s1 1\n")
+        start = time.monotonic()
+        occ = chain_occupation(chain)
+        assert time.monotonic() - start < 2
+        assert occ["s200"] == F(1, 200) and occ["s0"] == F(199, 200)
+        assert occ["s1"] == F(2 * 199, 200)
+
+    def test_matches_the_dense_reference_on_random_chains(self):
+        rng = random.Random(20261019)
+        seen = {"self_loop": 0, "terminal": 0, "two_closed_classes": 0}
+        for _ in range(300):
+            chain = random_chain(rng)
+            want = dense_chain_occupation(chain)
+            assert chain_occupation(chain) == want, chain.format()
+            seen["self_loop"] += any(s in row for s, row in chain.transitions.items())
+            seen["terminal"] += any(s not in chain.transitions and want[s]
+                                    for s in chain.states)
+            classes = {frozenset(reach(chain, s))
+                       for s, v in want.items() if v is None}
+            seen["two_closed_classes"] += len(classes) >= 2
+        assert min(seen.values()) >= 30, seen
 
     def test_power_iteration_agrees_with_solve(self):
         # iterative reference: occ = sum_k (P^T)^k iota, 10^4 terms
@@ -153,6 +184,87 @@ class TestChain:
                 break
         for s in chain.states:
             assert abs(total.get(s, F(0)) - occ[s]) < F(1, 10 ** 9)
+
+
+def random_chain(rng):
+    """Up to 9 states in up to 3 groups.  A closed group's states move only
+    within it; in the other groups about a third of the states are terminal,
+    and the rest move anywhere.  1-3 successors of positive probability
+    (self-loops included), and 1-3 initial states."""
+    names = [f"s{i}" for i in range(rng.randint(2, 9))]
+    groups = [names[i::3] for i in range(3)]
+    lines = []
+    for group in groups:
+        closed = rng.random() < 0.5
+        for s in group:
+            if not closed and rng.random() < 0.35:
+                continue
+            pool = group if closed else names
+            succ = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            weights = [rng.randint(1, 4) for _ in succ]
+            lines += [f"{s} {t} {F(w, sum(weights))}" for t, w in zip(succ, weights)]
+    for s in rng.sample(names, rng.randint(1, min(3, len(names)))):
+        lines.append(f"init {s} {F(rng.randint(1, 3), rng.randint(1, 4))}")
+    return FiniteChain.parse("\n".join(lines))
+
+
+def reach(chain, s):
+    seen, stack = {s}, [s]
+    while stack:
+        for t in chain.transitions.get(stack.pop(), {}):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def dense_chain_occupation(chain):
+    """Reference: reachability, closed classes by strongly connected
+    components, and Gauss-Jordan elimination on dense lists of Fractions."""
+    reachable = [s for s in chain.states if chain.initial.get(s)]
+    frontier = list(reachable)
+    while frontier:
+        for t in chain.transitions.get(frontier.pop(), {}):
+            if t not in reachable:
+                reachable.append(t)
+                frontier.append(t)
+    bad = set()
+    for s in reachable:
+        if s not in chain.transitions or s in bad:
+            continue
+        scc = {t for t in reach(chain, s) if s in reach(chain, t)}
+        if all(dst in scc for t in scc for dst in chain.transitions.get(t, {})):
+            bad |= scc
+    transient = [s for s in reachable if s in chain.transitions and s not in bad]
+    n = len(transient)
+    pos = {s: i for i, s in enumerate(transient)}
+    m = [[F(int(i == j)) for j in range(n)] + [chain.initial.get(s, F(0))]
+         for i, s in enumerate(transient)]
+    for s in transient:
+        for t, p in chain.transitions[s].items():
+            if t in pos:
+                m[pos[t]][pos[s]] -= p
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    out = {}
+    for s in chain.states:
+        if s in bad:
+            out[s] = None
+        elif s in pos:
+            out[s] = m[pos[s]][n]
+        elif s in reachable:
+            out[s] = chain.initial.get(s, F(0)) + sum(
+                (chain.transitions[src].get(s, F(0)) * m[pos[src]][n] for src in transient),
+                F(0))
+        else:
+            out[s] = F(0)
+    return out
 
 
 class TestContraction:
