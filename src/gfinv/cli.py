@@ -28,11 +28,13 @@ from .algebra import (
     AlgebraError,
     ClosedForm,
     GfSyntaxError,
+    find_negative_coefficient,
     format_closed_form,
     format_monomial,
     mono_key,
     parse_closed_form_with_params,
     series_expand,
+    shape_nonneg,
 )
 from .invariant import Certificate, CertificateKind, certify
 from .oracle import (
@@ -49,6 +51,7 @@ from .oracle import (
 from .program import ProgramAst, ProgramError, While, classify, parse
 from .semantics import SemanticsError
 from .synthesis import (
+    SCAN_DEGREE,
     ProgramAnalysis,
     SynthesisConfig,
     analyze_program,
@@ -137,7 +140,7 @@ def _read(path: str) -> str:
 def _single_loop(ast: ProgramAst, command: str) -> While:
     if not classify(ast).is_single_loop:
         raise ProgramError(f"{command} requires a program that is a single while loop")
-    return ast.body if isinstance(ast.body, While) else ast.body.stmts[0]
+    return ast.body
 
 
 def _parse_form(text: str, variables=None) -> ClosedForm:
@@ -156,12 +159,23 @@ def _gf_arg(text: str, variables) -> ClosedForm:
     return _parse_form(text, variables)
 
 
+def _init_arg(text: str, variables) -> ClosedForm:
+    """The ``--init`` measure: a form whose series has no coefficient below 0
+    up to SCAN_DEGREE (searched only when the shape test cannot tell)."""
+    g = _gf_arg(text, variables)
+    neg = None if shape_nonneg(g) else find_negative_coefficient(g, SCAN_DEGREE, variables)
+    if neg is not None:
+        raise AlgebraError(f"--init {text!r} is not a measure: coefficient {neg[1]} "
+                           f"at {format_monomial(neg[0], variables)}")
+    return g
+
+
 def cmd_check(args, out) -> int:
     t0 = time.monotonic()
     source = _read(args.program)
     ast = parse(source)
     loop = _single_loop(ast, "check")
-    g = _gf_arg(args.init, ast.variables)
+    g = _init_arg(args.init, ast.variables)
     candidate = _gf_arg(args.invariant, ast.variables)
     t1 = time.monotonic()
     verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree)
@@ -181,7 +195,7 @@ def cmd_synthesize(args, out) -> int:
     t0 = time.monotonic()
     source = _read(args.program)
     ast = parse(source)
-    g = _gf_arg(args.init, ast.variables)
+    g = _init_arg(args.init, ast.variables)
     config = SynthesisConfig(max_den_degree=args.max_degree, timeout_s=args.timeout)
     if args.template:
         config.user_template = parse_template(_read(args.template), ast.variables)
@@ -200,7 +214,7 @@ def cmd_unroll(args, out) -> int:
     source = _read(args.program)
     ast = parse(source)
     loop = _single_loop(ast, "unroll")
-    g = _gf_arg(args.init, ast.variables)
+    g = _init_arg(args.init, ast.variables)
     m = measure_from_closed_form(g, args.init_degree, ast.variables)
     res = kleene_iterate(loop, m, ast.variables, args.steps, support_cap=args.cap)
     t1 = time.monotonic()

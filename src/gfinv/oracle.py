@@ -77,12 +77,8 @@ def eval_guard(g: P.Guard, state: State, vars: Sequence[str]) -> bool:
 def _eval_guard(g: P.Guard, state: State, idx: Dict[str, int]) -> bool:
     if isinstance(g, P.Lt):
         return state[idx[g.var]] < g.bound
-    if isinstance(g, P.Geq):
-        return state[idx[g.var]] >= g.bound
     if isinstance(g, P.Eq):
         return state[idx[g.var]] == g.value
-    if isinstance(g, P.Neq):
-        return state[idx[g.var]] != g.value
     if isinstance(g, P.ModEq):
         return state[idx[g.var]] % g.modulus == g.residue
     if isinstance(g, P.And):
@@ -194,21 +190,9 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
         return _map_states(m, idx[stmt.var], lambda _: stmt.value)
     if isinstance(stmt, P.Decrement):
         return _map_states(m, idx[stmt.var], lambda x: max(x - 1, 0))
-    if isinstance(stmt, P.SampleAssign):
-        probs, tail = dist_pmf(stmt.dist, _effective_cap(stmt.dist, 1, cap))
-        out: Dict[State, Fraction] = {}
-        residual = m.residual
-        i = idx[stmt.var]
-        for s, v in m.entries.items():
-            for k, p in enumerate(probs):
-                if p:
-                    t = s[:i] + (k,) + s[i + 1:]
-                    out[t] = out.get(t, Fraction(0)) + v * p
-            residual += v * tail
-        return SparseMeasure(out, residual)
     if isinstance(stmt, P.IidIncrement):
         i = idx[stmt.var]
-        out = {}
+        out: Dict[State, Fraction] = {}
         residual = m.residual
         cache: Dict[int, Tuple[List[Fraction], Fraction]] = {}
         for s, v in m.entries.items():

@@ -1,14 +1,20 @@
 """AST, concrete syntax, parser and fragment classifier for probabilistic programs.
 
 The accepted language is a guarded command language over natural-valued
-variables: skip/diverge, constant assignment, decrement (saturating at 0),
-iid-sample increments, distribution sampling, probabilistic choice,
-conditionals and while loops with rectangular guards (variable-vs-constant
-comparisons, modulo tests, and boolean combinations thereof).
+variables.  Its core, which every interpreter handles, has the statements
+skip, diverge, constant assignment, decrement (saturating at 0), iid-sample
+increments, probabilistic choice, sequences, conditionals and while loops,
+and the guards ``x < n``, ``x = n``, ``x = r mod d`` and their combinations
+by ``&&``, ``||`` and ``!``.
 
-Linear assignment expressions such as ``x := 2*x + y + 1`` are sugar; the
-parser rewrites them into primitive increment statements.  Subtraction of a
-constant desugars into repeated decrements and therefore saturates at zero.
+Everything else is sugar that the parser rewrites into the core:
+
+- linear assignments such as ``x := 2*x + y + 1`` become increments
+  (``desugar_linear_assign``); subtraction of a constant becomes repeated
+  decrements and therefore saturates at zero;
+- ``x <= n`` is ``x < n + 1``, ``x > n`` is ``!(x < n + 1)``, ``x >= n`` is
+  ``!(x < n)`` and ``x != n`` is ``!(x = n)``;
+- sampling ``x := D`` is ``x := 0`` followed by one iid increment of x by D.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .algebra import ClosedForm, mass, parse_closed_form, shape_nonneg
+from .algebra import AlgebraError, ClosedForm, GfSyntaxError, mass, parse_closed_form, shape_nonneg
 from .algebra.gfexpr import MAX_NESTING
 
 
@@ -102,19 +108,7 @@ class Lt:
 
 
 @dataclass(frozen=True)
-class Geq:
-    var: str
-    bound: int
-
-
-@dataclass(frozen=True)
 class Eq:
-    var: str
-    value: int
-
-
-@dataclass(frozen=True)
-class Neq:
     var: str
     value: int
 
@@ -145,7 +139,7 @@ class Not:
     inner: "Guard"
 
 
-Guard = Union[Lt, Geq, Eq, Neq, ModEq, And, Or, Not]
+Guard = Union[Lt, Eq, ModEq, And, Or, Not]
 
 
 @dataclass(frozen=True)
@@ -179,12 +173,6 @@ class IidIncrement:
 
 
 @dataclass(frozen=True)
-class SampleAssign:
-    var: str
-    dist: DistExpr
-
-
-@dataclass(frozen=True)
 class Choice:
     prob: Fraction
     left: "Statement"
@@ -210,8 +198,7 @@ class While:
 
 
 Statement = Union[
-    Skip, Diverge, AssignConst, Decrement, IidIncrement, SampleAssign,
-    Choice, Seq, IfThenElse, While,
+    Skip, Diverge, AssignConst, Decrement, IidIncrement, Choice, Seq, IfThenElse, While,
 ]
 
 
@@ -245,8 +232,6 @@ def _stmts(s: Statement):
 
 def classify(ast: ProgramAst) -> Classification:
     top = ast.body
-    if isinstance(top, Seq) and len(top.stmts) == 1:
-        top = top.stmts[0]
     single = isinstance(top, While) and not any(
         isinstance(s, (While, Diverge)) for s in _stmts(top.body)
     )
@@ -265,13 +250,15 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int) -> St
 
     The self-coefficient is applied first (multiplicative), then cross-variable
     increments, then the constant; a negative constant becomes decrements and
-    saturates at zero like every decrement.
+    saturates at zero like every decrement.  A constant alone (``x := 3``) is
+    one ``AssignConst``, and ``x := x`` is ``Skip``.  The coefficients are
+    nonnegative: the parser refuses the others.
     """
+    if not coeffs and constant >= 0:
+        return AssignConst(var, constant)
     out: List[Statement] = []
     self_c = coeffs.get(var, 0)
     others = {v: c for v, c in coeffs.items() if v != var and c}
-    if any(c < 0 for c in coeffs.values()):
-        raise UnsupportedExpression("negative variable coefficient")
     if self_c == 0:
         out.append(AssignConst(var, 0))
     elif self_c > 1:
@@ -284,8 +271,6 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int) -> St
         out.extend(Decrement(var) for _ in range(-constant))
     if not out:
         return Skip()
-    if len(out) == 1 and isinstance(out[0], AssignConst) and constant == 0 and not others:
-        return out[0]
     return out[0] if len(out) == 1 else Seq(tuple(out))
 
 
@@ -482,13 +467,9 @@ class _ProgParser:
             raise SyntaxError_(f"expected ':=', '+=' or '--', found {op.value!r}",
                                op.line, op.col)
         if self.peek().kind in ("bernoulli", "geometric", "uniform", "dirac", "pgf"):
-            return SampleAssign(var, check_dist(self.parse_dist()))
-        coeffs, constant = self.parse_linear_expr()
-        if not coeffs and constant >= 0:
-            return AssignConst(var, constant)
-        if coeffs == {var: 1} and constant == 0:
-            return Skip()
-        return desugar_linear_assign(var, coeffs, constant)
+            dist = check_dist(self.parse_dist())
+            return Seq((AssignConst(var, 0), IidIncrement(var, dist, None)))
+        return desugar_linear_assign(var, *self.parse_linear_expr())
 
     def parse_linear_expr(self) -> Tuple[Dict[str, int], int]:
         coeffs: Dict[str, int] = {}
@@ -566,8 +547,10 @@ class _ProgParser:
             self.expect(")")
             return Dirac(n)
         if t.kind == "pgf":
-            # the closed-form parser reads the raw text between the parentheses
+            # the closed-form parser reads the raw text between the parentheses;
+            # its errors are reported at the start of that text
             start = self.expect("(").pos + 1
+            body = self.peek()
             depth = 1
             while depth:
                 tok = self.next()
@@ -577,8 +560,10 @@ class _ProgParser:
                     depth += 1
                 elif tok.kind == ")":
                     depth -= 1
-            form = parse_closed_form(self.src[start:tok.pos], known_vars=["t"])
-            return RawPgf(form)
+            try:
+                return RawPgf(parse_closed_form(self.src[start:tok.pos], known_vars=["t"]))
+            except (GfSyntaxError, AlgebraError) as e:
+                raise SyntaxError_(str(e), body.line, body.col) from None
         raise SyntaxError_(f"expected distribution, found {t.value!r}", t.line, t.col)
 
     def parse_guard(self) -> Guard:
@@ -631,12 +616,12 @@ class _ProgParser:
         if op.kind == "<=":
             return Lt(v, n + 1)
         if op.kind == ">":
-            return Geq(v, n + 1)
+            return Not(Lt(v, n + 1))
         if op.kind == ">=":
-            return Geq(v, n)
+            return Not(Lt(v, n))
         if op.kind == "=":
             return Eq(v, n)
-        return Neq(v, n)
+        return Not(Eq(v, n))
 
 
 def parse(source: str) -> ProgramAst:
@@ -649,12 +634,8 @@ def parse(source: str) -> ProgramAst:
 def print_guard(g: Guard) -> str:
     if isinstance(g, Lt):
         return f"{g.var} < {g.bound}"
-    if isinstance(g, Geq):
-        return f"{g.var} >= {g.bound}"
     if isinstance(g, Eq):
         return f"{g.var} = {g.value}"
-    if isinstance(g, Neq):
-        return f"{g.var} != {g.value}"
     if isinstance(g, ModEq):
         return f"{g.var} = {g.residue} mod {g.modulus}"
     if isinstance(g, And):
@@ -694,8 +675,6 @@ def _print_stmt(s: Statement, indent: int) -> str:
             return pad + f"{s.var} := {s.var} + {s.dist.value}*{s.count}"
         count = s.count if s.count is not None else "1"
         return pad + f"{s.var} += iid({print_dist(s.dist)}, {count})"
-    if isinstance(s, SampleAssign):
-        return pad + f"{s.var} := {print_dist(s.dist)}"
     if isinstance(s, Choice):
         return (pad + "{\n" + _print_stmt(s.left, indent + 1) + "\n" + pad
                 + f"}} [{s.prob}] {{\n" + _print_stmt(s.right, indent + 1)

@@ -194,12 +194,8 @@ def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
     """Closed form of [g] * f."""
     if isinstance(g, P.Lt):
         return restrict(f, g.var, g.bound)
-    if isinstance(g, P.Geq):
-        return f - restrict(f, g.var, g.bound)
     if isinstance(g, P.Eq):
         return restrict(f, g.var, g.value + 1) - restrict(f, g.var, g.value)
-    if isinstance(g, P.Neq):
-        return f - restrict_guard(f, P.Eq(g.var, g.value))
     if isinstance(g, P.ModEq):
         return mod_filter(f, g.var, g.residue, g.modulus)
     if isinstance(g, P.And):
@@ -302,9 +298,6 @@ def apply_statement(stmt: P.Statement, f: ClosedForm) -> ClosedForm:
             return f * pgf
         h = pgf * from_poly(Polynomial.var(stmt.count))
         return substitute(f, stmt.count, h)
-    if isinstance(stmt, P.SampleAssign):
-        g = marginalize(f, stmt.var)
-        return g * dist_pgf(stmt.dist, stmt.var)
     if isinstance(stmt, P.Choice):
         return (apply_statement(stmt.left, f * stmt.prob)
                 + apply_statement(stmt.right, f * (1 - stmt.prob)))

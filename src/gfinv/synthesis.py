@@ -533,7 +533,12 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                         f"{desc}: negative coefficient {neg[1]} at {neg[0]}")
                     last_stage = "positivity"
                 continue
-            verdict, cert = certify(loop, g, candidate)
+            try:
+                verdict, cert = certify(loop, g, candidate)
+            except (SemanticsError, InvalidDenominator) as e:
+                diagnostics.append(f"{desc}: verification failed: {e}")
+                last_stage = "verify"
+                continue
             if cert is None:
                 diagnostics.append(f"{desc}: verification verdict {verdict.value}")
                 last_stage = "verify"
@@ -654,7 +659,7 @@ def _loop_vars(loop: P.While) -> set:
     out = set()
 
     def guard_vars(gd):
-        if isinstance(gd, (P.Lt, P.Geq, P.Eq, P.Neq, P.ModEq)):
+        if isinstance(gd, (P.Lt, P.Eq, P.ModEq)):
             out.add(gd.var)
         elif isinstance(gd, (P.And, P.Or)):
             guard_vars(gd.left)
@@ -664,7 +669,7 @@ def _loop_vars(loop: P.While) -> set:
 
     guard_vars(loop.guard)
     for s in P._stmts(loop.body):
-        if isinstance(s, (P.AssignConst, P.Decrement, P.SampleAssign)):
+        if isinstance(s, (P.AssignConst, P.Decrement)):
             out.add(s.var)
         elif isinstance(s, P.IidIncrement):
             out.add(s.var)

@@ -96,6 +96,14 @@ class TestMalformedNumbers:
         err = refusal(args, capsys)
         assert f"argument {args[-2]}: expected an integer of 0 or more" in err
 
+    @pytest.mark.parametrize("args", [
+        ["check", GEO, "--init", "X - X^2", "--invariant", "(1 + 2*X)/(2 - C)"],
+        ["synthesize", GEO, "--init", "X - X^2"],
+        ["unroll", GEO, "--init", "X - X^2", "--steps", "5"],
+    ], ids=lambda args: args[0])
+    def test_an_init_with_a_negative_coefficient_is_refused(self, args, capsys):
+        assert "is not a measure: coefficient -1 at X^2" in refusal(args, capsys)
+
 
 @pytest.mark.parametrize("args", [
     ["check", GEO, "--init", "X", "--invariant", "(1+2*X)/(2-C)"],
@@ -125,6 +133,19 @@ class TestSynthesizeCommand:
                              "--init", "X", "--max-degree", "1"])
         assert rc == EXIT_PARTIAL
         assert rep["outcome"] == "UpperBoundOnly"
+
+    @pytest.mark.parametrize("source", [
+        "nat x; while (x > 0) { x := geometric(1/2) }",
+        "nat x; nat y; while (x >= 1) { y := geometric(1/2); {x := x - 1} [1/2] {skip} }",
+    ], ids=["resample", "resample-other"])
+    def test_a_diverging_candidate_fails_only_itself(self, source, tmp_path):
+        # certify sums a candidate's series; where that diverges, the
+        # candidate is rejected and the search goes on
+        path = tmp_path / "program.pgcl"
+        path.write_text(source)
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X", "--max-degree", "2"])
+        assert rc == EXIT_PARTIAL and rep["outcome"].startswith("failure:")
+        assert any("verification failed: series diverges" in d for d in rep["diagnostics"])
 
     def test_missing_file_is_error(self):
         rc, _, _ = invoke(["synthesize", "no/such/file.pgcl", "--init", "X"])

@@ -54,7 +54,9 @@ class TestExecLoopfree:
         stmts = [
             GEO.body.body,
             P.Seq((P.Decrement("x"), P.IidIncrement("c", P.Dirac(2), "x"))),
-            P.IfThenElse(P.Geq("x", 2), P.SampleAssign("c", P.Geometric(F(1, 3))),
+            P.IfThenElse(P.Not(P.Lt("x", 2)),
+                         P.Seq((P.AssignConst("c", 0),
+                                P.IidIncrement("c", P.Geometric(F(1, 3)), None))),
                          P.Skip()),
         ]
         for stmt in stmts:

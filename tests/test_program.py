@@ -73,7 +73,8 @@ class TestParse:
                     "x += iid(uniform(1, 3), 1);\n"
                     "x := pgf(1/2 + 1/2*T)")
         kinds = [type(s).__name__ for s in ast.body.stmts]
-        assert kinds == ["SampleAssign", "IidIncrement", "IidIncrement", "SampleAssign"]
+        assert kinds == ["AssignConst", "IidIncrement", "IidIncrement", "IidIncrement",
+                         "AssignConst", "IidIncrement"]
 
     def test_pgf_takes_powers(self):
         power = parse("nat x;\nx := pgf(1/2*T + 1/2*T^2)")
@@ -87,6 +88,28 @@ class TestParse:
         for src in (ifs, guard):
             with pytest.raises(SyntaxError_, match="nesting too deep"):
                 parse(src)
+
+    def test_comparisons_and_sampling_are_rewritten_into_the_core(self):
+        def guard(text):
+            return parse(f"nat x;\nwhile ({text}) {{ skip }}").body.guard
+
+        assert guard("x > 2") == P.Not(P.Lt("x", 3))
+        assert guard("x >= 2") == P.Not(P.Lt("x", 2))
+        assert guard("x != 2") == P.Not(P.Eq("x", 2))
+        # the sampling pair is flattened into the enclosing sequence
+        assert parse("nat x; nat y;\ny := 1; x := geometric(1/2)").body == Seq((
+            P.AssignConst("y", 1), P.AssignConst("x", 0),
+            P.IidIncrement("x", P.Geometric(F(1, 2)), None)))
+
+    @pytest.mark.parametrize("body, message", [
+        ("X", "unknown indeterminate 'X'"),
+        ("T^", "expected natural exponent"),
+        ("1/0", "denominator is identically zero"),
+    ])
+    def test_a_bad_pgf_body_is_a_syntax_error_at_the_body(self, body, message):
+        with pytest.raises(SyntaxError_, match=message) as exc:
+            parse(f"nat x;\nx :=  pgf({body})")
+        assert (exc.value.line, exc.value.col) == (2, 11)
 
     def test_bad_pgf_mass_rejected(self):
         with pytest.raises(InvalidProbability):
