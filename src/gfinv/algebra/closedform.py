@@ -11,10 +11,10 @@ templates of synthesis) are only scaled; see ``normalize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .. import Frozen, _set_field
 from .poly import (
     MONO_ONE,
     Mono,
@@ -38,8 +38,7 @@ class UnknownSign(AlgebraError):
     """A mass/positivity question could not be answered soundly."""
 
 
-@dataclass(frozen=True)
-class ExtendedMass:
+class ExtendedMass(Frozen):
     """Total mass of a series: a nonnegative rational or infinity."""
 
     finite: bool
@@ -59,10 +58,23 @@ class ExtendedMass:
 INFINITE_MASS = ExtendedMass(False, None)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Frozen):
+    __slots__ = ("num", "den")
     num: Polynomial
     den: Polynomial
+
+    # written out, not inherited: forms are built and compared on every path
+    def __init__(self, num: Polynomial, den: Polynomial):
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

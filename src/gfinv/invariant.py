@@ -13,7 +13,6 @@ witness, never from a failed heuristic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .algebra import (
     mass,
     shape_nonneg,
 )
-from . import program as P
+from . import Frozen, program as P
 from .semantics import char_functional, restrict_guard
 
 DEFAULT_REFUTE_DEGREE = 25
@@ -47,8 +46,7 @@ class CertificateKind(enum.Enum):
     UPPER_BOUND_ONLY = "UpperBoundOnly"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     kind: CertificateKind
     loop: P.While
     initial: ClosedForm

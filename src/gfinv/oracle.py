@@ -12,12 +12,11 @@ States are tuples of naturals, one slot per declared program variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import ClosedForm, Mono, mono_key, row_reduce, series_expand
-from . import program as P
+from . import Record, program as P
 
 State = Tuple[int, ...]
 
@@ -30,12 +29,22 @@ class Diverges(OracleError):
     pass
 
 
-@dataclass
-class SparseMeasure:
+class SparseMeasure(Record):
     """Finite measure plus the exact mass lost to truncation."""
 
+    __slots__ = ("entries", "residual")
     entries: Dict[State, Fraction]
-    residual: Fraction = Fraction(0)
+    residual: Fraction
+
+    # written out, not inherited: the oracle builds one per statement and step
+    def __init__(self, entries: Dict[State, Fraction], residual: Fraction = Fraction(0)):
+        self.entries = entries
+        self.residual = residual
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.residual) == (other.entries, other.residual)
 
     @staticmethod
     def dirac(state: State) -> "SparseMeasure":
@@ -241,8 +250,7 @@ def _map_states(m: SparseMeasure, i: int, fn) -> SparseMeasure:
 
 # -- Kleene iteration ----------------------------------------------------------------
 
-@dataclass
-class KleeneResult:
+class KleeneResult(Record):
     occ_lower: SparseMeasure
     post_lower: SparseMeasure
     residual: Fraction
@@ -286,8 +294,7 @@ def parse_rational(text: str, where: str) -> Fraction:
         raise OracleError(f"{where}: {text!r} is not a rational number") from None
 
 
-@dataclass
-class FiniteChain:
+class FiniteChain(Record):
     states: List[str]
     transitions: Dict[str, Dict[str, Fraction]]  # absent key = terminal state
     initial: Dict[str, Fraction]
@@ -436,8 +443,7 @@ def best_contraction_bound(chain: FiniteChain, c: Fraction,
 
 # -- closed form vs oracle -------------------------------------------------------------
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(Record):
     violations: List[Tuple[Mono, Fraction, Fraction]]
     max_gap: Fraction
     total_gap: Fraction

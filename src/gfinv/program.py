@@ -20,12 +20,14 @@ Everything else is sugar that the parser rewrites into the core:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
+from . import Frozen, Record
 from .algebra import AlgebraError, ClosedForm, GfSyntaxError, mass, parse_closed_form, shape_nonneg
 from .algebra.gfexpr import MAX_NESTING
+
+MAX_SUBTRACTED = 100    # per assignment; each unit subtracted is one Decrement
 
 
 class ProgramError(Exception):
@@ -52,31 +54,26 @@ class UnsupportedExpression(ProgramError):
 
 # -- distributions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(Frozen):
     p: Fraction
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Frozen):
     """Number of failures before the first success: P(k) = p*(1-p)^k."""
 
     p: Fraction
 
 
-@dataclass(frozen=True)
-class UniformRange:
+class UniformRange(Frozen):
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
-class Dirac:
+class Dirac(Frozen):
     value: int
 
 
-@dataclass(frozen=True)
-class RawPgf:
+class RawPgf(Frozen):
     form: ClosedForm  # univariate in the fresh indeterminate "T"
 
 
@@ -101,20 +98,17 @@ def check_dist(d: DistExpr) -> DistExpr:
 
 # -- statements and guards ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lt:
+class Lt(Frozen):
     var: str
     bound: int
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Frozen):
     var: str
     value: int
 
 
-@dataclass(frozen=True)
-class ModEq:
+class ModEq(Frozen):
     """var = residue (mod modulus); requires residue < modulus, modulus >= 2."""
 
     var: str
@@ -122,49 +116,41 @@ class ModEq:
     modulus: int
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     left: "Guard"
     right: "Guard"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Frozen):
     left: "Guard"
     right: "Guard"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Frozen):
     inner: "Guard"
 
 
 Guard = Union[Lt, Eq, ModEq, And, Or, Not]
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class Diverge:
+class Diverge(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class AssignConst:
+class AssignConst(Frozen):
     var: str
     value: int
 
 
-@dataclass(frozen=True)
-class Decrement:
+class Decrement(Frozen):
     var: str
 
 
-@dataclass(frozen=True)
-class IidIncrement:
+class IidIncrement(Frozen):
     """var += sum of `count` iid draws from dist; count None means one draw."""
 
     var: str
@@ -172,27 +158,23 @@ class IidIncrement:
     count: Optional[str]
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Frozen):
     prob: Fraction
     left: "Statement"
     right: "Statement"
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Frozen):
     stmts: Tuple["Statement", ...]
 
 
-@dataclass(frozen=True)
-class IfThenElse:
+class IfThenElse(Frozen):
     guard: Guard
     then: "Statement"
     els: "Statement"
 
 
-@dataclass(frozen=True)
-class While:
+class While(Frozen):
     guard: Guard
     body: "Statement"
 
@@ -202,13 +184,11 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     is_single_loop: bool          # exactly one while, loop-free body
 
 
-@dataclass(frozen=True)
-class ProgramAst:
+class ProgramAst(Frozen):
     variables: Tuple[str, ...]
     body: Statement
 
@@ -245,15 +225,19 @@ def top_level_segments(ast: ProgramAst) -> List[Statement]:
 
 # -- desugaring -------------------------------------------------------------------
 
-def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int) -> Statement:
+def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int,
+                          line: int, col: int) -> Statement:
     """x := sum coeffs[v]*v + constant as primitive statements.
 
     The self-coefficient is applied first (multiplicative), then cross-variable
     increments, then the constant; a negative constant becomes decrements and
     saturates at zero like every decrement.  A constant alone (``x := 3``) is
     one ``AssignConst``, and ``x := x`` is ``Skip``.  The coefficients are
-    nonnegative: the parser refuses the others.
+    nonnegative: the parser refuses the others.  Subtracting more than
+    MAX_SUBTRACTED is a ``SyntaxError_`` at (line, col).
     """
+    if -constant > MAX_SUBTRACTED:
+        raise SyntaxError_(f"cannot subtract {-constant}: at most {MAX_SUBTRACTED}", line, col)
     if not coeffs and constant >= 0:
         return AssignConst(var, constant)
     out: List[Statement] = []
@@ -287,13 +271,16 @@ _KEYWORDS = {"nat", "skip", "diverge", "while", "if", "else", "iid", "mod",
              "bernoulli", "geometric", "uniform", "dirac", "pgf"}
 
 
-@dataclass
-class _Tok:
+class _Tok(Record):
+    __slots__ = ("kind", "value", "line", "col", "pos")
     kind: str
     value: object
     line: int
     col: int
     pos: int                          # offset in the source
+
+    def __init__(self, kind, value, line, col, pos):    # written out: one per token
+        self.kind, self.value, self.line, self.col, self.pos = kind, value, line, col, pos
 
 
 def _lex(src: str) -> List[_Tok]:
@@ -469,7 +456,7 @@ class _ProgParser:
         if self.peek().kind in ("bernoulli", "geometric", "uniform", "dirac", "pgf"):
             dist = check_dist(self.parse_dist())
             return Seq((AssignConst(var, 0), IidIncrement(var, dist, None)))
-        return desugar_linear_assign(var, *self.parse_linear_expr())
+        return desugar_linear_assign(var, *self.parse_linear_expr(), tok.line, tok.col)
 
     def parse_linear_expr(self) -> Tuple[Dict[str, int], int]:
         coeffs: Dict[str, int] = {}

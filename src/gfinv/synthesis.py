@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,6 +43,7 @@ from .algebra import (
     Polynomial,
     find_negative_coefficient,
     format_closed_form,
+    format_monomial,
     has_parameters,
     instantiate,
     mono_key,
@@ -53,7 +53,7 @@ from .algebra import (
 )
 from .algebra.closedform import _monomials_upto
 from .invariant import Certificate, CertificateKind, certify
-from . import program as P
+from . import Frozen, Record, program as P
 from .semantics import SemanticsError, apply_statement, char_functional
 
 
@@ -63,22 +63,19 @@ class SolverBudgetExceeded(Exception):
 
 # -- templates -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Template:
+class Template(Frozen):
     form: ClosedForm
     parameters: Tuple[str, ...]          # bare names, no $ prefix
     provenance: str                      # "auto(d=..)" or "user"
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Frozen):
     equations: Tuple[Polynomial, ...]    # parameter polynomials, each == 0
     parameters: Tuple[str, ...]
     numerator: Tuple[str, ...] = ()      # the numerator block (see build_system)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Frozen):
     assignment: Dict[str, Fraction]
     free: Tuple[str, ...] = ()
 
@@ -437,19 +434,20 @@ def _eval_equation(e: Polynomial, val: Dict[str, Fraction]) -> Fraction:
 SCAN_DEGREE = 15    # series degree searched for a negative candidate coefficient
 
 
-@dataclass
-class SynthesisConfig:
+class SynthesisConfig(Record):
     max_den_degree: int = 3
     timeout_s: float = 60.0
     user_template: Optional[Template] = None
 
 
-@dataclass
-class Failure:
+class Failure(Record):
     stage: str
     message: str
-    diagnostics: List[str] = field(default_factory=list)
+    diagnostics: List[str]
     candidate: Optional[ClosedForm] = None
+
+    def __init__(self, stage, message, diagnostics=None, candidate=None):  # fresh list per failure
+        super().__init__(stage, message, [] if diagnostics is None else diagnostics, candidate)
 
 
 def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] = None):
@@ -530,7 +528,8 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                     last_stage = "positivity"
                 else:
                     diagnostics.append(
-                        f"{desc}: negative coefficient {neg[1]} at {neg[0]}")
+                        f"{desc}: negative coefficient {neg[1]} at "
+                        f"{format_monomial(neg[0], variables)}")
                     last_stage = "positivity"
                 continue
             try:
@@ -590,16 +589,14 @@ def _divergence_probe(loop: P.While, g: ClosedForm, steps: int = 48) -> Optional
 
 # -- whole-program pipeline ------------------------------------------------------
 
-@dataclass
-class SegmentResult:
+class SegmentResult(Record):
     kind: str                       # "loop" or "straight"
     outcome: object                 # Certificate | Failure | ClosedForm
     initial: Optional[ClosedForm] = None
     loop: Optional[P.While] = None
 
 
-@dataclass
-class ProgramAnalysis:
+class ProgramAnalysis(Record):
     segments: List[SegmentResult]
     certificate: Optional[Certificate]
     failure: Optional[Failure]

@@ -119,6 +119,14 @@ def test_every_report_starts_with_the_same_header(args):
     assert len(rep["program_digest"]) == 16
 
 
+def test_subtracting_a_huge_constant_is_a_one_line_error(tmp_path, capsys):
+    # each unit subtracted is one decrement statement; the parser bounds them
+    path = tmp_path / "program.pgcl"
+    path.write_text("nat x;\nnat y;\n  y := x - 1000000;\nwhile (x > 0) { x := x - 1 }\n")
+    err = refusal(["check", str(path), "--init", "X", "--invariant", "1"], capsys)
+    assert err.startswith("gfinv: error: 3:3: cannot subtract 1000000")
+
+
 class TestSynthesizeCommand:
     def test_geometric_full_certificate(self):
         rc, rep, _ = invoke(["synthesize", str(BENCH / "geometric/program.pgcl"),
@@ -146,6 +154,16 @@ class TestSynthesizeCommand:
         rc, rep, _ = invoke(["synthesize", str(path), "--init", "X", "--max-degree", "2"])
         assert rc == EXIT_PARTIAL and rep["outcome"].startswith("failure:")
         assert any("verification failed: series diverges" in d for d in rep["diagnostics"])
+
+    def test_a_negative_coefficient_names_its_monomial(self, tmp_path):
+        # the monomial is written as every other report field writes it
+        path = tmp_path / "program.pgcl"
+        path.write_text("nat x; nat y; while (x > 0 && y <= 2) { {x := 0} [1/2] {y := y + 1} }")
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X", "--max-degree", "1"])
+        negative = [d.split(": negative coefficient ")[1] for d in rep["diagnostics"]
+                    if ": negative coefficient " in d]
+        assert "-1 at Y^2" in negative and "-1 at 1" in negative
+        assert not any("(" in d for d in negative)
 
     def test_missing_file_is_error(self):
         rc, _, _ = invoke(["synthesize", "no/such/file.pgcl", "--init", "X"])
@@ -244,6 +262,26 @@ for args in json.loads(sys.argv[1]):
     reports.append([rc, rep])
 print(json.dumps({"sympy_loaded": "sympy" in sys.modules, "reports": reports}))
 """
+
+
+LOADED_MODULES = """
+import io, json, sys
+import gfinv.cli
+gfinv.cli.run(sys.argv[1:], out=io.StringIO())
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("gfinv", "dataclasses", "inspect"))))
+"""
+
+
+def test_a_cold_call_loads_every_layer_and_no_class_generator():
+    # a record class costs no generated code at import; every layer still
+    # loads with gfinv.cli, so an outside tracer installed then wraps them all
+    loaded = json.loads(fresh_interpreter(LOADED_MODULES, "check", GEO, "--init", "X",
+                                          "--invariant", "(1+2*X)/(2-C)"))
+    assert loaded == ["gfinv", "gfinv.algebra", "gfinv.algebra.closedform",
+                      "gfinv.algebra.gfexpr", "gfinv.algebra.poly", "gfinv.cli",
+                      "gfinv.invariant", "gfinv.oracle", "gfinv.program",
+                      "gfinv.semantics", "gfinv.synthesis"]
 
 
 class TestLazySympy:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 import typing
@@ -7,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gfinv import program as P
+from gfinv import Record, program as P
 from gfinv.algebra import (
     Polynomial,
     ZERO,
@@ -377,10 +376,10 @@ CORE_STATEMENTS = [
 def _node_kinds(node):
     """The classes of a statement's nodes, its guards' nodes included."""
     yield type(node)
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+    for name in node._fields:
+        value = getattr(node, name)
         for child in value if isinstance(value, tuple) else (value,):
-            if dataclasses.is_dataclass(child):
+            if isinstance(child, Record):
                 yield from _node_kinds(child)
 
 
