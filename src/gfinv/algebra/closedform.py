@@ -11,8 +11,10 @@ templates of synthesis) are only scaled; see ``normalize``.
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import Frozen, _set_field
 from .poly import (
@@ -202,10 +204,23 @@ def equal(f: ClosedForm, g: ClosedForm) -> bool:
 
 def series_expand(f: ClosedForm, degree: int,
                   order: Optional[Sequence[str]] = None) -> Dict[Mono, Fraction]:
-    """All coefficients of total degree <= degree.
+    """The nonzero coefficients of total degree <= degree, layer by layer
+    (see ``_series_layers``).
 
-    Solves c0*a_s = n_s - sum_{0<t<=s} d_t*a_{s-t} along graded-lex order.
     Parameters are not indeterminates, so a form with parameters is refused.
+    """
+    return {m: c for layer in _series_layers(f, degree, order) for m, c in layer}
+
+
+def _series_layers(f: ClosedForm, degree: int, order: Optional[Sequence[str]] = None,
+                  deadline: float = math.inf) -> Iterator[List[Tuple[Mono, Fraction]]]:
+    """The nonzero series coefficients, one total-degree layer at a time.
+
+    Yields, for d = 0..degree, the list of (monomial, coefficient) of total
+    degree d in graded-lex order.  Solves c0*a_s = n_s - sum_{0<t<=s} d_t*a_{s-t},
+    which needs only lower layers, so a consumer may stop after any layer.
+    Raises TimeoutError once ``time.monotonic()`` passes the deadline,
+    checked before each layer.
     """
     params = sorted(v[1:] for v in f.vars() if v.startswith("$"))
     if params:
@@ -218,29 +233,34 @@ def series_expand(f: ClosedForm, degree: int,
         if order else sorted(f.vars())
     den_rest = [(m, c) for m, c in f.den.terms.items() if m != MONO_ONE]
     coeffs: Dict[Mono, Fraction] = {}
-    for m in _monomials_upto(vs, degree):
-        acc = f.num.terms.get(m, Fraction(0))
-        for t, d in den_rest:
-            rest = mono_div(m, t)
-            if rest is None:
-                continue
-            prev = coeffs.get(rest)
-            if prev:
-                acc = acc - d * prev
-        val = acc / c0
-        if val:
-            coeffs[m] = val
-    return coeffs
-
-
-def _monomials_upto(vs: List[str], degree: int) -> Iterable[Mono]:
-    """All monomials over vs with total degree <= degree, graded-lex ascending."""
-    if not vs:
-        yield MONO_ONE
-        return
     for d in range(degree + 1):
-        for exps in _compositions(d, len(vs)):
-            yield tuple(sorted((v, e) for v, e in zip(vs, exps) if e))
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"deadline reached while expanding the series at degree {d}")
+        layer = []
+        for m in _monomials_of_degree(vs, d):
+            acc = f.num.terms.get(m, Fraction(0))
+            for t, dt in den_rest:
+                rest = mono_div(m, t)
+                if rest is None:
+                    continue
+                prev = coeffs.get(rest)
+                if prev:
+                    acc = acc - dt * prev
+            val = acc / c0
+            if val:
+                coeffs[m] = val
+                layer.append((m, val))
+        yield layer
+
+
+def _monomials_of_degree(vs: List[str], d: int) -> Iterable[Mono]:
+    """All monomials over vs of total degree d, graded-lex ascending."""
+    if not vs:
+        if d == 0:
+            yield MONO_ONE
+        return
+    for exps in _compositions(d, len(vs)):
+        yield tuple(sorted((v, e) for v, e in zip(vs, exps) if e))
 
 
 def _compositions(total: int, parts: int):
@@ -293,11 +313,19 @@ def mass(f: ClosedForm) -> ExtendedMass:
 
 
 def find_negative_coefficient(f: ClosedForm, degree: int,
-                              order: Optional[Sequence[str]] = None):
-    """First (monomial, coefficient) with coefficient < 0 up to the degree, or None."""
-    for m, c in sorted(series_expand(f, degree, order).items(), key=lambda t: mono_key(t[0], order)):
-        if c < 0:
-            return m, c
+                              order: Optional[Sequence[str]] = None,
+                              deadline: float = math.inf):
+    """The ``mono_key``-least (monomial, coefficient) with coefficient < 0 up
+    to the degree, or None.
+
+    ``mono_key`` orders by total degree first, so the scan expands one layer
+    at a time and stops at the first layer that holds a negative coefficient.
+    Raises TimeoutError as ``_series_layers`` does.
+    """
+    for layer in _series_layers(f, degree, order, deadline):
+        negative = [t for t in layer if t[1] < 0]
+        if negative:
+            return min(negative, key=lambda t: mono_key(t[0], order))
     return None
 
 

@@ -7,6 +7,10 @@ positive exponents; the empty tuple is the constant monomial.
 Term iteration, leading terms and canonical printing use graded
 lexicographic order on a fixed variable order (alphabetical by default;
 callers with a program context pass their own order).
+
+``poly_gcd`` is the exception to ``Fraction`` coefficients: its kernel
+works on integer polynomials, ``{exponent tuple: int}`` dicts, and only its
+operands and its result are converted.
 """
 
 from __future__ import annotations
@@ -206,8 +210,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- structure ---------------------------------------------------------
@@ -349,51 +354,112 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     Heuristic integer GCD (GCDHEU; Char, Geddes & Gonnet 1989): evaluate one
     variable at a large integer, take the gcd of the images, and read the
     candidate back from its integer coefficients' symmetric digits in that
-    base.  A candidate is kept only when ``poly_div_exact`` divides both
-    operands by it, which makes it the gcd.  When every evaluation point
-    fails, the gcd is given up as 1: callers then cancel less, but stay exact.
+    base.  A candidate is kept only when it divides both operands exactly,
+    which makes it the gcd.  When every evaluation point fails, the gcd is
+    given up as 1: callers then cancel less, but stay exact.
+
+    The kernel runs on plain ints: both operands are made integer-primitive
+    once, as ``{exponent tuple: int}`` dicts over the sorted variables, and
+    only the result becomes a ``Polynomial`` again.
     """
     if p.is_zero():
         return q.primitive()[1] if not q.is_zero() else Polynomial()
     if q.is_zero():
         return p.primitive()[1]
-    f, g = p.primitive()[1], q.primitive()[1]
-    h = _heu_gcd(f, g, sorted(f.vars() | g.vars()))
-    return Polynomial.const(1) if h is None else h.primitive()[1]
+    vars = sorted(p.vars() | q.vars())
+    h = _heu_gcd(_int_primitive(p, vars), _int_primitive(q, vars), vars)
+    if h is None:
+        return Polynomial.const(1)
+    return Polynomial._of({tuple((v, e) for v, e in zip(vars, exps) if e): Fraction(a)
+                           for exps, a in h.items()}).primitive()[1]
 
 
-def _heu_gcd(f: Polynomial, g: Polynomial, vars: list) -> Optional[Polynomial]:
-    """gcd of nonzero integer polynomials in ``vars``, or None on give-up."""
-    cf, cg = f.content(), g.content()
-    c = Fraction(math.gcd(cf.numerator, cg.numerator))
-    if f.is_const() or g.is_const():
-        return Polynomial.const(c)
-    f, g = f * (1 / cf), g * (1 / cg)
-    v = vars[-1]
-    xi = 2 * min(max(abs(a.numerator) for a in r.terms.values()) for r in (f, g)) + 29
+def _int_primitive(p: Polynomial, vars: list) -> dict:
+    """p divided by its rational content, as ``{exponent tuple over vars: int}``."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = {tuple(dict(m).get(v, 0) for v in vars): c.numerator * (den // c.denominator)
+            for m, c in p.terms.items()}
+    cont = math.gcd(*ints.values())
+    return {e: a // cont for e, a in ints.items()}
+
+
+def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[dict]:
+    """gcd of nonzero integer polynomials in ``vars``, or None on give-up.
+
+    A polynomial is a ``{exponent tuple: int}`` dict, one exponent per
+    variable of ``vars``; the last variable is evaluated away.  The result is
+    primitive up to the gcd of the operands' integer contents and its sign is
+    not normalized.
+    """
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    c = math.gcd(cf, cg)
+    one = (0,) * len(vars)
+    if f.keys() == {one} or g.keys() == {one}:
+        return {one: c}
+    f = {e: a // cf for e, a in f.items()}
+    g = {e: a // cg for e, a in g.items()}
+    xi = 2 * min(max(abs(a) for a in r.values()) for r in (f, g)) + 29
     for _ in range(6):
-        ff, gg = f.subs_var(v, xi), g.subs_var(v, xi)
+        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
         h = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
         if h is not None:
             cand: dict = {}
-            for m, a in h.terms.items():
-                n, e = a.numerator, 0
+            for e, a in h.items():
+                n, k = a, 0
                 while n:
                     digit = n % xi
                     if digit > xi // 2:
                         digit -= xi
                     if digit:
-                        cand[mono_mul(m, ((v, e),)) if e else m] = Fraction(digit)
-                    n, e = (n - digit) // xi, e + 1
-            cand_pp = Polynomial._of(cand).primitive()[1]
-            try:
-                poly_div_exact(f, cand_pp)
-                poly_div_exact(g, cand_pp)
-                return cand_pp * c
-            except NotDivisible:
-                pass
+                        cand[e + (k,)] = digit
+                    n, k = (n - digit) // xi, k + 1
+            cont = math.gcd(*cand.values())
+            cand = {e: a // cont for e, a in cand.items()}
+            if _divides(cand, f) and _divides(cand, g):
+                return {e: a * c for e, a in cand.items()}
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _eval_last(f: dict, xi: int) -> dict:
+    """f with its last variable set to xi, zero terms dropped."""
+    powers: dict = {}
+    out: dict = {}
+    for e, a in f.items():
+        k = e[-1]
+        if k not in powers:
+            powers[k] = xi ** k
+        rest = e[:-1]
+        out[rest] = out.get(rest, 0) + a * powers[k]
+    return {e: a for e, a in out.items() if a}
+
+
+def _divides(d: dict, f: dict) -> bool:
+    """Whether the integer-primitive d divides the integer polynomial f.
+
+    Sparse division along lex order of the exponent tuples.  By Gauss's lemma
+    a primitive divisor of f over Q leaves an integral quotient, so a
+    coefficient that does not divide exactly proves that d does not divide f.
+    """
+    dm = max(d)
+    dc = d[dm]
+    r = dict(f)
+    while r:
+        rm = max(r)
+        qm = tuple(a - b for a, b in zip(rm, dm))
+        if any(k < 0 for k in qm):
+            return False
+        qc, rem = divmod(r[rm], dc)
+        if rem:
+            return False
+        for e, a in d.items():
+            t = tuple(x + y for x, y in zip(qm, e))
+            x = r.get(t, 0) - qc * a
+            if x:
+                r[t] = x
+            else:
+                del r[t]
+    return True
 
 
 # -- sparse exact elimination ------------------------------------------------

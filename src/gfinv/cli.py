@@ -36,7 +36,7 @@ from .algebra import (
     series_expand,
     shape_nonneg,
 )
-from .invariant import Certificate, CertificateKind, certify
+from .invariant import Certificate, CertificateKind, Verdict, certify
 from .oracle import (
     Diverges,
     FiniteChain,
@@ -172,17 +172,27 @@ def _init_arg(text: str, variables) -> ClosedForm:
 
 def cmd_check(args, out) -> int:
     t0 = time.monotonic()
+    deadline = math.inf if args.timeout is None else t0 + args.timeout
     source = _read(args.program)
     ast = parse(source)
     loop = _single_loop(ast, "check")
     g = _init_arg(args.init, ast.variables)
     candidate = _gf_arg(args.invariant, ast.variables)
     t1 = time.monotonic()
-    verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree)
+    timed_out = None
+    try:
+        verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree,
+                                deadline=deadline)
+    except TimeoutError as e:
+        verdict, cert, timed_out = Verdict.UNKNOWN, None, e
     t2 = time.monotonic()
     report = _report("check", source, verdict=verdict.value,
                      timing={"parse_s": t1 - t0, "check_s": t2 - t1})
-    if cert is not None:
+    if timed_out is not None:
+        report["outcome"] = "failure:timeout"
+        report["message"] = f"timeout of {args.timeout} s reached while checking"
+        report["diagnostics"].append(str(timed_out))
+    elif cert is not None:
         report["outcome"] = cert.kind.value
         report.update(_cert_payload(cert, list(ast.variables)))
     else:
@@ -319,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--invariant", required=True,
                    help="candidate closed form, or @file")
     c.add_argument("--refute-degree", type=_count, default=25)
+    c.add_argument("--timeout", type=_seconds, default=None,
+                   help="seconds before the check stops with failure:timeout")
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("synthesize", help="search for an invariant")

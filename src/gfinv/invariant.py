@@ -13,6 +13,7 @@ witness, never from a failed heuristic.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -70,13 +71,14 @@ class Certificate(Frozen):
 
 
 def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
-           refute_degree: int = DEFAULT_REFUTE_DEGREE) -> Verdict:
+           refute_degree: int = DEFAULT_REFUTE_DEGREE, deadline: float = math.inf) -> Verdict:
     """Classify a fully instantiated candidate against the fixed point equation.
 
     Exact when Phi(I) = I as rational functions; Super when the difference
     I - Phi(I) passes the nonnegativity shape check; Refuted when some series
     coefficient of the difference up to refute_degree is negative; otherwise
-    Unknown.
+    Unknown.  The series search raises TimeoutError once ``time.monotonic()``
+    passes the deadline.
     """
     phi = char_functional(loop, g, candidate)
     if equal(phi, candidate):
@@ -84,7 +86,7 @@ def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
     diff = candidate - phi
     if shape_nonneg(diff):
         return Verdict.SUPER
-    if find_negative_coefficient(diff, refute_degree) is not None:
+    if find_negative_coefficient(diff, refute_degree, deadline=deadline) is not None:
         return Verdict.REFUTED
     return Verdict.UNKNOWN
 
@@ -125,18 +127,19 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
 
 
 def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
-            refute_degree: int = DEFAULT_REFUTE_DEGREE):
+            refute_degree: int = DEFAULT_REFUTE_DEGREE, deadline: float = math.inf):
     """verify + exact_posterior in one step.
 
     Returns (verdict, certificate-or-None).  A candidate that fails the
     nonnegativity shape check is never certified (Unknown), and UnknownSign
     from mass evaluation downgrades to a plain invariant certificate rather
-    than a false posterior claim.
+    than a false posterior claim.  Both series searches raise TimeoutError
+    past the deadline, as in ``verify``.
     """
     if not shape_nonneg(candidate):
-        neg = find_negative_coefficient(candidate, refute_degree)
+        neg = find_negative_coefficient(candidate, refute_degree, deadline=deadline)
         return (Verdict.REFUTED if neg is not None else Verdict.UNKNOWN), None
-    verdict = verify(loop, g, candidate, refute_degree)
+    verdict = verify(loop, g, candidate, refute_degree, deadline)
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         return verdict, None
     try:

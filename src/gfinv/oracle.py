@@ -198,9 +198,17 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
     if isinstance(stmt, P.AssignConst):
         return _map_states(m, idx[stmt.var], lambda _: stmt.value)
     if isinstance(stmt, P.Decrement):
-        return _map_states(m, idx[stmt.var], lambda x: max(x - 1, 0))
+        i = idx[stmt.var]
+        return _map_states(m, i, lambda s: max(s[i] - 1, 0))
     if isinstance(stmt, P.IidIncrement):
         i = idx[stmt.var]
+        if isinstance(stmt.dist, P.Dirac):
+            # a shift: a Dirac draw is never truncated (see _effective_cap)
+            k = stmt.dist.value
+            if stmt.count is None:
+                return _map_states(m, i, lambda s: s[i] + k)
+            j = idx[stmt.count]
+            return _map_states(m, i, lambda s: s[i] + k * s[j])
         out: Dict[State, Fraction] = {}
         residual = m.residual
         cache: Dict[int, Tuple[List[Fraction], Fraction]] = {}
@@ -241,9 +249,10 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
 
 
 def _map_states(m: SparseMeasure, i: int, fn) -> SparseMeasure:
+    """Push m forward along the state map that sets coordinate i to fn(state)."""
     out: Dict[State, Fraction] = {}
     for s, v in m.entries.items():
-        t = s[:i] + (fn(s[i]),) + s[i + 1:]
+        t = s[:i] + (fn(s),) + s[i + 1:]
         out[t] = out.get(t, Fraction(0)) + v
     return SparseMeasure(out, m.residual)
 

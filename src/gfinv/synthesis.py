@@ -51,7 +51,7 @@ from .algebra import (
     row_reduce,
     shape_nonneg,
 )
-from .algebra.closedform import _monomials_upto
+from .algebra.closedform import _monomials_of_degree
 from .invariant import Certificate, CertificateKind, certify
 from . import Frozen, Record, program as P
 from .semantics import SemanticsError, apply_statement, char_functional
@@ -86,7 +86,7 @@ def enumerate_templates(variables: Sequence[str], max_den_degree: int) -> Iterat
     monomials of degree <= d, the denominator constant pinned to 1."""
     vs = list(variables)
     for d in range(max_den_degree + 1):
-        monos = list(_monomials_upto(vs, d))
+        monos = [m for k in range(d + 1) for m in _monomials_of_degree(vs, k)]
         num = Polynomial.zero()
         den = Polynomial.const(1)
         params: List[str] = []

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,7 @@ from gfinv.algebra import (
     shape_nonneg,
 )
 from gfinv.algebra import closedform, poly
-from gfinv.algebra.poly import mono_mul
+from gfinv.algebra.poly import NotDivisible, mono_key, mono_mul
 
 ONE = Polynomial.const(1)
 X = Polynomial.var("x")
@@ -257,6 +259,120 @@ def test_sum_and_product_match_the_reference(p, q):
                       (p * q, reference_mul(p, q))):
         assert list(got.terms.items()) == list(want.items())
         assert all(type(c) is F and c for c in got.terms.values())
+
+
+def reference_gcd(p, q):
+    """GCDHEU on Fraction coefficients through the Polynomial API, as
+    ``poly_gcd`` computed it before its kernel moved to ints.  Kept to check
+    that the integer kernel returns the same gcd, term for term."""
+    if p.is_zero():
+        return q.primitive()[1] if not q.is_zero() else Polynomial()
+    if q.is_zero():
+        return p.primitive()[1]
+    f, g = p.primitive()[1], q.primitive()[1]
+    h = reference_heu_gcd(f, g, sorted(f.vars() | g.vars()))
+    return ONE if h is None else h.primitive()[1]
+
+
+def reference_heu_gcd(f, g, vars):
+    cf, cg = f.content(), g.content()
+    c = F(math.gcd(cf.numerator, cg.numerator))
+    if f.is_const() or g.is_const():
+        return Polynomial.const(c)
+    f, g = f * (1 / cf), g * (1 / cg)
+    v = vars[-1]
+    xi = 2 * min(max(abs(a.numerator) for a in r.terms.values()) for r in (f, g)) + 29
+    for _ in range(6):
+        ff, gg = f.subs_var(v, xi), g.subs_var(v, xi)
+        h = reference_heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
+        if h is not None:
+            cand = {}
+            for m, a in h.terms.items():
+                n, e = a.numerator, 0
+                while n:
+                    digit = n % xi
+                    if digit > xi // 2:
+                        digit -= xi
+                    if digit:
+                        cand[mono_mul(m, ((v, e),)) if e else m] = F(digit)
+                    n, e = (n - digit) // xi, e + 1
+            cand_pp = Polynomial(cand).primitive()[1]
+            try:
+                poly_div_exact(f, cand_pp)
+                poly_div_exact(g, cand_pp)
+                return cand_pp * c
+            except NotDivisible:
+                pass
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def big_polys(vars, max_terms=4, max_exp=3):
+    """Polynomials over ``vars`` whose coefficients have up to 15 digits."""
+    monomial = st.lists(st.tuples(st.sampled_from(vars), st.integers(1, max_exp)),
+                        max_size=len(vars)).map(lambda ps: tuple(sorted(dict(ps).items())))
+    coeff = st.builds(F, st.integers(-10**15, 10**15), st.integers(1, 10**4))
+    return st.lists(st.tuples(monomial, coeff), max_size=max_terms).map(
+        lambda ts: Polynomial({m: c for m, c in ts if c}))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(big_polys(["x", "c", "y"][:n]) for _ in range(4)))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_gcd_equals_the_fraction_reference(polys4):
+    p, q, shared, extra = polys4
+    # a drawn shared factor, and sometimes a second one, so most gcds are not 1
+    p, q = p * shared * (extra or ONE), q * shared * (extra or ONE)
+    assert list(poly_gcd(p, q).terms.items()) == list(reference_gcd(p, q).terms.items())
+
+
+@pytest.mark.parametrize("p, q, want", [
+    # a candidate divides p but not q
+    ("-6*X^3*Y^2 - 4*X^3*Y^3 - 9*X^5*Y^3 - 6*X^5*Y^4",
+     "4*X*Y^2 - 6*X*Y^5 + 6*X^3*Y^3 - 9*X^3*Y^6", "2*X*Y^2 + 3*X^3*Y^3"),
+    ("-3*X*Y^3", "3*X^2 + Y^3", "1"),
+    # the candidates of the first two evaluation points are rejected
+    ("3*X^3*Y^2 + 3*Y^5", "6*X*Y^5 - 6*X^3*Y^5", "Y^2"),
+    ("2*X^2 + 2*X^2*Y^2 - 4*X^4 - 4*X^4*Y^2", "X^2 - 3*Y^3 - 2*X^4 + 6*X^2*Y^3", "2*X^2 - 1"),
+])
+def test_gcd_after_a_rejected_candidate(p, q, want):
+    p, q, want = (parse_closed_form(t, ["x", "y"]).num for t in (p, q, want))
+    assert poly_gcd(p, q).terms == reference_gcd(p, q).terms == want.terms
+
+
+@pytest.mark.parametrize("order", [None, ["y", "x", "c"], ["x", "y"]])
+@given(polys(4, 2), polys(4, 2))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_negative_scan_is_the_first_negative_of_the_full_expansion(order, num, d):
+    # the order ["x", "y"] leaves c out, so mono_key ties and the scan must
+    # break them as a stable sort of the full expansion does
+    f = normalize(num, d + (2 - d.constant_term()))
+    full = sorted(series_expand(f, 6, order).items(), key=lambda t: mono_key(t[0], order))
+    want = next(((m, c) for m, c in full if c < 0), None)
+    assert find_negative_coefficient(f, 6, order) == want
+
+
+def test_a_low_negative_coefficient_is_found_without_the_full_expansion():
+    # a full expansion to degree 5000 would solve for about 2.1e10 coefficients
+    y, z = Polynomial.var("y"), Polynomial.var("z")
+    f = normalize(ONE - 2 * X + y + z, ONE - X - y - z)
+    assert find_negative_coefficient(f, 5000) == ((("x", 1),), F(-1))
+
+
+def test_the_negative_scan_honours_its_deadline():
+    # every coefficient is positive, and the full scan takes seconds
+    f = normalize(ONE, ONE - X - C)
+    with pytest.raises(TimeoutError, match="at degree 0"):
+        find_negative_coefficient(f, 400, deadline=time.monotonic() - 1)
+
+
+@given(polys(3, 2))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_power_is_repeated_multiplication(p):
+    want = ONE
+    for n in range(10):
+        assert (p ** n).terms == want.terms
+        want = want * p
 
 
 class TestRingKernels:

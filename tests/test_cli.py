@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,33 @@ class TestCheckCommand:
                              "--init", "X", "--invariant", "X"])
         assert rc == EXIT_PARTIAL
         assert rep["verdict"] == "refuted"
+
+    FDR = str(BENCH / "fast_dice_roller/program.pgcl")
+    HARD = ["--init", "V", "--invariant", "1/2*V + 1/3*V^2*(1 + C) + 1/(3 - C*F*V)"]
+
+    def test_a_deadline_stops_the_series_search(self):
+        # without a deadline, this search to degree 250 runs for about 18 s
+        start = time.monotonic()
+        rc, rep, _ = invoke(["check", self.FDR] + self.HARD
+                            + ["--refute-degree", "250", "--timeout", "0.5"])
+        assert time.monotonic() - start < 5
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == "failure:timeout" and rep["verdict"] == "unknown"
+        assert rep["message"] == "timeout of 0.5 s reached while checking"
+        assert rep["diagnostics"][0].startswith("deadline reached while expanding the series")
+
+    def test_a_deadline_not_reached_leaves_the_report_unchanged(self):
+        args = ["check", self.FDR] + self.HARD
+        reports = [invoke(args + extra)[1] for extra in ([], ["--timeout", "60"])]
+        for rep in reports:
+            del rep["timing"]
+        assert reports[0] == reports[1] and reports[0]["outcome"] == "not-certified:unknown"
+
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_a_timeout_that_is_not_a_positive_finite_number_is_refused(self, value, capsys):
+        err = refusal(["check", GEO, "--init", "X", "--invariant", "X", "--timeout", value],
+                      capsys)
+        assert "argument --timeout: expected a finite number of seconds greater than 0" in err
 
 
 class TestUnrollCommand:

@@ -49,6 +49,20 @@ class TestExecLoopfree:
         assert out.entries == {(0, 1): F(1, 2), (1, 1): F(1, 4), (2, 1): F(1, 8)}
         assert out.residual == F(1, 8)
 
+    @pytest.mark.parametrize("count", [None, "x", "c"])
+    def test_a_dirac_increment_is_the_pushforward_of_its_pmf(self, count):
+        # uniform(k, k) is the same distribution, and goes through the pmf
+        rng = random.Random(11)
+        for k in range(4):
+            entries = {(rng.randrange(4), rng.randrange(4)): F(1, rng.randrange(1, 6))
+                       for _ in range(5)}
+            m = SparseMeasure(entries, residual=F(1, 7))
+            shift = exec_loopfree(P.IidIncrement("c", P.Dirac(k), count), m, ("x", "c"),
+                                  support_cap=2)
+            pmf = exec_loopfree(P.IidIncrement("c", P.UniformRange(k, k), count), m,
+                                ("x", "c"), support_cap=2)
+            assert shift == pmf
+
     def test_mass_conservation(self):
         rng = random.Random(3)
         stmts = [
