@@ -25,7 +25,6 @@ from .gfexpr import (
     GfSyntaxError,
     format_closed_form,
     format_monomial,
-    format_poly,
     indet_symbol,
     parse_closed_form,
     parse_closed_form_with_params,
@@ -33,13 +32,11 @@ from .gfexpr import (
 from .poly import (
     MONO_ONE,
     Mono,
-    NotDivisible,
     Polynomial,
     mono_degree,
     mono_degree_in,
     mono_key,
     mono_mul,
-    poly_div_exact,
     poly_gcd,
     row_reduce,
 )

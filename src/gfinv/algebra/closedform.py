@@ -23,7 +23,6 @@ from .poly import (
     Polynomial,
     mono_div,
     mono_key,
-    poly_div_exact,
     poly_gcd,
 )
 
@@ -149,7 +148,8 @@ ONE = ClosedForm(Polynomial.const(1), Polynomial.const(1))
 
 
 def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
-    """Scale-canonicalize num/den, and GCD-reduce it when it has no parameters.
+    """Scale-canonicalize num/den, and GCD-reduce it when it has no parameters:
+    num and den become the two cofactors that ``poly_gcd`` returns.
 
     A form with ``$``-parameters is not reduced: it is only scaled.  Its
     unreduced common factors vanish only where a denominator would be
@@ -170,10 +170,7 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
     # from compounding.
     if not den.is_const() and not num.is_const() \
             and not any(v.startswith("$") for v in num.vars() | den.vars()):
-        g = poly_gcd(num, den)
-        if not g.is_const() or g.constant_term() != 1:
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
+        _, num, den = poly_gcd(num, den)
     _require_invertible(den)
     c0 = den.constant_term()
     if c0:
@@ -288,11 +285,14 @@ def shape_nonneg(f: ClosedForm) -> bool:
 
 
 def _shape_pair(num: Polynomial, den: Polynomial) -> bool:
-    if den.constant_term() <= 0:
-        return False
-    if any(c > 0 for m, c in den.terms.items() if m != MONO_ONE):
-        return False
-    return all(c >= 0 for c in num.terms.values())
+    return geometric_den(den) and all(c >= 0 for c in num.terms.values())
+
+
+def geometric_den(den: Polynomial) -> bool:
+    """Positive constant term and no positive non-constant coefficient: the
+    generalized geometric shape, whose series 1/den is nonnegative."""
+    return den.constant_term() > 0 and all(
+        c <= 0 for m, c in den.terms.items() if m != MONO_ONE)
 
 
 def mass(f: ClosedForm) -> ExtendedMass:
@@ -306,10 +306,10 @@ def mass(f: ClosedForm) -> ExtendedMass:
         return ExtendedMass.of(0)
     if not shape_nonneg(f):
         raise UnknownSign("mass is only evaluated on shape-certified nonnegative forms")
-    d1 = f.den.eval_ones()
+    d1 = sum(f.den.terms.values(), Fraction(0))  # den with every variable at 1
     if d1 <= 0:
         return INFINITE_MASS
-    return ExtendedMass.of(f.num.eval_ones() / d1)
+    return ExtendedMass.of(sum(f.num.terms.values(), Fraction(0)) / d1)
 
 
 def find_negative_coefficient(f: ClosedForm, degree: int,

@@ -13,7 +13,6 @@ Printing of a normalized form followed by parsing is the identity.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .closedform import ClosedForm, from_poly
@@ -50,23 +49,21 @@ def format_monomial(m, all_vars: Sequence[str]) -> str:
     return "*".join(bits)
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
-def format_poly(p: Polynomial, order: Optional[Sequence[str]] = None) -> str:
+def _format_poly(p: Polynomial, order: Optional[Sequence[str]],
+                 all_vars: Sequence[str]) -> str:
+    """p with its terms in graded-lex order on ``order``, each variable's
+    symbol chosen among ``all_vars``."""
     if p.is_zero():
         return "0"
-    all_vars = sorted(p.vars())
     parts: List[str] = []
     for m, c in p.sorted_terms(order):
         mono = format_monomial(m, all_vars)
         if m == MONO_ONE:
-            text = _format_coeff(abs(c))
+            text = str(abs(c))
         elif abs(c) == 1:
             text = mono
         else:
-            text = f"{_format_coeff(abs(c))}*{mono}"
+            text = f"{abs(c)}*{mono}"
         if not parts:
             parts.append(text if c > 0 else "-" + text)
         else:
@@ -75,10 +72,14 @@ def format_poly(p: Polynomial, order: Optional[Sequence[str]] = None) -> str:
 
 
 def format_closed_form(f: ClosedForm, order: Optional[Sequence[str]] = None) -> str:
-    num = format_poly(f.num, order)
+    """f as text.  Symbols are chosen among ``order`` when it is given, else
+    among the variables of the whole form: the parser reads both halves with
+    one set."""
+    all_vars = sorted(f.vars()) if order is None else order
+    num = _format_poly(f.num, order, all_vars)
     if f.is_polynomial():
         return num
-    den = format_poly(f.den, order)
+    den = _format_poly(f.den, order, all_vars)
     if len(f.num.terms) > 1:
         num = f"({num})"
     return f"{num}/({den})"

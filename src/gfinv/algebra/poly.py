@@ -10,7 +10,11 @@ callers with a program context pass their own order).
 
 ``poly_gcd`` is the exception to ``Fraction`` coefficients: its kernel
 works on integer polynomials, ``{exponent tuple: int}`` dicts, and only its
-operands and its result are converted.
+operands and its results, the gcd and both cofactors, are converted.
+
+Each job has one helper: ``Polynomial.subs_var`` substitutes, ``_quotient``
+divides exactly (inside the gcd, which hands its cofactors to callers), and
+``_int_primitive`` converts to integer coefficients.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from typing import Optional, Sequence, Union
 Mono = tuple  # tuple[tuple[str, int], ...]
 
 MONO_ONE: Mono = ()
-
-
-class NotDivisible(Exception):
-    """Exact polynomial division failed."""
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -241,44 +241,27 @@ class Polynomial:
     # -- substitution and evaluation ----------------------------------------
 
     def subs_var(self, var: str, value: Union["Polynomial", Fraction, int]) -> "Polynomial":
-        """Substitute ``value`` for ``var`` (Horner over the var's powers)."""
-        if isinstance(value, (int, Fraction)):
-            value = Polynomial.const(value)
-        by_exp: dict = {}
-        for m, c in self.terms.items():
-            e = mono_degree_in(m, var)
-            rest = tuple(p for p in m if p[0] != var)
-            slot = by_exp.setdefault(e, {})
-            slot[rest] = slot.get(rest, 0) + c
-        if not by_exp:
-            return Polynomial()
-        top = max(by_exp)
-        acc = Polynomial()
-        for e in range(top, -1, -1):
-            acc = acc * value
-            layer = by_exp.get(e)
-            if layer:
-                acc = acc + Polynomial(layer)
-        return acc
+        """Substitute ``value`` for ``var``.
 
-    def subs_one(self, var: str) -> "Polynomial":
-        """Fast path for substituting 1."""
+        A number, or a constant polynomial, goes in one pass over the terms;
+        any other polynomial by Horner over the layers of ``_as_univar``.
+        """
+        if isinstance(value, Polynomial):
+            if not value.is_const():
+                acc = Polynomial()
+                for layer in reversed(_as_univar(self, var)):
+                    acc = acc * value + layer
+                return acc
+            value = value.constant_term()
         out: dict = {}
         for m, c in self.terms.items():
-            rest = tuple(p for p in m if p[0] != var)
-            s = out.get(rest, 0) + c
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
+            e = mono_degree_in(m, var)
+            if e:
+                m = tuple(p for p in m if p[0] != var)
+                c = c * value ** e
+            s = out.get(m)
+            out[m] = c if s is None else s + c
         return Polynomial(out)
-
-    def eval_ones(self):
-        """Value at all variables = 1 (the coefficient sum)."""
-        total = Fraction(0)
-        for c in self.terms.values():
-            total = total + c
-        return total
 
     # -- rational content ----------------------------------------------------
 
@@ -313,29 +296,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-# -- exact division and gcd --------------------------------------------------
-
-def poly_div_exact(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Exact quotient p/d; raises NotDivisible when the division is not exact."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if d.is_const():
-        return p * (1 / d.constant_term())
-    # leading terms need a shared variable universe for a true monomial order
-    order = sorted(p.vars() | d.vars())
-    q: dict = {}
-    r = p
-    dm, dc = d.leading(order)
-    while not r.is_zero():
-        rm, rc = r.leading(order)
-        m = mono_div(rm, dm)
-        if m is None:
-            raise NotDivisible(f"{d!r} does not divide {p!r}")
-        c = rc / dc
-        q[m] = q.get(m, 0) + c
-        r = r - Polynomial.monomial(m, c) * d
-    return Polynomial(q)
-
+# -- univariate layers and gcd ----------------------------------------------
 
 def _as_univar(p: Polynomial, v: str) -> list:
     """Dense coefficient list in v; entries are polynomials in the other vars."""
@@ -348,63 +309,80 @@ def _as_univar(p: Polynomial, v: str) -> list:
     return [Polynomial(d) for d in coeffs]
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd over Q[vars], integer-primitive with positive leading coefficient.
+def poly_gcd(p: Polynomial, q: Polynomial) -> tuple:
+    """(g, p/g, q/g): g the gcd over Q[vars], integer-primitive with positive
+    leading coefficient, and the two cofactors.
 
     Heuristic integer GCD (GCDHEU; Char, Geddes & Gonnet 1989): evaluate one
     variable at a large integer, take the gcd of the images, and read the
     candidate back from its integer coefficients' symmetric digits in that
     base.  A candidate is kept only when it divides both operands exactly,
-    which makes it the gcd.  When every evaluation point fails, the gcd is
-    given up as 1: callers then cancel less, but stay exact.
+    which makes it the gcd, and that division yields the cofactors.  When
+    every evaluation point fails, the gcd is given up as 1 and the result is
+    (1, p, q): callers then cancel less, but stay exact.  With one zero
+    operand the gcd is the other one's primitive part; gcd(0, 0) is
+    (0, 0, 0).
 
     The kernel runs on plain ints: both operands are made integer-primitive
     once, as ``{exponent tuple: int}`` dicts over the sorted variables, and
-    only the result becomes a ``Polynomial`` again.
+    only its results become ``Polynomial``s again.
     """
-    if p.is_zero():
-        return q.primitive()[1] if not q.is_zero() else Polynomial()
     if q.is_zero():
-        return p.primitive()[1]
+        cont, g = p.primitive()
+        return g, Polynomial.const(cont), Polynomial()
+    if p.is_zero():
+        cont, g = q.primitive()
+        return g, Polynomial(), Polynomial.const(cont)
     vars = sorted(p.vars() | q.vars())
-    h = _heu_gcd(_int_primitive(p, vars), _int_primitive(q, vars), vars)
-    if h is None:
-        return Polynomial.const(1)
-    return Polynomial._of({tuple((v, e) for v, e in zip(vars, exps) if e): Fraction(a)
-                           for exps, a in h.items()}).primitive()[1]
+    cp, f = _int_primitive(p, vars)
+    cq, g = _int_primitive(q, vars)
+    found = _heu_gcd(f, g, vars)
+    if found is None:
+        return Polynomial.const(1), p, q
+    h, fbar, gbar = found
+    sign, h = _from_ints(h, vars, Fraction(1)).primitive()
+    return h, _from_ints(fbar, vars, sign * cp), _from_ints(gbar, vars, sign * cq)
 
 
-def _int_primitive(p: Polynomial, vars: list) -> dict:
-    """p divided by its rational content, as ``{exponent tuple over vars: int}``."""
+def _int_primitive(p: Polynomial, vars: list) -> tuple:
+    """(c, p/c): the positive rational content c of p, and p/c as
+    ``{exponent tuple over vars: int}``."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     ints = {tuple(dict(m).get(v, 0) for v in vars): c.numerator * (den // c.denominator)
             for m, c in p.terms.items()}
     cont = math.gcd(*ints.values())
-    return {e: a // cont for e, a in ints.items()}
+    return Fraction(cont, den), {e: a // cont for e, a in ints.items()}
 
 
-def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[dict]:
-    """gcd of nonzero integer polynomials in ``vars``, or None on give-up.
+def _from_ints(f: dict, vars: list, scale: Fraction) -> Polynomial:
+    """The integer polynomial f over vars, times scale, as a ``Polynomial``."""
+    return Polynomial._of({tuple((v, e) for v, e in zip(vars, exps) if e): a * scale
+                           for exps, a in f.items()})
+
+
+def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[tuple]:
+    """(h, f/h, g/h) with h the gcd of nonzero integer polynomials in
+    ``vars``, or None on give-up.
 
     A polynomial is a ``{exponent tuple: int}`` dict, one exponent per
-    variable of ``vars``; the last variable is evaluated away.  The result is
+    variable of ``vars``; the last variable is evaluated away.  h is
     primitive up to the gcd of the operands' integer contents and its sign is
-    not normalized.
+    not normalized; the cofactors are integer polynomials.
     """
     cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
     c = math.gcd(cf, cg)
     one = (0,) * len(vars)
     if f.keys() == {one} or g.keys() == {one}:
-        return {one: c}
+        return {one: c}, {e: a // c for e, a in f.items()}, {e: a // c for e, a in g.items()}
     f = {e: a // cf for e, a in f.items()}
     g = {e: a // cg for e, a in g.items()}
     xi = 2 * min(max(abs(a) for a in r.values()) for r in (f, g)) + 29
     for _ in range(6):
         ff, gg = _eval_last(f, xi), _eval_last(g, xi)
-        h = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
-        if h is not None:
+        found = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
+        if found is not None:
             cand: dict = {}
-            for e, a in h.items():
+            for e, a in found[0].items():
                 n, k = a, 0
                 while n:
                     digit = n % xi
@@ -415,8 +393,12 @@ def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[dict]:
                     n, k = (n - digit) // xi, k + 1
             cont = math.gcd(*cand.values())
             cand = {e: a // cont for e, a in cand.items()}
-            if _divides(cand, f) and _divides(cand, g):
-                return {e: a * c for e, a in cand.items()}
+            fbar = _quotient(cand, f)
+            gbar = None if fbar is None else _quotient(cand, g)
+            if gbar is not None:
+                return ({e: a * c for e, a in cand.items()},
+                        {e: a * (cf // c) for e, a in fbar.items()},
+                        {e: a * (cg // c) for e, a in gbar.items()})
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
@@ -434,8 +416,9 @@ def _eval_last(f: dict, xi: int) -> dict:
     return {e: a for e, a in out.items() if a}
 
 
-def _divides(d: dict, f: dict) -> bool:
-    """Whether the integer-primitive d divides the integer polynomial f.
+def _quotient(d: dict, f: dict) -> Optional[dict]:
+    """f/d for the integer-primitive d and the integer polynomial f, or None
+    when d does not divide f.
 
     Sparse division along lex order of the exponent tuples.  By Gauss's lemma
     a primitive divisor of f over Q leaves an integral quotient, so a
@@ -444,14 +427,16 @@ def _divides(d: dict, f: dict) -> bool:
     dm = max(d)
     dc = d[dm]
     r = dict(f)
+    q: dict = {}
     while r:
         rm = max(r)
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(k < 0 for k in qm):
-            return False
+            return None
         qc, rem = divmod(r[rm], dc)
         if rem:
-            return False
+            return None
+        q[qm] = qc
         for e, a in d.items():
             t = tuple(x + y for x, y in zip(qm, e))
             x = r.get(t, 0) - qc * a
@@ -459,7 +444,7 @@ def _divides(d: dict, f: dict) -> bool:
                 r[t] = x
             else:
                 del r[t]
-    return True
+    return q
 
 
 # -- sparse exact elimination ------------------------------------------------

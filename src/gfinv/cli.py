@@ -41,6 +41,7 @@ from .oracle import (
     Diverges,
     FiniteChain,
     OracleError,
+    _state_mono,
     best_contraction_bound,
     chain_occupation,
     chain_posterior,
@@ -231,11 +232,8 @@ def cmd_unroll(args, out) -> int:
     order = list(ast.variables)
 
     def fmt(measure):
-        out_map = {}
-        for s, v in measure.entries.items():
-            mono = tuple(sorted((n, e) for n, e in zip(ast.variables, s) if e))
-            out_map[format_monomial(mono, order)] = str(v)
-        return dict(sorted(out_map.items()))
+        return dict(sorted((format_monomial(_state_mono(s, order), order), str(v))
+                           for s, v in measure.entries.items()))
 
     report = _report("unroll", source, outcome="lower-bounds", steps=args.steps,
                      occupation_lower=fmt(res.occ_lower),

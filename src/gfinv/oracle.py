@@ -503,21 +503,22 @@ def _mono_state(mono: Mono, vars: Sequence[str]) -> State:
 
 def measure_from_closed_form(f: ClosedForm, degree: int,
                              vars: Sequence[str]) -> SparseMeasure:
-    """Truncate a closed form's series to a sparse measure.
+    """Truncate a closed form's series to a sparse measure, the cut-off tail
+    recorded exactly as the residual.
 
-    When the total mass is computable (shape-certified nonnegative form), the
-    truncated tail is recorded exactly as the residual.
+    The tail is known when f is a polynomial of total degree at most
+    ``degree`` (it is 0), or when f is shape-certified nonnegative with
+    finite mass (the mass minus what is kept).  Otherwise no residual can
+    back the measure, and OracleError is raised.
     """
     from .algebra import mass as _mass, shape_nonneg as _shape
 
     coeffs = series_expand(f, degree, order=list(vars))
-    entries = {}
-    for mono, c in coeffs.items():
-        if c:
-            entries[_mono_state(mono, vars)] = c
-    residual = Fraction(0)
-    if _shape(f):
-        total = _mass(f)
-        if total.finite:
-            residual = total.value - sum(entries.values(), Fraction(0))
-    return SparseMeasure(entries, residual)
+    entries = {_mono_state(mono, vars): c for mono, c in coeffs.items()}
+    if f.is_polynomial() and f.num.total_degree() <= degree:
+        return SparseMeasure(entries)
+    total = _mass(f) if _shape(f) else None
+    if total is None or not total.finite:
+        raise OracleError(f"the series cut off at degree {degree} leaves a tail of "
+                          + ("unknown" if total is None else "infinite") + " mass")
+    return SparseMeasure(entries, total.value - sum(entries.values(), Fraction(0)))

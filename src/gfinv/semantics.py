@@ -21,6 +21,7 @@ from .algebra import (
     has_parameters,
     normalize,
 )
+from .algebra.closedform import geometric_den
 from .algebra.poly import _as_univar, mono_degree_in, mono_div
 from . import program as P
 
@@ -62,16 +63,8 @@ def dist_pgf(d: P.DistExpr, var: str) -> ClosedForm:
         return from_poly(Polynomial.var(var, d.value) if d.value else one)
     if isinstance(d, P.RawPgf):
         f = d.form
-        return ClosedForm(_rename(f.num, "t", var), _rename(f.den, "t", var))
+        return ClosedForm(f.num.subs_var("t", t), f.den.subs_var("t", t))
     raise TypeError(f"unknown distribution {d!r}")
-
-
-def _rename(p: Polynomial, old: str, new: str) -> Polynomial:
-    out = {}
-    for m, c in p.terms.items():
-        mm = tuple(sorted((new if v == old else v, e) for v, e in m))
-        out[mm] = c
-    return Polynomial(out)
 
 
 # -- primitive closed-form operations -------------------------------------------
@@ -137,21 +130,17 @@ def marginalize(f: ClosedForm, var: str) -> ClosedForm:
     if f.den.degree_in(var) == 0:
         if f.num.degree_in(var) == 0:
             return f
-        return normalize(f.num.subs_one(var), f.den)
+        return normalize(f.num.subs_var(var, 1), f.den)
     if not has_parameters(f):
-        c0 = f.den.constant_term()
-        shape_ok = c0 > 0 and all(
-            c <= 0 for m, c in f.den.terms.items() if m != ()
-        )
-        if not shape_ok:
+        if not geometric_den(f.den):
             raise DivergentMarginalization(
                 f"cannot certify convergence of substituting 1 for {var}")
-        den1 = f.den.subs_one(var)
+        den1 = f.den.subs_var(var, 1)
         if den1.constant_term() <= 0:
             raise DivergentMarginalization(
                 f"series diverges when summing over {var}")
-        return normalize(f.num.subs_one(var), den1)
-    return normalize(f.num.subs_one(var), f.den.subs_one(var))
+        return normalize(f.num.subs_var(var, 1), den1)
+    return normalize(f.num.subs_var(var, 1), f.den.subs_var(var, 1))
 
 
 def substitute(f: ClosedForm, var: str, h: ClosedForm) -> ClosedForm:

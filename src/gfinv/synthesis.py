@@ -52,6 +52,7 @@ from .algebra import (
     shape_nonneg,
 )
 from .algebra.closedform import _monomials_of_degree
+from .algebra.poly import _int_primitive
 from .invariant import Certificate, CertificateKind, certify
 from . import Frozen, Record, program as P
 from .semantics import SemanticsError, apply_statement, char_functional
@@ -219,9 +220,8 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
         symbols = {sympy.Symbol(v[1:]): v for v in rest}
         gens = _sort_gens(symbols)  # the order fixes each factor's sign
         names = [symbols[s] for s in gens]
-        content = p.content()
-        rep = {tuple(e.get(v, 0) - low[v] for v in names): int(c / content)
-               for e, c in zip(exps, p.terms.values())}
+        _, ints = _int_primitive(p, names)
+        rep = {tuple(k - low[v] for k, v in zip(e, names)): a for e, a in ints.items()}
         try:
             _, factors = sympy.Poly.from_dict(rep, *gens, domain=sympy.ZZ).factor_list()
         except Exception:
@@ -245,28 +245,15 @@ def _factor_poly(p: Polynomial) -> List[Polynomial]:
 
 def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
     """All rational roots of a univariate parameter polynomial."""
-    coeffs = {(m[0][1] if m else 0): c for m, c in p.terms.items()}
-    deg = max(coeffs)
-    content = p.content()
-    ints = {d: int(c / content) for d, c in coeffs.items()}
-    roots: List[Fraction] = []
-    low = min(ints)
-    if low > 0:
-        roots.append(Fraction(0))
-    const = ints[low]
-    lead = ints[deg]
-    for pn in _divisors(abs(const)):
-        for qd in _divisors(abs(lead)):
+    _, ints = _int_primitive(p, [var])
+    low, high = min(ints), max(ints)
+    roots: List[Fraction] = [Fraction(0)] if low[0] else []
+    for pn in _divisors(abs(ints[low])):
+        for qd in _divisors(abs(ints[high])):
             for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                if cand in roots:
-                    continue
-                if _eval_univar(coeffs, cand) == 0:
+                if cand not in roots and not p.subs_var(var, cand):
                     roots.append(cand)
     return sorted(roots)
-
-
-def _eval_univar(coeffs: Dict[int, Fraction], x: Fraction) -> Fraction:
-    return sum((c * x ** d for d, c in coeffs.items()), Fraction(0))
 
 
 def _divisors(n: int) -> List[int]:
@@ -414,19 +401,12 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
         if key in seen:
             continue
         seen.add(key)
-        if all(_eval_equation(e, val) == 0 for e in system.equations):
+        residues = list(system.equations)
+        for p, x in val.items():
+            residues = [e.subs_var("$" + p, x) for e in residues]
+        if not any(residues):
             unique.append(Valuation(val, free))
     return unique
-
-
-def _eval_equation(e: Polynomial, val: Dict[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for m, c in e.terms.items():
-        term = c
-        for v, exp in m:
-            term *= val[v[1:]] ** exp
-        total += term
-    return total
 
 
 # -- the search loop -----------------------------------------------------------------

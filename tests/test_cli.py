@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,17 @@ class TestSynthesizeCommand:
         assert reports[0] == reports[1]
 
 
+    def test_a_printed_invariant_checks_with_the_program_variables(self, tmp_path):
+        # x and xc share a first letter, so x prints as X_x in both halves
+        path = tmp_path / "program.pgcl"
+        path.write_text("nat x; nat xc; while (x = 1) { { xc := xc + 1 } [1/2] { x := 0 } }")
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X_x", "--max-degree", "1"])
+        assert rc == EXIT_FULL and rep["invariant"] == "(1 + 2*X_x)/(2 - X_xc)"
+        rc, rep, _ = invoke(["check", str(path), "--init", "X_x",
+                             "--invariant", rep["invariant"]])
+        assert rc == EXIT_FULL and rep["outcome"] == "ExactPosterior"
+
+
 class TestCheckCommand:
     def test_fdr_with_invariant_file(self):
         rc, rep, _ = invoke([
@@ -233,6 +245,18 @@ class TestUnrollCommand:
         assert rc == EXIT_FULL
         assert rep["posterior_lower"] == {"1": "1/2", "C": "1/4", "C^2": "1/8"}
         assert rep["residual"] == "1/8"
+
+    CUT = ["--init-degree", "2", "--steps", "50"]
+
+    @pytest.mark.parametrize("init, tail", [("(4-X)/(2-X)^2", "unknown"),
+                                            ("1/(1-X)", "infinite")])
+    def test_an_init_whose_cut_off_tail_is_not_known_is_refused(self, init, tail, capsys):
+        err = refusal(["unroll", GEO, "--init", init] + self.CUT, capsys)
+        assert f"cut off at degree 2 leaves a tail of {tail} mass" in err
+
+    def test_the_residual_holds_the_cut_off_tail(self):
+        rc, rep, _ = invoke(["unroll", GEO, "--init", "1/(2-X)"] + self.CUT)
+        assert rc == EXIT_FULL and Fraction(rep["residual"]) >= Fraction(1, 8)
 
 
 class TestChainCommand:
