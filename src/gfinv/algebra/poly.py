@@ -73,6 +73,39 @@ def mono_key(m: Mono, order: Optional[Sequence[str]] = None):
     return (mono_degree(m), tuple(exps.get(v, 0) for v in order))
 
 
+def _add_into(acc: dict, terms: dict) -> dict:
+    """acc += terms, on sparse dicts of nonzero values (terms, rows, integer
+    polynomials); a sum that cancels drops its key.  A new key takes ``c``
+    itself, so ``0 + Fraction`` never takes Fraction's slow reflected path."""
+    for m, c in terms.items():
+        s = acc.get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s = s + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return acc
+
+
+def _mul_into(acc: dict, a: dict, b: dict) -> dict:
+    """acc += a * b, on term dicts that store no zero (so no product is).
+    A factor 1 or -1, most of those the template solver meets, costs no
+    Fraction product."""
+    for m1, c1 in a.items():
+        if c1 == 1:
+            row = {mono_mul(m1, m2): c2 for m2, c2 in b.items()}
+        elif c1 == -1:
+            row = {mono_mul(m1, m2): -c2 for m2, c2 in b.items()}
+        else:
+            row = {mono_mul(m1, m2): c1 if c2 == 1 else -c1 if c2 == -1 else c1 * c2
+                   for m2, c2 in b.items()}
+        _add_into(acc, row)
+    return acc
+
+
 def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
@@ -146,20 +179,7 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
-        # A new key takes ``c`` itself, so an int never meets a Fraction here
-        # (``0 + Fraction`` goes through Fraction's slow reflected path).
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial._of(out)
+        return Polynomial._of(_add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -179,26 +199,12 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial()
+            if c == 1:
+                return Polynomial._of(dict(self.terms))
             return Polynomial._of({m: v * c for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                p = c1 * c2
-                if not p:
-                    continue
-                m = mono_mul(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = p
-                else:
-                    s = s + p
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return Polynomial._of(out)
+        return Polynomial._of(_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -225,7 +231,7 @@ class Polynomial:
         return out
 
     def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        return max(map(mono_degree, self.terms), default=0)
 
     def degree_in(self, var: str) -> int:
         return max((mono_degree_in(m, var) for m in self.terms), default=0)
@@ -243,25 +249,25 @@ class Polynomial:
     def subs_var(self, var: str, value: Union["Polynomial", Fraction, int]) -> "Polynomial":
         """Substitute ``value`` for ``var``.
 
-        A number, or a constant polynomial, goes in one pass over the terms;
-        any other polynomial by Horner over the layers of ``_as_univar``.
+        The terms are split by their power of ``var`` (``_layers``).  A
+        number, or a constant polynomial, then scales each layer by its power
+        (0 keeps the terms free of ``var``); any other polynomial goes by
+        Horner over the layers.  Both work on term dicts.
         """
+        layers = _layers(self, var)
         if isinstance(value, Polynomial):
             if not value.is_const():
-                acc = Polynomial()
-                for layer in reversed(_as_univar(self, var)):
-                    acc = acc * value + layer
-                return acc
+                acc: dict = {}
+                for e in range(max(layers, default=0), -1, -1):
+                    acc = _add_into(_mul_into({}, acc, value.terms), layers.get(e, {}))
+                return Polynomial._of(acc)
             value = value.constant_term()
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = mono_degree_in(m, var)
-            if e:
-                m = tuple(p for p in m if p[0] != var)
-                c = c * value ** e
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return Polynomial(out)
+        out = layers.pop(0, {})
+        if value:
+            for e, layer in layers.items():
+                x = value ** e
+                _add_into(out, layer if x == 1 else {m: c * x for m, c in layer.items()})
+        return Polynomial._of(out)
 
     # -- rational content ----------------------------------------------------
 
@@ -298,15 +304,25 @@ class Polynomial:
 
 # -- univariate layers and gcd ----------------------------------------------
 
+def _layers(p: Polynomial, v: str) -> dict:
+    """{e: the terms of p in v^e, with v^e taken out} over the powers e of v."""
+    layers: dict = {}
+    for m, c in p.terms.items():
+        i = 0
+        for w, e in m:
+            if w == v:
+                layers.setdefault(e, {})[m[:i] + m[i + 1:]] = c
+                break
+            i += 1
+        else:
+            layers.setdefault(0, {})[m] = c
+    return layers
+
+
 def _as_univar(p: Polynomial, v: str) -> list:
     """Dense coefficient list in v; entries are polynomials in the other vars."""
-    deg = p.degree_in(v)
-    coeffs = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        e = mono_degree_in(m, v)
-        rest = tuple(pair for pair in m if pair[0] != v)
-        coeffs[e][rest] = coeffs[e].get(rest, 0) + c
-    return [Polynomial(d) for d in coeffs]
+    layers = _layers(p, v)
+    return [Polynomial._of(layers.get(e, {})) for e in range(max(layers, default=0) + 1)]
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> tuple:
@@ -437,13 +453,7 @@ def _quotient(d: dict, f: dict) -> Optional[dict]:
         if rem:
             return None
         q[qm] = qc
-        for e, a in d.items():
-            t = tuple(x + y for x, y in zip(qm, e))
-            x = r.get(t, 0) - qc * a
-            if x:
-                r[t] = x
-            else:
-                del r[t]
+        _add_into(r, {tuple(x + y for x, y in zip(qm, e)): -qc * a for e, a in d.items()})
     return q
 
 
@@ -473,14 +483,9 @@ def row_reduce(rows: list, deadline: float = math.inf) -> list:
         rows[pivot_row] = prow
         for r, row in enumerate(rows):
             f = row.get(col)
-            if f is None or r == pivot_row:
-                continue
-            for j, y in prow.items():
-                x = row[j] - f * y if j in row else -f * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+            if f is not None and r != pivot_row:
+                f = -f
+                _add_into(row, {j: f * y for j, y in prow.items()})
         pivot_row += 1
         if pivot_row == len(rows):
             break

@@ -66,7 +66,8 @@ class SparseMeasure(Record):
     def plus(self, other: "SparseMeasure") -> "SparseMeasure":
         out = dict(self.entries)
         for s, v in other.entries.items():
-            w = out.get(s, Fraction(0)) + v
+            w = out.get(s)
+            w = v if w is None else w + v
             if w:
                 out[s] = w
             else:
@@ -221,14 +222,18 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
             for k, p in enumerate(probs):
                 if p:
                     t = s[:i] + (s[i] + k,) + s[i + 1:]
-                    out[t] = out.get(t, Fraction(0)) + v * p
+                    w = out.get(t)
+                    out[t] = v * p if w is None else w + v * p
             residual += v * tail
         return SparseMeasure(out, residual)
     if isinstance(stmt, P.Choice):
         # scaled() splits the incoming residual p/(1-p); branch residuals add
-        # back to the original plus any truncation inside the branches
-        left = _exec(stmt.left, m.scaled(stmt.prob), idx, cap)
-        right = _exec(stmt.right, m.scaled(1 - stmt.prob), idx, cap)
+        # back to the original plus any truncation inside the branches.  A
+        # fair coin scales once: _exec never changes the measure it is given.
+        into_left = m.scaled(stmt.prob)
+        into_right = into_left if 2 * stmt.prob == 1 else m.scaled(1 - stmt.prob)
+        left = _exec(stmt.left, into_left, idx, cap)
+        right = _exec(stmt.right, into_right, idx, cap)
         return left.plus(right)
     if isinstance(stmt, P.Seq):
         for s in stmt.stmts:
@@ -253,7 +258,8 @@ def _map_states(m: SparseMeasure, i: int, fn) -> SparseMeasure:
     out: Dict[State, Fraction] = {}
     for s, v in m.entries.items():
         t = s[:i] + (fn(s),) + s[i + 1:]
-        out[t] = out.get(t, Fraction(0)) + v
+        w = out.get(t)
+        out[t] = v if w is None else w + v
     return SparseMeasure(out, m.residual)
 
 

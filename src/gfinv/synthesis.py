@@ -157,13 +157,14 @@ def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem
     """
     phi = char_functional(loop, g, template.form)
     diff = phi - template.form
-    eqs: Dict[tuple, Polynomial] = {}
+    eqs: Dict[tuple, dict] = {}
     for m, c in diff.num.terms.items():
-        prog = tuple(p for p in m if not p[0].startswith("$"))
-        par = tuple(p for p in m if p[0].startswith("$"))
-        eqs.setdefault(prog, Polynomial.zero())
-        eqs[prog] = eqs[prog] + Polynomial.monomial(par, c)
-    ordered = [eqs[k] for k in sorted(eqs, key=mono_key)]
+        # "$" sorts before any letter, so a monomial's parameters come first
+        i = 0
+        while i < len(m) and m[i][0][0] == "$":
+            i += 1
+        eqs.setdefault(m[i:], {})[m[:i]] = c   # each such pair comes from one m
+    ordered = [Polynomial._of(eqs[k]) for k in sorted(eqs, key=mono_key)]
     block = _param_vars(template.form.num) - _param_vars(template.form.den)
     if any(sum(e for v, e in m if v in block) > 1 for q in ordered for m in q.terms):
         block = set()
@@ -187,11 +188,12 @@ def _pivot(eqs: List[Polynomial], block: set) -> Optional[Tuple[Polynomial, str]
     one term c*t, c rational.  A linear equation first; failing that, one of
     degree 2 whose t is in the numerator block: isolating t from one of higher
     degree compounds the system's degree, which costs stages 3-4 more."""
-    linear = [e for e in eqs if e.total_degree() <= 1]
+    degrees = [(e, e.total_degree()) for e in eqs]
+    linear = [e for e, d in degrees if d <= 1]
     if linear:
         e = min(linear, key=lambda q: (len(_param_vars(q)), sorted(q.terms)))
         return e, sorted(_param_vars(e))[0]
-    isolable = [(e, t) for e in eqs if e.total_degree() == 2
+    isolable = [(e, t) for e, d in degrees if d == 2
                 for t in sorted(block & _param_vars(e))
                 if ((t, 1),) in e.terms and sum(t in dict(m) for m in e.terms) == 1]
     return min(isolable, key=lambda p: (len(p[0].terms), sorted(p[0].terms)), default=None)
@@ -402,7 +404,8 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
             continue
         seen.add(key)
         residues = list(system.equations)
-        for p, x in val.items():
+        # zeros first: each drops the terms it meets, so later passes are short
+        for p, x in sorted(val.items(), key=lambda px: px[1] != 0):
             residues = [e.subs_var("$" + p, x) for e in residues]
         if not any(residues):
             unique.append(Valuation(val, free))
