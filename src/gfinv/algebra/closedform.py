@@ -169,7 +169,7 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
     # terms against 2,702), and ClosedForm.__add__ keeps their denominators
     # from compounding.
     if not den.is_const() and not num.is_const() \
-            and not any(v.startswith("$") for v in num.vars() | den.vars()):
+            and not _parametric(num) and not _parametric(den):
         _, num, den = poly_gcd(num, den)
     _require_invertible(den)
     c0 = den.constant_term()
@@ -329,8 +329,14 @@ def find_negative_coefficient(f: ClosedForm, degree: int,
     return None
 
 
+def _parametric(p: Polynomial) -> bool:
+    """Whether a ``$``-parameter occurs in p.  A monomial's pairs are sorted
+    by name and "$" sorts before every letter, so its first pair decides."""
+    return any(m and m[0][0][0] == "$" for m in p.terms)
+
+
 def has_parameters(f: ClosedForm) -> bool:
-    return any(v.startswith("$") for v in f.vars())
+    return _parametric(f.num) or _parametric(f.den)
 
 
 def instantiate(f: ClosedForm, valuation: Dict[str, Fraction]) -> ClosedForm:

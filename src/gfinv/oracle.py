@@ -7,13 +7,21 @@ expected visiting times of finite Markov chains by sparse exact elimination
 (``row_reduce``, the template solver's kernel), and cross-checks closed
 forms against oracle runs.
 
+``closed_class_witness`` proves that a loop has no finite occupation
+invariant: by a bounded exact search, it names a guard state that the
+initial measure reaches with positive probability and that lies in a
+bottom class of a finite set of guard states that the body never leaves.
+That state's occupation coefficient is infinite.
+
 States are tuples of naturals, one slot per declared program variable.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import ClosedForm, Mono, mono_key, row_reduce, series_expand
 from . import Record, program as P
@@ -368,14 +376,14 @@ class FiniteChain(Record):
         return "\n".join(lines) + "\n"
 
 
-def _forward(chain: FiniteChain, sources) -> set:
-    """The states reachable from ``sources`` with positive probability, the
-    sources included."""
+def _forward(successors: Dict, sources) -> set:
+    """The states reachable from ``sources`` along ``successors`` (a state's
+    iterable of successor states; absent key = none), the sources included."""
     seen = set(sources)
     stack = list(seen)
     while stack:
-        for t, p in chain.transitions.get(stack.pop(), {}).items():
-            if p and t not in seen:
+        for t in successors.get(stack.pop(), ()):
+            if t not in seen:
                 seen.add(t)
                 stack.append(t)
     return seen
@@ -391,8 +399,9 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
     row per state, iota in the last column, reduced by ``row_reduce``.
     """
     chain.validate()
-    reachable = _forward(chain, [s for s in chain.states if chain.initial.get(s)])
-    fwd = {s: _forward(chain, [s]) for s in chain.states
+    edges = {s: [t for t, p in row.items() if p] for s, row in chain.transitions.items()}
+    reachable = _forward(edges, [s for s in chain.states if chain.initial.get(s)])
+    fwd = {s: _forward(edges, [s]) for s in chain.states
            if s in reachable and s in chain.transitions}
     bad = {s for s, seen in fwd.items() if all(s in fwd.get(t, ()) for t in seen)}
     transient = [s for s in fwd if s not in bad]
@@ -422,6 +431,81 @@ def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[s
     """Occupation restricted to terminal states (the chain's posterior)."""
     return {s: occupation[s] for s in chain.states
             if s not in chain.transitions and isinstance(occupation[s], Fraction)}
+
+
+# -- closed classes inside a loop guard ------------------------------------------------
+
+SEARCH_STATES = 64        # guard states closed_class_witness expands at most
+SEARCH_SUPPORT_CAP = 32   # a draw's pmf is cut off here, its tail left open
+SOURCE_DEGREE = 12        # series degree of g whose terms seed the search
+
+
+class ClosedClassWitness(Record):
+    """A guard state whose occupation coefficient is infinite, with its proof.
+
+    ``path`` runs along positive-probability body steps from a guard state
+    with a positive coefficient in the initial measure's series to the named
+    state ``path[-1]``.  ``closed`` is a finite set of guard states that no
+    body step leaves, by an exit, a truncated draw or lost mass.  The named
+    state lies in a bottom class of ``closed`` (every state it reaches
+    reaches it back), so the loop, once there, returns to it infinitely often
+    with probability 1.
+    """
+    path: List[State]
+    closed: List[State]
+
+
+def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str],
+                         deadline: float = math.inf) -> Optional[ClosedClassWitness]:
+    """Search for a reachable guard state of infinite occupation coefficient.
+
+    The sources are the guard states of g's series terms of degree at most
+    SOURCE_DEGREE with a positive coefficient: exact, with no tail needed.
+    A breadth-first search expands at most SEARCH_STATES guard states, and
+    none after ``deadline``, each by one exact body step.  A state is open
+    when its step exits the guard or loses mass (a truncated draw, a
+    divergence), or when it is left unexpanded.  The expanded states that
+    no open state reaches backward form a closed set; one of its bottom
+    classes holds the named state.  None when no closed set was found.
+    """
+    idx = {v: i for i, v in enumerate(vars)}
+    order = list(vars)
+    coeffs = series_expand(g, SOURCE_DEGREE, order=order)
+    parent: Dict[State, Optional[State]] = {}
+    for mono in sorted(coeffs, key=lambda m: mono_key(m, order)):
+        s = _mono_state(mono, vars)
+        if coeffs[mono] > 0 and _eval_guard(loop.guard, s, idx):
+            parent[s] = None
+    queue = list(parent)
+    succ: Dict[State, List[State]] = {}
+    leaks: List[State] = []
+    for s in queue:                     # the loop reads what it appends
+        if len(succ) == SEARCH_STATES or time.monotonic() > deadline:
+            break
+        step = _exec(loop.body, SparseMeasure.dirac(s), idx, SEARCH_SUPPORT_CAP)
+        # a step stores no zero entry, so every successor has positive probability
+        inside = [t for t in step.entries if _eval_guard(loop.guard, t, idx)]
+        if len(inside) < len(step.entries) or step.mass() != 1:
+            leaks.append(s)
+        succ[s] = inside
+        for t in inside:
+            if t not in parent:
+                parent[t] = s
+                queue.append(t)
+    pred: Dict[State, List[State]] = {}
+    for s, ts in succ.items():
+        for t in ts:
+            pred.setdefault(t, []).append(s)
+    leaky = _forward(pred, leaks + [s for s in parent if s not in succ])
+    closed = [s for s in succ if s not in leaky]
+    if not closed:
+        return None
+    fwd = {s: _forward(succ, [s]) for s in closed}
+    state = next(s for s in closed if all(s in fwd[t] for t in fwd[s]))
+    path = [state]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return ClosedClassWitness(path[::-1], sorted(closed))
 
 
 def best_contraction_bound(chain: FiniteChain, c: Fraction,

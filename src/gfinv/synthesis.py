@@ -437,10 +437,17 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     """Search templates, solve, filter, verify; first full certificate wins.
 
     Returns a Certificate on success, else a Failure naming the stage at
-    which every candidate died, with per-template diagnostics.  ``timeout_s``
-    is checked between templates, between candidates and inside the solver;
-    a search it stops without a partial certificate fails at stage
-    ``timeout``.
+    which the last candidate died, with per-template diagnostics; a
+    candidate that several valuations of one template give is judged and
+    reported once.  ``timeout_s`` is checked between templates, between
+    candidates, inside the solver and in the final search; a search it
+    stops without a partial certificate fails at stage ``timeout``.
+
+    When no template gives a certificate, a bounded exact search
+    (``oracle.closed_class_witness``) looks for the reason: a guard state
+    of infinite occupation coefficient, with the initial term and the path
+    that reach it and the closed set of guard states it recurs in.  When it
+    finds one, the last diagnostic names all three.
     """
     cfg = config or SynthesisConfig()
     deadline = time.monotonic() + cfg.timeout_s
@@ -486,6 +493,9 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
             diagnostics.append(f"{desc}: no solution found by the staged solver")
             last_stage = "solve"
             continue
+        # candidate -> [index of its line in diagnostics, or None, valuations]:
+        # a candidate that several valuations give is judged and printed once
+        judged: Dict[ClosedForm, list] = {}
         for val in valuations:
             if time.monotonic() > deadline:
                 diagnostics.append("timeout reached during candidate checking")
@@ -501,6 +511,10 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 diagnostics.append(f"{desc}: trivial zero candidate filtered")
                 last_stage = "instantiate"
                 continue
+            if candidate in judged:
+                judged[candidate][1] += 1
+                continue
+            judged[candidate] = [len(diagnostics), 1]
             if not shape_nonneg(candidate):
                 neg = find_negative_coefficient(candidate, SCAN_DEGREE)
                 if neg is None:
@@ -529,10 +543,14 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 return cert
             if best_partial is None:
                 best_partial = cert
+            judged[candidate][0] = None
             last_stage = "certify"
+        for at, n in judged.values():
+            if n > 1 and at is not None:
+                diagnostics[at] += f" (from {n} valuations)"
     if best_partial is not None:
         return best_partial
-    probe = _divergence_probe(loop, g)
+    probe = _divergence_probe(loop, g, deadline)
     if probe:
         diagnostics.append(probe)
     return Failure(last_stage,
@@ -540,34 +558,33 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                    diagnostics, unknown_candidate)
 
 
-def _divergence_probe(loop: P.While, g: ClosedForm, steps: int = 48) -> Optional[str]:
-    """Oracle-based hint for why synthesis failed: a guard state whose
-    occupation lower bound keeps growing signals an infinite coefficient in
-    the true occupation measure, so no finite invariant exists."""
+def _divergence_probe(loop: P.While, g: ClosedForm, deadline: float) -> Optional[str]:
+    """Why no finite invariant exists, when ``oracle.closed_class_witness``
+    proves it: a reachable guard state whose occupation coefficient is
+    infinite, with the initial term, the path and the closed set."""
     from . import oracle
 
     if has_parameters(g):
         return None
-    vars = sorted({v for v in g.vars()} | _loop_vars(loop))
+    vars = sorted(g.vars() | _loop_vars(loop))
     if not vars:
         return None
     try:
-        m = oracle.measure_from_closed_form(g, 12, vars)
-        total = m.mass()
-        res = oracle.kleene_iterate(loop, m, vars, steps, support_cap=32)
-    except Exception:
+        witness = oracle.closed_class_witness(loop, g, vars, deadline)
+    except oracle.OracleError:      # a nested loop: the body has no one step
         return None
-    worst = None
-    for s, v in res.occ_lower.entries.items():
-        if oracle.eval_guard(loop.guard, s, vars) and v > 4 * total:
-            if worst is None or v > worst[1]:
-                worst = (s, v)
-    if worst is None:
+    if witness is None:
         return None
-    state = ", ".join(f"{n}={x}" for n, x in zip(vars, worst[0]))
-    return (f"occupation lower bound at state ({state}) already reaches {worst[1]} "
-            f"after {steps} iterations: the occupation measure appears to have an "
-            f"infinite coefficient, so no finite invariant exists")
+
+    def show(s):
+        return "(" + ", ".join(f"{n}={x}" for n, x in zip(vars, s)) + ")"
+
+    source = format_monomial(oracle._state_mono(witness.path[0], vars), vars)
+    return (f"the occupation measure has an infinite coefficient at state "
+            f"{show(witness.path[-1])}, so no finite invariant exists: the initial "
+            f"term {source} reaches it by the path {' -> '.join(map(show, witness.path))}, "
+            f"and it is recurrent in {{{', '.join(map(show, witness.closed))}}}, "
+            f"a set of guard states that the loop body never leaves")
 
 
 # -- whole-program pipeline ------------------------------------------------------

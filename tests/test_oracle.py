@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gfinv import program as P
-from gfinv.algebra import Polynomial, from_poly, normalize
+from gfinv.algebra import Polynomial, from_poly, normalize, parse_closed_form, series_expand
 from gfinv.oracle import (
     CrosscheckReport,
     Diverges,
@@ -14,6 +14,7 @@ from gfinv.oracle import (
     best_contraction_bound,
     chain_occupation,
     chain_posterior,
+    closed_class_witness,
     crosscheck,
     exec_loopfree,
     kleene_iterate,
@@ -365,3 +366,68 @@ class TestCrosscheck:
         m = measure_from_closed_form(f, 3, GEO.variables)
         assert m.entries == {(0, 0): F(1, 2), (0, 1): F(1, 4),
                              (0, 2): F(1, 8), (0, 3): F(1, 16)}
+
+
+class TestClosedClassWitness:
+    # (program, init): each has a reachable closed class inside its guard
+    DIVERGENT = {
+        "stuck at x=1": ("nat x;\nwhile (x = 1) { skip }", "1/2*X + 1/2*X^2"),
+        "stuck at x=1, unknown tail": ("nat x;\nwhile (x = 1) { skip }", "(4-X)/(2-X)^2"),
+        "closed pair after two steps": (
+            "nat x;\nwhile (x > 0) { if (x = 1) { x := 2 } else { {x := 2} [1/2] {x := 3} } }",
+            "X"),
+    }
+
+    @staticmethod
+    def witness(program, init, **kw):
+        ast = parse(program)
+        g = parse_closed_form(init, ast.variables)
+        return ast.body, g, closed_class_witness(ast.body, g, ast.variables, **kw)
+
+    def test_stuck_state_is_named_from_either_init(self):
+        for name in ("stuck at x=1", "stuck at x=1, unknown tail"):
+            _, _, w = self.witness(*self.DIVERGENT[name])
+            assert (w.path, w.closed) == ([(1,)], [(1,)]), name
+
+    def test_the_named_state_is_recurrent_not_transient(self):
+        # x=1 lies in the closed set too, but is left after one step
+        _, _, w = self.witness(*self.DIVERGENT["closed pair after two steps"])
+        assert w.path[0] == (1,)
+        assert w.path[-1] in {(2,), (3,)}
+        assert w.path == [(1,), w.path[-1]]
+        assert w.closed == [(1,), (2,), (3,)]
+
+    def test_a_set_that_leaks_to_an_exit_gives_no_witness(self):
+        _, _, w = self.witness(
+            "nat x;\nwhile (x > 0) { if (x = 1) { x := 2 } else { {x := 2} [1/2] {x := 0} } }",
+            "X")
+        assert w is None
+
+    def test_a_truncated_draw_gives_no_witness(self):
+        # the guard is never left, but each step's geometric draw is cut off
+        _, _, w = self.witness("nat x;\nwhile (x >= 1) { x := geometric(1/2); x := x + 1 }",
+                               "X")
+        assert w is None
+
+    def test_mass_lost_to_divergence_gives_no_witness(self):
+        # x=1 is visited twice in expectation: half the mass stays in the body
+        _, _, w = self.witness("nat x;\nwhile (x = 1) { {skip} [1/2] {diverge} }", "X")
+        assert w is None
+
+    def test_unbounded_walk_gives_no_witness_within_the_cap(self, corpus):
+        ast, g, _, _ = corpus["random_walk_counter_unbounded"]
+        assert closed_class_witness(ast.body, g, sorted(ast.variables)) is None
+
+    def test_a_passed_deadline_gives_no_witness(self):
+        _, _, w = self.witness(*self.DIVERGENT["stuck at x=1"], deadline=0)
+        assert w is None
+
+    @pytest.mark.parametrize("name", sorted(DIVERGENT))
+    def test_kleene_lower_bound_grows_at_the_named_state(self, name):
+        loop, g, w = self.witness(*self.DIVERGENT[name])
+        m = SparseMeasure({(mono[0][1] if mono else 0,): c
+                           for mono, c in series_expand(g, 12).items()})
+        res = kleene_iterate(loop, m, ("x",), 48)
+        # g's series converges at X = 1, to the sums of its coefficients
+        initial_mass = sum(g.num.terms.values()) / sum(g.den.terms.values())
+        assert res.occ_lower.entries[w.path[-1]] > 4 * initial_mass

@@ -8,6 +8,8 @@ the file has it.  The cases are:
 - ``synthesize`` of every corpus program from its ``init.gf``, with the
   template or the maximum degree of its ``expected.json``, except
   fast_dice_roller, whose search runs into its 60 s timeout;
+- ``synthesize`` of nontermination from (4-X)/(2-X)^2, an init whose
+  cut-off series tail has no known mass, at maximum degree 1;
 - ``check`` of every known invariant, of half of it and of it plus 1;
 - ``unroll --steps 30`` of every corpus program;
 - ``chain`` of ``benchmarks/appendix_chain.txt``, plain and with
@@ -56,6 +58,9 @@ def cases() -> dict:
                                 (" plus 1", f"({inv}) + 1")):
                 out[f"check {d.name}{label}"] = ["check", prog, *init, "--invariant", text]
         out[f"unroll {d.name}"] = ["unroll", prog, *init, "--steps", "30"]
+    out["synthesize nontermination from (4-X)/(2-X)^2"] = [
+        "synthesize", str(BENCH / "nontermination" / "program.pgcl"),
+        "--init", "(4-X)/(2-X)^2", "--max-degree", "1"]
     chain = str(BENCH / "appendix_chain.txt")
     out["chain"] = ["chain", chain]
     out["chain contraction 1/2"] = ["chain", chain, "--contraction", "1/2"]

@@ -430,6 +430,26 @@ class TestSynthesize:
         assert isinstance(res, Failure)
         assert any("infinite coefficient" in d for d in res.diagnostics)
 
+    def test_nontermination_names_the_closed_state_from_an_init_with_unknown_tail(self):
+        # the series of (4-X)/(2-X)^2 cut off at any degree leaves a tail of
+        # unknown mass; the search needs only its exact low-degree terms
+        loop = parse("nat x;\nwhile (x = 1) { skip }").body
+        g = normalize(4 - X, (2 - X) * (2 - X))
+        res = synthesize(loop, g, SynthesisConfig(max_den_degree=1))
+        assert isinstance(res, Failure)
+        assert "infinite coefficient at state (x=1)" in res.diagnostics[-1]
+        assert "by the path (x=1)," in res.diagnostics[-1]
+        assert "recurrent in {(x=1)}" in res.diagnostics[-1]
+
+    def test_a_repeated_candidate_is_reported_once_per_template(self):
+        # two valuations of the degree-3 template give the same candidate
+        walk = parse("nat x;\nwhile (x > 0) { {x := x - 1} [2/3] {x := x + 2} }")
+        res = synthesize(walk.body, G_X, SynthesisConfig(max_den_degree=3))
+        found = [d for d in res.diagnostics if "cannot determine positivity" in d]
+        assert found == ["template auto(d=3) (a0 + X*a1 + X^2*a2 + X^3*a3)/"
+                         "(1 + X*b1 + X^2*b2 + X^3*b3): cannot determine positivity of "
+                         "(2 + 2*X - X^2)/(2 - X - X^2) (from 2 valuations)"]
+
     def test_an_empty_solution_set_is_not_called_unsatisfiable(self):
         # the staged solver is incomplete: finding nothing proves nothing
         loop = parse("nat x;\nwhile (x = 1) { skip }").body
