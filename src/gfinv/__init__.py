@@ -1,5 +1,10 @@
 """gfinv: exact inference and occupation-invariant synthesis for probabilistic loops."""
 
+import contextvars
+import math
+import time
+from contextlib import contextmanager
+
 __version__ = "0.1.0"
 
 _set_field = object.__setattr__    # past Frozen's refusal, for __init__ only
@@ -60,3 +65,26 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# the monotonic time past which every layer stops, as decimal.localcontext
+# holds a precision: one per thread and task, inf when no limit is set
+_deadline = contextvars.ContextVar("gfinv_deadline", default=math.inf)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Bound the work inside the block to ``seconds`` (None: no limit).  An
+    inner limit never extends an outer one; leaving restores the outer one."""
+    limit = _deadline.get()
+    token = _deadline.set(limit if seconds is None else min(limit, time.monotonic() + seconds))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def check_deadline(where: str) -> None:
+    """Raise TimeoutError once the innermost ``time_limit`` has run out."""
+    if time.monotonic() >= _deadline.get():
+        raise TimeoutError(f"deadline reached {where}")

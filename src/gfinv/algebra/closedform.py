@@ -11,12 +11,10 @@ templates of synthesis) are only scaled; see ``normalize``.
 
 from __future__ import annotations
 
-import math
-import time
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .. import Frozen, _set_field
+from .. import Frozen, _set_field, check_deadline
 from .poly import (
     MONO_ONE,
     Mono,
@@ -126,9 +124,7 @@ class ClosedForm(Frozen):
 def _lift(v) -> ClosedForm:
     if isinstance(v, ClosedForm):
         return v
-    if isinstance(v, Polynomial):
-        return normalize(v, Polynomial.const(1))
-    return normalize(Polynomial.const(v), Polynomial.const(1))
+    return from_poly(v if isinstance(v, Polynomial) else Polynomial.const(v))
 
 
 def from_poly(p: Polynomial) -> ClosedForm:
@@ -187,11 +183,16 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
 
 
 def _require_invertible(den: Polynomial) -> None:
-    if den.constant_term() == 0:
-        # A parametric constant term (a polynomial in parameters) is accepted
-        # as long as it is not identically zero; instantiation re-checks.
-        if not any(all(v.startswith("$") for v, _ in m) for m in den.terms):
-            raise InvalidDenominator("denominator constant term is zero")
+    # A parametric constant term (a polynomial in parameters) is accepted
+    # as long as it is not identically zero; instantiation re-checks.
+    if den.constant_term() == 0 and not _constant_section(den):
+        raise InvalidDenominator("denominator constant term is zero")
+
+
+def _constant_section(p: Polynomial) -> bool:
+    """Whether p has a term free of program indeterminates (a constant, or
+    a monomial in ``$``-parameters only)."""
+    return any(all(v.startswith("$") for v, _ in m) for m in p.terms)
 
 
 def equal(f: ClosedForm, g: ClosedForm) -> bool:
@@ -209,15 +210,14 @@ def series_expand(f: ClosedForm, degree: int,
     return {m: c for layer in _series_layers(f, degree, order) for m, c in layer}
 
 
-def _series_layers(f: ClosedForm, degree: int, order: Optional[Sequence[str]] = None,
-                  deadline: float = math.inf) -> Iterator[List[Tuple[Mono, Fraction]]]:
+def _series_layers(f: ClosedForm, degree: int,
+                   order: Optional[Sequence[str]] = None) -> Iterator[List[Tuple[Mono, Fraction]]]:
     """The nonzero series coefficients, one total-degree layer at a time.
 
     Yields, for d = 0..degree, the list of (monomial, coefficient) of total
     degree d in graded-lex order.  Solves c0*a_s = n_s - sum_{0<t<=s} d_t*a_{s-t},
     which needs only lower layers, so a consumer may stop after any layer.
-    Raises TimeoutError once ``time.monotonic()`` passes the deadline,
-    checked before each layer.
+    Polls ``check_deadline`` before each layer.
     """
     params = sorted(v[1:] for v in f.vars() if v.startswith("$"))
     if params:
@@ -231,8 +231,7 @@ def _series_layers(f: ClosedForm, degree: int, order: Optional[Sequence[str]] = 
     den_rest = [(m, c) for m, c in f.den.terms.items() if m != MONO_ONE]
     coeffs: Dict[Mono, Fraction] = {}
     for d in range(degree + 1):
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"deadline reached while expanding the series at degree {d}")
+        check_deadline(f"while expanding the series at degree {d}")
         layer = []
         for m in _monomials_of_degree(vs, d):
             acc = f.num.terms.get(m, Fraction(0))
@@ -313,8 +312,7 @@ def mass(f: ClosedForm) -> ExtendedMass:
 
 
 def find_negative_coefficient(f: ClosedForm, degree: int,
-                              order: Optional[Sequence[str]] = None,
-                              deadline: float = math.inf):
+                              order: Optional[Sequence[str]] = None):
     """The ``mono_key``-least (monomial, coefficient) with coefficient < 0 up
     to the degree, or None.
 
@@ -322,7 +320,7 @@ def find_negative_coefficient(f: ClosedForm, degree: int,
     at a time and stops at the first layer that holds a negative coefficient.
     Raises TimeoutError as ``_series_layers`` does.
     """
-    for layer in _series_layers(f, degree, order, deadline):
+    for layer in _series_layers(f, degree, order):
         negative = [t for t in layer if t[1] < 0]
         if negative:
             return min(negative, key=lambda t: mono_key(t[0], order))

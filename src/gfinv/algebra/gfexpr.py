@@ -33,18 +33,12 @@ def indet_symbol(var: str, all_vars: Sequence[str]) -> str:
     return "X_" + var
 
 
-def _symbol(v: str, all_vars: Sequence[str]) -> str:
-    if v.startswith("$"):
-        return v[1:]
-    return indet_symbol(v, all_vars)
-
-
 def format_monomial(m, all_vars: Sequence[str]) -> str:
     if m == MONO_ONE:
         return "1"
     bits = []
     for v, e in sorted(m, key=lambda p: (p[0].startswith("$"), p[0])):
-        s = _symbol(v, all_vars)
+        s = v[1:] if v.startswith("$") else indet_symbol(v, all_vars)
         bits.append(s if e == 1 else f"{s}^{e}")
     return "*".join(bits)
 

@@ -20,9 +20,10 @@ divides exactly (inside the gcd, which hands its cofactors to callers), and
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+from .. import check_deadline
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -209,17 +210,28 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        """By repeated squaring, polling ``check_deadline`` before each term
+        row of each product: the last product of a large power alone can
+        take seconds."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.const(1)
-        base = self
+        where = f"while raising a polynomial to the power {n}"
+
+        def times(a: dict, b: dict) -> dict:
+            acc: dict = {}
+            for m, c in a.items():
+                check_deadline(where)
+                _mul_into(acc, {m: c}, b)
+            return acc
+
+        result, base = {MONO_ONE: Fraction(1)}, self.terms
         while n:
             if n & 1:
-                result = result * base
+                result = times(result, base)
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = times(base, base)
+        return Polynomial._of(result)
 
     # -- structure ---------------------------------------------------------
 
@@ -459,7 +471,7 @@ def _quotient(d: dict, f: dict) -> Optional[dict]:
 
 # -- sparse exact elimination ------------------------------------------------
 
-def row_reduce(rows: list, deadline: float = math.inf) -> list:
+def row_reduce(rows: list) -> list:
     """Reduced row echelon form of sparse rows over Q (exact Gauss-Jordan).
 
     A row is a ``{column: Fraction}`` dict over integer columns and stores no
@@ -467,13 +479,11 @@ def row_reduce(rows: list, deadline: float = math.inf) -> list:
     key.  Columns are pivoted in increasing order and each pivot is scaled to
     1.  The nonzero rows come back in elimination order, row i holding the
     i-th pivot, each with its columns in increasing order.  The rows passed
-    in are reduced in place.  Raises TimeoutError once ``time.monotonic()``
-    passes the deadline, checked at every column.
+    in are reduced in place.  Polls ``check_deadline`` at every column.
     """
     pivot_row = 0
     for col in sorted({j for row in rows for j in row}):
-        if time.monotonic() > deadline:
-            raise TimeoutError("deadline reached while solving")
+        check_deadline("while solving")
         piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue

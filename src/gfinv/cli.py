@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import __version__
+from . import __version__, time_limit
 from .algebra import (
     AlgebraError,
     ClosedForm,
@@ -106,12 +106,10 @@ def _analysis_report(analysis: ProgramAnalysis, order) -> Dict:
     elif analysis.certificate is not None:
         report["outcome"] = analysis.certificate.kind.value
         report.update(_cert_payload(analysis.certificate, order))
-        if analysis.final_measure is not None:
-            report["final_measure"] = _form_str(analysis.final_measure, order)
     else:
         report["outcome"] = "no-loop"
-        if analysis.final_measure is not None:
-            report["final_measure"] = _form_str(analysis.final_measure, order)
+    if analysis.final_measure is not None:      # never with a failure
+        report["final_measure"] = _form_str(analysis.final_measure, order)
     loops = [s for s in analysis.segments if s.kind == "loop"]
     if len(loops) > 1:
         report["loop_outcomes"] = [
@@ -173,20 +171,20 @@ def _init_arg(text: str, variables) -> ClosedForm:
 
 def cmd_check(args, out) -> int:
     t0 = time.monotonic()
-    deadline = math.inf if args.timeout is None else t0 + args.timeout
     source = _read(args.program)
     ast = parse(source)
     loop = _single_loop(ast, "check")
-    g = _init_arg(args.init, ast.variables)
-    candidate = _gf_arg(args.invariant, ast.variables)
-    t1 = time.monotonic()
-    timed_out = None
-    try:
-        verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree,
-                                deadline=deadline)
-    except TimeoutError as e:
-        verdict, cert, timed_out = Verdict.UNKNOWN, None, e
+    t1 = timed_out = None
+    with time_limit(args.timeout):
+        try:
+            g = _init_arg(args.init, ast.variables)
+            candidate = _gf_arg(args.invariant, ast.variables)
+            t1 = time.monotonic()
+            verdict, cert = certify(loop, g, candidate, refute_degree=args.refute_degree)
+        except TimeoutError as e:
+            verdict, cert, timed_out = Verdict.UNKNOWN, None, e
     t2 = time.monotonic()
+    t1 = t1 or t2       # a timeout while parsing leaves no time for the check
     report = _report("check", source, verdict=verdict.value,
                      timing={"parse_s": t1 - t0, "check_s": t2 - t1})
     if timed_out is not None:
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate closed form, or @file")
     c.add_argument("--refute-degree", type=_count, default=25)
     c.add_argument("--timeout", type=_seconds, default=None,
-                   help="seconds before the check stops with failure:timeout")
+                   help="seconds before the check, parsing included, stops with failure:timeout")
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("synthesize", help="search for an invariant")

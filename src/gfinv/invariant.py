@@ -13,7 +13,6 @@ witness, never from a failed heuristic.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -71,14 +70,13 @@ class Certificate(Frozen):
 
 
 def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
-           refute_degree: int = DEFAULT_REFUTE_DEGREE, deadline: float = math.inf) -> Verdict:
+           refute_degree: int = DEFAULT_REFUTE_DEGREE) -> Verdict:
     """Classify a fully instantiated candidate against the fixed point equation.
 
     Exact when Phi(I) = I as rational functions; Super when the difference
     I - Phi(I) passes the nonnegativity shape check; Refuted when some series
     coefficient of the difference up to refute_degree is negative; otherwise
-    Unknown.  The series search raises TimeoutError once ``time.monotonic()``
-    passes the deadline.
+    Unknown.  The series search raises TimeoutError past the deadline.
     """
     phi = char_functional(loop, g, candidate)
     if equal(phi, candidate):
@@ -86,7 +84,7 @@ def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
     diff = candidate - phi
     if shape_nonneg(diff):
         return Verdict.SUPER
-    if find_negative_coefficient(diff, refute_degree, deadline=deadline) is not None:
+    if find_negative_coefficient(diff, refute_degree) is not None:
         return Verdict.REFUTED
     return Verdict.UNKNOWN
 
@@ -102,7 +100,9 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
 
     Requires a prior verify() verdict of EXACT or SUPER.  The exact-posterior
     rule needs |I| finite and |[not guard]*I| = |g|; a finite-mass mismatch
-    still witnesses PAST, and infinite mass leaves an upper bound only.
+    still witnesses PAST, and infinite mass leaves an upper bound only.  So
+    does a ``diverge`` in the body: both rules assume a body that loses no
+    mass, and the mass that diverges never terminates.
     """
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         raise ValueError("exact_posterior needs a verified (super)invariant")
@@ -114,7 +114,7 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
     mass_g = mass_g_ext.value
     given = dict(loop=loop, initial=g, invariant=invariant, verdict=verdict,
                  mass_invariant=mass_i, mass_initial=mass_g)
-    if mass_i.finite:
+    if mass_i.finite and not any(isinstance(s, P.Diverge) for s in P._stmts(loop.body)):
         mass_b = mass(bound)
         if mass_b.finite and mass_b.value == mass_g:
             return Certificate(CertificateKind.EXACT_POSTERIOR, posterior=bound,
@@ -127,19 +127,19 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
 
 
 def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
-            refute_degree: int = DEFAULT_REFUTE_DEGREE, deadline: float = math.inf):
+            refute_degree: int = DEFAULT_REFUTE_DEGREE):
     """verify + exact_posterior in one step.
 
     Returns (verdict, certificate-or-None).  A candidate that fails the
     nonnegativity shape check is never certified (Unknown), and UnknownSign
     from mass evaluation downgrades to a plain invariant certificate rather
-    than a false posterior claim.  Both series searches raise TimeoutError
-    past the deadline, as in ``verify``.
+    than a false posterior claim.  Every layer raises TimeoutError past the
+    deadline of the innermost ``time_limit``.
     """
     if not shape_nonneg(candidate):
-        neg = find_negative_coefficient(candidate, refute_degree, deadline=deadline)
+        neg = find_negative_coefficient(candidate, refute_degree)
         return (Verdict.REFUTED if neg is not None else Verdict.UNKNOWN), None
-    verdict = verify(loop, g, candidate, refute_degree, deadline)
+    verdict = verify(loop, g, candidate, refute_degree)
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         return verdict, None
     try:

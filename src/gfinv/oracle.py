@@ -18,13 +18,11 @@ States are tuples of naturals, one slot per declared program variable.
 
 from __future__ import annotations
 
-import math
-import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import ClosedForm, Mono, mono_key, row_reduce, series_expand
-from . import Record, program as P
+from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
 
@@ -455,43 +453,47 @@ class ClosedClassWitness(Record):
     closed: List[State]
 
 
-def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str],
-                         deadline: float = math.inf) -> Optional[ClosedClassWitness]:
+def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str]
+                         ) -> Optional[ClosedClassWitness]:
     """Search for a reachable guard state of infinite occupation coefficient.
 
     The sources are the guard states of g's series terms of degree at most
     SOURCE_DEGREE with a positive coefficient: exact, with no tail needed.
-    A breadth-first search expands at most SEARCH_STATES guard states, and
-    none after ``deadline``, each by one exact body step.  A state is open
-    when its step exits the guard or loses mass (a truncated draw, a
-    divergence), or when it is left unexpanded.  The expanded states that
-    no open state reaches backward form a closed set; one of its bottom
-    classes holds the named state.  None when no closed set was found.
+    A breadth-first search expands at most SEARCH_STATES guard states, each
+    by one exact body step.  A state is open when its step exits the guard
+    or loses mass (a truncated draw, a divergence), or when it is left
+    unexpanded.  The expanded states that no open state reaches backward
+    form a closed set; one of its bottom classes holds the named state.
+    None when no closed set was found, or once ``check_deadline`` raises.
     """
     idx = {v: i for i, v in enumerate(vars)}
     order = list(vars)
-    coeffs = series_expand(g, SOURCE_DEGREE, order=order)
     parent: Dict[State, Optional[State]] = {}
-    for mono in sorted(coeffs, key=lambda m: mono_key(m, order)):
-        s = _mono_state(mono, vars)
-        if coeffs[mono] > 0 and _eval_guard(loop.guard, s, idx):
-            parent[s] = None
-    queue = list(parent)
     succ: Dict[State, List[State]] = {}
     leaks: List[State] = []
-    for s in queue:                     # the loop reads what it appends
-        if len(succ) == SEARCH_STATES or time.monotonic() > deadline:
-            break
-        step = _exec(loop.body, SparseMeasure.dirac(s), idx, SEARCH_SUPPORT_CAP)
-        # a step stores no zero entry, so every successor has positive probability
-        inside = [t for t in step.entries if _eval_guard(loop.guard, t, idx)]
-        if len(inside) < len(step.entries) or step.mass() != 1:
-            leaks.append(s)
-        succ[s] = inside
-        for t in inside:
-            if t not in parent:
-                parent[t] = s
-                queue.append(t)
+    try:
+        coeffs = series_expand(g, SOURCE_DEGREE, order=order)
+        for mono in sorted(coeffs, key=lambda m: mono_key(m, order)):
+            s = _mono_state(mono, vars)
+            if coeffs[mono] > 0 and _eval_guard(loop.guard, s, idx):
+                parent[s] = None
+        queue = list(parent)
+        for s in queue:                     # the loop reads what it appends
+            if len(succ) == SEARCH_STATES:
+                break
+            check_deadline("while searching for a closed class")
+            step = _exec(loop.body, SparseMeasure.dirac(s), idx, SEARCH_SUPPORT_CAP)
+            # a step stores no zero entry, so every successor has positive probability
+            inside = [t for t in step.entries if _eval_guard(loop.guard, t, idx)]
+            if len(inside) < len(step.entries) or step.mass() != 1:
+                leaks.append(s)
+            succ[s] = inside
+            for t in inside:
+                if t not in parent:
+                    parent[t] = s
+                    queue.append(t)
+    except TimeoutError:
+        return None
     pred: Dict[State, List[State]] = {}
     for s, ts in succ.items():
         for t in ts:

@@ -212,9 +212,7 @@ def _stmts(s: Statement):
 
 def classify(ast: ProgramAst) -> Classification:
     top = ast.body
-    single = isinstance(top, While) and not any(
-        isinstance(s, (While, Diverge)) for s in _stmts(top.body)
-    )
+    single = isinstance(top, While) and not any(isinstance(s, While) for s in _stmts(top.body))
     return Classification(single)
 
 

@@ -21,7 +21,7 @@ from .algebra import (
     has_parameters,
     normalize,
 )
-from .algebra.closedform import geometric_den
+from .algebra.closedform import _constant_section, geometric_den
 from .algebra.poly import _as_univar, mono_degree_in, mono_div
 from . import program as P
 
@@ -158,11 +158,6 @@ def substitute(f: ClosedForm, var: str, h: ClosedForm) -> ClosedForm:
     num_hat, deg_n = _subst_poly(f.num, var, h)
     den_hat, deg_d = _subst_poly(f.den, var, h)
     return normalize(num_hat * h.den ** deg_d, den_hat * h.den ** deg_n)
-
-
-def _constant_section(num: Polynomial) -> bool:
-    """True when the numerator has a term free of program indeterminates."""
-    return any(all(v.startswith("$") for v, _ in m) for m in num.terms)
 
 
 def _subst_poly(p: Polynomial, var: str, h: ClosedForm):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,7 @@ from .algebra import (
 from .algebra.closedform import _monomials_of_degree
 from .algebra.poly import _int_primitive
 from .invariant import Certificate, CertificateKind, certify
-from . import Frozen, Record, program as P
+from . import Frozen, Record, check_deadline, program as P, time_limit
 from .semantics import SemanticsError, apply_statement, char_functional
 
 
@@ -259,43 +258,30 @@ def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
 
 
 def _divisors(n: int) -> List[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    """The positive divisors of n in increasing order ([1] for 0)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*low, *(n // d for d in low)}) or [1]
 
 
-def _row_reduce(eqs: List[Polynomial], deadline: float = math.inf) -> List[Polynomial]:
+def _row_reduce(eqs: List[Polynomial]) -> List[Polynomial]:
     """``row_reduce`` over the parameter-monomial basis, column i holding the
     i-th highest monomial: pivoting on the highest monomials first surfaces
     low-degree (often linear) consequences of nonlinear equations."""
     monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
-    rows = row_reduce([{pos[m]: c for m, c in e.terms.items()} for e in eqs], deadline)
+    rows = row_reduce([{pos[m]: c for m, c in e.terms.items()} for e in eqs])
     return [Polynomial({monos[i]: c for i, c in row.items()}) for row in rows]
-
-
-def _check_deadline(deadline: float) -> None:
-    if time.monotonic() > deadline:
-        raise TimeoutError("deadline reached while solving")
 
 
 def _canonical(eqs: List[Polynomial]) -> frozenset:
     return frozenset(frozenset(e.terms.items()) for e in eqs)
 
 
-def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuation]:
+def solve_system(system: PolySystem) -> List[Valuation]:
     """All consistent valuations found by the staged solver (possibly empty).
 
-    Raises SolverBudgetExceeded when the branch budget runs out, and
-    TimeoutError once ``time.monotonic()`` passes the deadline.
+    Raises SolverBudgetExceeded when the branch budget runs out.  Polls
+    ``check_deadline`` at every branch and every round of the stages.
     """
     budget = [max(1, len(system.equations)) * BRANCH_LIMIT]
     results: List[Dict[str, Fraction]] = []
@@ -305,7 +291,7 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
     factored: Dict[frozenset, List[Polynomial]] = {}
 
     def spend():
-        _check_deadline(deadline)
+        check_deadline("while solving")
         budget[0] -= 1
         if budget[0] < 0:
             raise SolverBudgetExceeded(
@@ -322,14 +308,9 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
 
     def finish(subst: Dict[str, Polynomial]):
         free = sorted(set(all_params) - set(subst))
-        combos: Iterable[Tuple[Fraction, ...]]
-        if free:
-            combos = itertools.islice(
-                itertools.product(DEFAULT_VALUES, repeat=len(free)),
-                MAX_FREE_COMBOS)
-        else:
-            combos = [()]
-        for combo in combos:
+        # with no free parameter, the product is the one empty combination
+        combos = itertools.product(DEFAULT_VALUES, repeat=len(free))
+        for combo in itertools.islice(combos, MAX_FREE_COMBOS):
             val: Dict[str, Fraction] = dict(zip(free, combo))
             # resolve substitution chains against the chosen defaults
             for t, expr in subst.items():
@@ -344,7 +325,7 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
 
     def attempt(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set):
         while True:
-            _check_deadline(deadline)
+            check_deadline("while solving")
             eqs = [e for e in eqs if not e.is_zero()]
             if any(e.is_const() for e in eqs):
                 return
@@ -372,7 +353,7 @@ def solve_system(system: PolySystem, deadline: float = math.inf) -> List[Valuati
             key = _canonical(eqs)
             if key not in seen_rr:
                 seen_rr.add(key)
-                reduced = _row_reduce(eqs, deadline)
+                reduced = _row_reduce(eqs)
                 if _canonical(reduced) != key:
                     eqs = reduced
                     continue
@@ -439,9 +420,10 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     Returns a Certificate on success, else a Failure naming the stage at
     which the last candidate died, with per-template diagnostics; a
     candidate that several valuations of one template give is judged and
-    reported once.  ``timeout_s`` is checked between templates, between
-    candidates, inside the solver and in the final search; a search it
-    stops without a partial certificate fails at stage ``timeout``.
+    reported once.  The search runs under ``time_limit(timeout_s)``, which
+    every layer polls; a search it stops without a partial certificate
+    fails at stage ``timeout``, and the last diagnostic names the template
+    and the layer that the deadline stopped.
 
     When no template gives a certificate, a bounded exact search
     (``oracle.closed_class_witness``) looks for the reason: a guard state
@@ -450,11 +432,14 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     finds one, the last diagnostic names all three.
     """
     cfg = config or SynthesisConfig()
-    deadline = time.monotonic() + cfg.timeout_s
     diagnostics: List[str] = []
     best_partial: Optional[Certificate] = None
     unknown_candidate: Optional[ClosedForm] = None
     last_stage = "enumerate"
+    # (template, candidate) -> [index of its line in diagnostics, or None,
+    # valuations]: a candidate that several valuations give is judged and
+    # printed once
+    judged: Dict[tuple, list] = {}
 
     variables = sorted(_loop_vars(loop)
                        | {v for v in g.vars() if not v.startswith("$")})
@@ -463,94 +448,84 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     else:
         stream = enumerate_templates(variables, cfg.max_den_degree)
 
-    for template in stream:
-        if time.monotonic() > deadline:
-            diagnostics.append("timeout reached during template enumeration")
-            last_stage = "timeout"
-            break
-        desc = f"template {template.provenance} {format_closed_form(template.form)}"
+    with time_limit(cfg.timeout_s):
         try:
-            system = build_system(template, loop, g)
-        except (SemanticsError, InvalidDenominator) as e:
-            diagnostics.append(f"{desc}: semantics failed: {e}")
-            last_stage = "semantics"
-            continue
-        if any(e.is_const() and not e.is_zero() for e in system.equations):
-            diagnostics.append(f"{desc}: inconsistent system (no solution)")
-            last_stage = "solve"
-            continue
-        try:
-            valuations = solve_system(system, deadline)
-        except SolverBudgetExceeded as e:
-            diagnostics.append(f"{desc}: {e}")
-            last_stage = "solve"
-            continue
-        except TimeoutError:
-            diagnostics.append(f"{desc}: timeout reached while solving")
+            for template in stream:
+                desc = f"template {template.provenance} {format_closed_form(template.form)}"
+                try:
+                    system = build_system(template, loop, g)
+                except (SemanticsError, InvalidDenominator) as e:
+                    diagnostics.append(f"{desc}: semantics failed: {e}")
+                    last_stage = "semantics"
+                    continue
+                if any(e.is_const() and not e.is_zero() for e in system.equations):
+                    diagnostics.append(f"{desc}: inconsistent system (no solution)")
+                    last_stage = "solve"
+                    continue
+                try:
+                    valuations = solve_system(system)
+                except SolverBudgetExceeded as e:
+                    diagnostics.append(f"{desc}: {e}")
+                    last_stage = "solve"
+                    continue
+                if not valuations:
+                    diagnostics.append(f"{desc}: no solution found by the staged solver")
+                    last_stage = "solve"
+                    continue
+                for val in valuations:
+                    try:
+                        candidate = instantiate(template.form, val.assignment)
+                    except InvalidDenominator:
+                        diagnostics.append(f"{desc}: valuation makes denominator invalid")
+                        last_stage = "instantiate"
+                        continue
+                    if candidate.is_zero() and not g.is_zero():
+                        diagnostics.append(f"{desc}: trivial zero candidate filtered")
+                        last_stage = "instantiate"
+                        continue
+                    key = (template, candidate)
+                    if key in judged:
+                        judged[key][1] += 1
+                        continue
+                    judged[key] = [len(diagnostics), 1]
+                    if not shape_nonneg(candidate):
+                        neg = find_negative_coefficient(candidate, SCAN_DEGREE)
+                        if neg is None:
+                            diagnostics.append(
+                                f"{desc}: cannot determine positivity of "
+                                f"{format_closed_form(candidate)}")
+                            unknown_candidate = candidate
+                        else:
+                            diagnostics.append(
+                                f"{desc}: negative coefficient {neg[1]} at "
+                                f"{format_monomial(neg[0], variables)}")
+                        last_stage = "positivity"
+                        continue
+                    try:
+                        verdict, cert = certify(loop, g, candidate)
+                    except (SemanticsError, InvalidDenominator) as e:
+                        diagnostics.append(f"{desc}: verification failed: {e}")
+                        last_stage = "verify"
+                        continue
+                    if cert is None:
+                        diagnostics.append(f"{desc}: verification verdict {verdict.value}")
+                        last_stage = "verify"
+                        continue
+                    if cert.is_full:
+                        return cert
+                    if best_partial is None:
+                        best_partial = cert
+                    judged[key][0] = None
+                    last_stage = "certify"
+        except TimeoutError as e:   # "deadline reached while ..." from the layer it stopped
+            diagnostics.append(f"{desc}: timeout{str(e).removeprefix('deadline')}")
             last_stage = "timeout"
-            break
-        if not valuations:
-            diagnostics.append(f"{desc}: no solution found by the staged solver")
-            last_stage = "solve"
-            continue
-        # candidate -> [index of its line in diagnostics, or None, valuations]:
-        # a candidate that several valuations give is judged and printed once
-        judged: Dict[ClosedForm, list] = {}
-        for val in valuations:
-            if time.monotonic() > deadline:
-                diagnostics.append("timeout reached during candidate checking")
-                last_stage = "timeout"
-                break
-            try:
-                candidate = instantiate(template.form, val.assignment)
-            except InvalidDenominator:
-                diagnostics.append(f"{desc}: valuation makes denominator invalid")
-                last_stage = "instantiate"
-                continue
-            if candidate.is_zero() and not g.is_zero():
-                diagnostics.append(f"{desc}: trivial zero candidate filtered")
-                last_stage = "instantiate"
-                continue
-            if candidate in judged:
-                judged[candidate][1] += 1
-                continue
-            judged[candidate] = [len(diagnostics), 1]
-            if not shape_nonneg(candidate):
-                neg = find_negative_coefficient(candidate, SCAN_DEGREE)
-                if neg is None:
-                    diagnostics.append(
-                        f"{desc}: cannot determine positivity of "
-                        f"{format_closed_form(candidate)}")
-                    unknown_candidate = candidate
-                    last_stage = "positivity"
-                else:
-                    diagnostics.append(
-                        f"{desc}: negative coefficient {neg[1]} at "
-                        f"{format_monomial(neg[0], variables)}")
-                    last_stage = "positivity"
-                continue
-            try:
-                verdict, cert = certify(loop, g, candidate)
-            except (SemanticsError, InvalidDenominator) as e:
-                diagnostics.append(f"{desc}: verification failed: {e}")
-                last_stage = "verify"
-                continue
-            if cert is None:
-                diagnostics.append(f"{desc}: verification verdict {verdict.value}")
-                last_stage = "verify"
-                continue
-            if cert.is_full:
-                return cert
-            if best_partial is None:
-                best_partial = cert
-            judged[candidate][0] = None
-            last_stage = "certify"
         for at, n in judged.values():
             if n > 1 and at is not None:
                 diagnostics[at] += f" (from {n} valuations)"
-    if best_partial is not None:
-        return best_partial
-    probe = _divergence_probe(loop, g, deadline)
+        if best_partial is not None:
+            return best_partial
+        probe = _divergence_probe(loop, g)
     if probe:
         diagnostics.append(probe)
     return Failure(last_stage,
@@ -558,7 +533,7 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                    diagnostics, unknown_candidate)
 
 
-def _divergence_probe(loop: P.While, g: ClosedForm, deadline: float) -> Optional[str]:
+def _divergence_probe(loop: P.While, g: ClosedForm) -> Optional[str]:
     """Why no finite invariant exists, when ``oracle.closed_class_witness``
     proves it: a reachable guard state whose occupation coefficient is
     infinite, with the initial term, the path and the closed set."""
@@ -570,7 +545,7 @@ def _divergence_probe(loop: P.While, g: ClosedForm, deadline: float) -> Optional
     if not vars:
         return None
     try:
-        witness = oracle.closed_class_witness(loop, g, vars, deadline)
+        witness = oracle.closed_class_witness(loop, g, vars)
     except oracle.OracleError:      # a nested loop: the body has no one step
         return None
     if witness is None:

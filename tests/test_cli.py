@@ -224,6 +224,14 @@ class TestCheckCommand:
         assert rep["message"] == "timeout of 0.5 s reached while checking"
         assert rep["diagnostics"][0].startswith("deadline reached while expanding the series")
 
+    def test_a_deadline_stops_parsing_a_power(self):
+        # without a deadline, parsing the invariant takes about 1.5 s
+        rc, rep, _ = invoke(["check", GEO, "--init", "X",
+                             "--invariant", "(1+X+C)^60/(2-C)^61", "--timeout", "0.2"])
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "failure:timeout"
+        assert rep["diagnostics"] == [
+            "deadline reached while raising a polynomial to the power 60"]
+
     def test_a_deadline_not_reached_leaves_the_report_unchanged(self):
         args = ["check", self.FDR] + self.HARD
         reports = [invoke(args + extra)[1] for extra in ([], ["--timeout", "60"])]
@@ -257,6 +265,32 @@ class TestUnrollCommand:
     def test_the_residual_holds_the_cut_off_tail(self):
         rc, rep, _ = invoke(["unroll", GEO, "--init", "1/(2-X)"] + self.CUT)
         assert rc == EXIT_FULL and Fraction(rep["residual"]) >= Fraction(1, 8)
+
+
+class TestDivergingBody:
+    """``diverge`` in a loop body: terminates with probability 1/2 from 1."""
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "half.pgcl"
+        path.write_text("nat x;\nwhile (x < 1) { {x := x + 1} [1/2] {diverge} }\n")
+        return str(path)
+
+    def test_synthesize_claims_neither_termination_nor_the_posterior(self, program):
+        rc, rep, _ = invoke(["synthesize", program, "--init", "1"])
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == "UpperBoundOnly" and rep["past"] is False
+        assert rep["posterior"] == "1/2*X"
+
+    def test_check_bounds_a_superinvariant_above_the_unrolled_posterior(self, program):
+        rc, rep, _ = invoke(["check", program, "--init", "1", "--invariant", "1 + X"])
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == "UpperBoundOnly" and rep["past"] is False
+        assert rep["posterior"] == "X"      # its mass 1 is that of the init
+        rc, rep, _ = invoke(["unroll", program, "--init", "1", "--steps", "10"])
+        assert rc == EXIT_FULL and rep["residual"] == "0"
+        lower = rep["posterior_lower"]
+        assert list(lower) == ["X"] and Fraction(lower["X"]) == Fraction(1, 2) < 1
 
 
 class TestChainCommand:

@@ -67,3 +67,21 @@ def test_every_module_level_definition_is_named_somewhere():
             if named[node.name] == words.findall(own).count(node.name):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)
+
+
+def test_one_time_limit_serves_every_layer():
+    """``gfinv.time_limit`` holds the one deadline: no function takes a
+    ``deadline`` parameter, and no module reads the clock but the package
+    root, which checks the deadline, and ``cli.py``, for its ``timing``
+    fields."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arg) and node.arg == "deadline":
+                found.append(f"{name}:{node.lineno}: a parameter named deadline")
+            clock = (isinstance(node, ast.Attribute) and node.attr == "monotonic"
+                     or isinstance(node, ast.alias) and node.name == "monotonic")
+            if clock and name not in ("__init__.py", "cli.py"):
+                found.append(f"{name}:{node.lineno}: time.monotonic")
+    assert not found, "threaded deadlines:\n" + "\n".join(found)

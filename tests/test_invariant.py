@@ -119,3 +119,21 @@ class TestCertify:
     def test_negative_candidate_refuted(self):
         verdict, cert = certify(GEO, G, from_poly(X) - const(1))
         assert verdict == Verdict.REFUTED and cert is None
+
+
+class TestDivergingBody:
+    # terminates with probability 1/2: the other half of the mass diverges
+    LOOP = parse("nat x;\nwhile (x < 1) { {x := x + 1} [1/2] {diverge} }").body
+
+    def test_a_superinvariant_whose_mass_matches_bounds_the_posterior_only(self):
+        # |[not guard]I| = |X| = 1 = |g|, yet the true posterior is X/2
+        verdict, cert = certify(self.LOOP, const(1), from_poly(ONE + X))
+        assert verdict == Verdict.SUPER
+        assert cert.kind == CertificateKind.UPPER_BOUND_ONLY and not cert.past
+        assert equal(cert.posterior, from_poly(X))
+
+    def test_the_exact_invariant_gives_no_termination_claim(self):
+        verdict, cert = certify(self.LOOP, const(1), from_poly(ONE + X * F(1, 2)))
+        assert verdict == Verdict.EXACT
+        assert cert.kind == CertificateKind.UPPER_BOUND_ONLY and not cert.past
+        assert equal(cert.posterior, from_poly(X * F(1, 2)))
