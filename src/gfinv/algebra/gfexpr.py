@@ -1,4 +1,11 @@
-"""Canonical ASCII grammar for closed forms.
+"""Canonical ASCII grammar for closed forms, and the one lexer for both grammars.
+
+One lexer (``_TOKEN_RE``) and one token cursor (``FormParser``) read closed
+forms and programs.  The program parser in ``gfinv.program`` extends
+``FormParser`` with statements, guards and distributions, and reads a
+``pgf(...)`` body in place with the closed-form rules.  Keywords and ``//``
+comments exist only in programs, so ``1//2`` is no closed form.  A syntax
+error in either grammar reads ``line:col: message``.
 
 Indeterminates print as a single uppercase letter when the underlying
 variable name is one character (``x`` -> ``X``) and as ``X_name`` otherwise.
@@ -20,9 +27,11 @@ from .poly import MONO_ONE, Polynomial
 
 
 class GfSyntaxError(ValueError):
-    def __init__(self, message: str, pos: Optional[int] = None):
-        super().__init__(message if pos is None else f"{message} (at offset {pos})")
-        self.pos = pos
+    """A syntax error at ``line:col`` of the text read."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
+        self.message, self.line, self.col = message, line, col
 
 
 # -- printing -----------------------------------------------------------------
@@ -81,135 +90,177 @@ def format_closed_form(f: ClosedForm, order: Optional[Sequence[str]] = None) -> 
 
 # -- parsing ------------------------------------------------------------------
 
-# Parentheses and unary minus nest at most this deep.  Each level costs the
-# recursive-descent parser up to four stack frames, so the limit keeps a
-# malformed input far from Python's recursion limit.
+# Parentheses, unary minus, blocks and guard levels nest at most this deep.
+# Each level costs a recursive-descent parser up to four stack frames, so the
+# limit keeps a malformed input far from Python's recursion limit.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\+|\-|\*|/|\(|\)))")
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>//[^\n]*)"
+    r"|(?P<num>\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>:=|\+=|--|<=|>=|!=|&&|\|\||[-+*/^;,(){}\[\]<>=!])"
+)
 
 
-def _tokenize(text: str):
-    tokens: List[Tuple[str, object, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise GfSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group(1):
-            tokens.append(("nat", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("ident", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("eof", None, len(text)))
-    return tokens
+class _Tok:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value, line: int, col: int):
+        self.kind, self.value, self.line, self.col = kind, value, line, col
 
 
-class _Parser:
-    def __init__(self, text: str, known_vars: Optional[Sequence[str]]):
-        self.tokens = _tokenize(text)
+class FormParser:
+    """The token cursor both grammars share, and the closed-form grammar.
+
+    The program parser extends it: ``keywords`` and ``comments`` widen what
+    the lexer reads, and ``Error`` is the class its syntax errors raise."""
+
+    Error = GfSyntaxError
+    keywords: frozenset = frozenset()
+    comments = False
+
+    def __init__(self, text: str, known_vars: Optional[Sequence[str]] = None):
+        self.toks = self._lex(text)
         self.i = 0
+        self.depth = 0
         self.known_vars = list(known_vars) if known_vars else None
         self.parameters: set = set()
-        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def _lex(self, text: str) -> List[_Tok]:
+        toks: List[_Tok] = []
+        line, col, pos = 1, 1, 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if not m:
+                raise self.Error(f"unexpected character {text[pos]!r}", line, col)
+            kind, s = m.lastgroup, m.group()
+            if kind == "comment" and not self.comments:
+                raise self.Error("'//' comments are allowed only in programs", line, col)
+            if kind == "num":
+                toks.append(_Tok("num", int(s), line, col))
+            elif kind == "ident":
+                toks.append(_Tok(s if s in self.keywords else "ident", s, line, col))
+            elif kind == "op":
+                toks.append(_Tok(s, s, line, col))
+            if "\n" in s:
+                line += s.count("\n")
+                col = len(s) - s.rfind("\n")
+            else:
+                col += len(s)
+            pos = m.end()
+        toks.append(_Tok("eof", "end of input", line, col))
+        return toks
 
-    def next(self):
-        t = self.tokens[self.i]
+    # -- the cursor --
+
+    def peek(self) -> _Tok:
+        return self.toks[min(self.i, len(self.toks) - 1)]
+
+    def next(self) -> _Tok:
+        t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise GfSyntaxError(f"expected {op!r}", pos)
+    def expect(self, kind: str) -> _Tok:
+        t = self.next()
+        if t.kind != kind:
+            raise self.error(f"expected {kind!r}, found {t.value!r}", t)
+        return t
 
-    def nest(self, pos: int):
+    def error(self, message: str, tok: Optional[_Tok] = None) -> GfSyntaxError:
+        """A syntax error at ``tok``, by default the next token."""
+        t = tok or self.peek()
+        return self.Error(message, t.line, t.col)
+
+    def nest(self):
+        """Enter one nesting level; MAX_NESTING bounds the recursion."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise GfSyntaxError("nesting too deep", pos)
+            raise self.error("nesting too deep")
+
+    def sign(self) -> str:
+        """Take one '+' or '-'.  A '--' lexes as one token, for the program's
+        decrement; in a form it is two minus signs, and this takes the first."""
+        t = self.toks[self.i]
+        if t.kind == "--":
+            self.toks[self.i] = _Tok("-", "-", t.line, t.col + 1)
+            return "-"
+        self.i += 1
+        return t.kind
+
+    # -- the closed-form grammar --
 
     def parse(self) -> ClosedForm:
         f = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "eof":
-            raise GfSyntaxError("trailing input", pos)
+        if self.peek().kind != "eof":
+            raise self.error("trailing input")
         return f
 
     def expr(self) -> ClosedForm:
         f = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                g = self.term()
-                f = f + g if val == "+" else f - g
-            else:
-                return f
+        while self.peek().kind in ("+", "-", "--"):
+            op = self.sign()
+            g = self.term()
+            f = f + g if op == "+" else f - g
+        return f
 
     def term(self) -> ClosedForm:
         f = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                g = self.factor()
-                f = f * g if val == "*" else f / g
-            else:
-                return f
+        while self.peek().kind in ("*", "/"):
+            op = self.next().kind
+            g = self.factor()
+            f = f * g if op == "*" else f / g
+        return f
 
     def factor(self) -> ClosedForm:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            self.nest(pos)
+        if self.peek().kind in ("-", "--"):
+            self.sign()
+            self.nest()
             f = -self.factor()
             self.depth -= 1
             return f
         f = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek().kind == "^":
             self.next()
-            k2, exp, pos2 = self.next()
-            if k2 != "nat":
-                raise GfSyntaxError("expected natural exponent", pos2)
-            return f ** exp
+            exp = self.next()
+            if exp.kind != "num":
+                raise self.error("expected natural exponent", exp)
+            return f ** exp.value
         return f
 
     def atom(self) -> ClosedForm:
-        kind, val, pos = self.next()
-        if kind == "nat":
-            return from_poly(Polynomial.const(val))
-        if kind == "op" and val == "(":
-            self.nest(pos)
+        t = self.next()
+        if t.kind == "num":
+            return from_poly(Polynomial.const(t.value))
+        if t.kind == "(":
+            self.nest()
             f = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             self.depth -= 1
             return f
-        if kind == "ident":
-            return from_poly(Polynomial.var(self.resolve(val, pos)))
-        raise GfSyntaxError("expected number, variable, or parenthesis", pos)
+        if t.kind == "ident":
+            return from_poly(Polynomial.var(self.resolve(t)))
+        raise self.error("expected number, variable, or parenthesis", t)
 
-    def resolve(self, name: str, pos: int) -> str:
-        if name.startswith("X_"):
-            return name[2:]
-        if len(name) == 1 and name.isupper():
-            lower = name.lower()
-            if self.known_vars is not None:
+    def resolve(self, tok: _Tok) -> str:
+        """The variable an identifier names.  ``X`` and ``X_name`` are
+        indeterminates, among ``known_vars`` when they are given; another
+        lowercase name is a known variable or a template parameter."""
+        name = tok.value
+        if name.startswith("X_") or len(name) == 1 and name.isupper():
+            if self.known_vars is None:
+                var = name[2:] if name.startswith("X_") else name.lower()
+                if var[:1].islower():       # so that it prints back as name
+                    return var
+            else:
                 for v in self.known_vars:
-                    if indet_symbol(v, self.known_vars) == name:
+                    if name in ("X_" + v, indet_symbol(v, self.known_vars)):
                         return v
-                raise GfSyntaxError(f"unknown indeterminate {name!r}", pos)
-            return lower
+            raise self.error(f"unknown indeterminate {name!r}", tok)
         if name[0].isupper():
-            raise GfSyntaxError(
-                f"uppercase identifier {name!r} is not an indeterminate; use X_name", pos)
+            raise self.error(
+                f"uppercase identifier {name!r} is not an indeterminate; use X_name", tok)
         if self.known_vars is not None and name in self.known_vars:
             return name
         self.parameters.add(name)
@@ -217,12 +268,11 @@ class _Parser:
 
 
 def parse_closed_form(text: str, known_vars: Optional[Sequence[str]] = None) -> ClosedForm:
-    return _Parser(text, known_vars).parse()
+    return FormParser(text, known_vars).parse()
 
 
 def parse_closed_form_with_params(
     text: str, known_vars: Optional[Sequence[str]] = None
 ) -> Tuple[ClosedForm, Tuple[str, ...]]:
-    p = _Parser(text, known_vars)
-    f = p.parse()
-    return f, tuple(sorted(p.parameters))
+    p = FormParser(text, known_vars)
+    return p.parse(), tuple(sorted(p.parameters))

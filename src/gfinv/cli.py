@@ -27,7 +27,6 @@ from . import __version__, time_limit
 from .algebra import (
     AlgebraError,
     ClosedForm,
-    GfSyntaxError,
     find_negative_coefficient,
     format_closed_form,
     format_monomial,
@@ -147,8 +146,8 @@ def _parse_form(text: str, variables=None) -> ClosedForm:
     name as a template parameter; no command-line form may hold one."""
     f, params = parse_closed_form_with_params(text, variables)
     if params:
-        raise GfSyntaxError(f"unknown name {params[0]!r} in {text!r}: indeterminates "
-                            "are written X or X_name, and parameters only in templates")
+        raise ValueError(f"unknown name {params[0]!r} in {text!r}: indeterminates "
+                         "are written X or X_name, and parameters only in templates")
     return f
 
 
@@ -368,7 +367,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         return EXIT_ERROR if e.code else EXIT_FULL
     try:
         return args.fn(args, out)
-    except (ProgramError, GfSyntaxError, AlgebraError, SemanticsError,
+    except (ProgramError, AlgebraError, SemanticsError,
             OracleError, ValueError, OSError) as e:
         print(f"gfinv: error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -15,17 +15,21 @@ Everything else is sugar that the parser rewrites into the core:
 - ``x <= n`` is ``x < n + 1``, ``x > n`` is ``!(x < n + 1)``, ``x >= n`` is
   ``!(x < n)`` and ``x != n`` is ``!(x = n)``;
 - sampling ``x := D`` is ``x := 0`` followed by one iid increment of x by D.
+
+The parser extends the closed-form parser of ``gfinv.algebra.gfexpr`` and
+shares its lexer and token cursor: a ``pgf(...)`` body is a closed form in T,
+read in place, and ``//`` starts a comment that runs to the end of the line.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import Frozen, Record
-from .algebra import AlgebraError, ClosedForm, GfSyntaxError, mass, parse_closed_form, shape_nonneg
-from .algebra.gfexpr import MAX_NESTING
+from . import Frozen
+from .algebra import (AlgebraError, ClosedForm, GfSyntaxError, format_closed_form, mass,
+                      shape_nonneg)
+from .algebra.gfexpr import FormParser
 
 MAX_SUBTRACTED = 100    # per assignment; each unit subtracted is one Decrement
 
@@ -34,10 +38,8 @@ class ProgramError(Exception):
     pass
 
 
-class SyntaxError_(ProgramError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line, self.col = line, col
+class SyntaxError_(ProgramError, GfSyntaxError):
+    """A syntax error in a program, at ``line:col``."""
 
 
 class UndeclaredVariable(ProgramError):
@@ -258,179 +260,113 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int,
 
 # -- parser -----------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+|//[^\n]*)"
-    r"|(?P<nat>\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>:=|\+=|--|<=|>=|!=|&&|\|\||[-+*/^;,(){}\[\]<>=!])"
-)
+# the distributions written name(arg, ...), and the type of each argument
+_FIXED_DISTS = {
+    "bernoulli": (Bernoulli, (Fraction,)),
+    "geometric": (Geometric, (Fraction,)),
+    "uniform": (UniformRange, (int, int)),
+    "dirac": (Dirac, (int,)),
+}
 
-_KEYWORDS = {"nat", "skip", "diverge", "while", "if", "else", "iid", "mod",
-             "bernoulli", "geometric", "uniform", "dirac", "pgf"}
-
-
-class _Tok(Record):
-    __slots__ = ("kind", "value", "line", "col", "pos")
-    kind: str
-    value: object
-    line: int
-    col: int
-    pos: int                          # offset in the source
-
-    def __init__(self, kind, value, line, col, pos):    # written out: one per token
-        self.kind, self.value, self.line, self.col, self.pos = kind, value, line, col, pos
+# x op n as a guard of the core
+_COMPARISONS = {
+    "<": Lt,
+    "<=": lambda v, n: Lt(v, n + 1),
+    ">": lambda v, n: Not(Lt(v, n + 1)),
+    ">=": lambda v, n: Not(Lt(v, n)),
+    "=": Eq,
+    "!=": lambda v, n: Not(Eq(v, n)),
+}
 
 
-def _lex(src: str) -> List[_Tok]:
-    toks: List[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise SyntaxError_(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "nat":
-                toks.append(_Tok("num", int(text), line, col, pos))
-            elif m.lastgroup == "ident":
-                kind = text if text in _KEYWORDS else "ident"
-                toks.append(_Tok(kind, text, line, col, pos))
-            else:
-                toks.append(_Tok(text, text, line, col, pos))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(_Tok("eof", None, line, col, pos))
-    return toks
+class _ProgParser(FormParser):
+    """The program grammar on the closed-form parser's lexer and cursor."""
 
+    Error = SyntaxError_
+    keywords = frozenset({"nat", "skip", "diverge", "while", "if", "else", "iid", "mod",
+                          "pgf", *_FIXED_DISTS})
+    comments = True
 
-class _ProgParser:
     def __init__(self, src: str):
-        self.src = src
-        self.toks = _lex(src)
-        self.i = 0
+        super().__init__(src, known_vars=["t"])     # the indeterminate of a pgf body
         self.variables: List[str] = []
-        self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise SyntaxError_(f"expected {kind!r}, found {t.value!r}", t.line, t.col)
-        return t
-
-    def err(self, message: str) -> SyntaxError_:
-        t = self.peek()
-        return SyntaxError_(message, t.line, t.col)
-
-    def nest(self):
-        """Enter a block or a guard level; MAX_NESTING bounds the recursion."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.err("nesting too deep")
-
-    def check_var(self, name: str, tok: _Tok) -> str:
-        if name not in self.variables:
-            raise UndeclaredVariable(f"{tok.line}:{tok.col}: undeclared variable {name!r}")
-        return name
+    def check_var(self, tok) -> str:
+        """The declared variable that ``tok`` names."""
+        if tok.value not in self.variables:
+            raise UndeclaredVariable(f"{tok.line}:{tok.col}: undeclared variable {tok.value!r}")
+        return tok.value
 
     def parse_program(self) -> ProgramAst:
         while self.peek().kind == "nat":
             self.next()
             name = self.expect("ident").value
             if name in self.variables:
-                raise self.err(f"duplicate declaration of {name!r}")
+                raise self.error(f"duplicate declaration of {name!r}")
             self.variables.append(name)
             self.expect(";")
-        body = self.parse_stmt_seq(until=("eof",))
+        body = self.parse_stmt_seq(until="eof")
         self.expect("eof")
         return ProgramAst(tuple(self.variables), body)
 
-    def parse_stmt_seq(self, until: Tuple[str, ...]) -> Statement:
+    def parse_stmt_seq(self, until: str) -> Statement:
         self.nest()
         stmts: List[Statement] = []
-        while True:
-            t = self.peek()
-            if t.kind in until:
-                break
-            stmts.append(self.parse_stmt())
+        while self.peek().kind != until:
+            s = self.parse_stmt()
+            stmts.extend(s.stmts if isinstance(s, Seq) else [s])
             if self.peek().kind == ";":
                 self.next()
-            elif self.peek().kind not in until:
-                raise self.err("expected ';' between statements")
+            elif self.peek().kind != until:
+                raise self.error("expected ';' between statements")
         if not stmts:
-            raise self.err("empty statement sequence")
-        flat: List[Statement] = []
-        for s in stmts:
-            flat.extend(s.stmts if isinstance(s, Seq) else [s])
+            raise self.error("empty statement sequence")
         self.depth -= 1
-        return flat[0] if len(flat) == 1 else Seq(tuple(flat))
+        return stmts[0] if len(stmts) == 1 else Seq(tuple(stmts))
+
+    def block(self) -> Statement:
+        """``{ statements }``"""
+        self.expect("{")
+        s = self.parse_stmt_seq(until="}")
+        self.expect("}")
+        return s
 
     def parse_stmt(self) -> Statement:
         t = self.peek()
-        if t.kind == "skip":
+        if t.kind in ("skip", "diverge"):
             self.next()
-            return Skip()
-        if t.kind == "diverge":
-            self.next()
-            return Diverge()
-        if t.kind == "while":
+            return Skip() if t.kind == "skip" else Diverge()
+        if t.kind in ("while", "if"):
             self.next()
             self.expect("(")
             g = self.parse_guard()
             self.expect(")")
-            self.expect("{")
-            body = self.parse_stmt_seq(until=("}",))
-            self.expect("}")
-            return While(g, body)
-        if t.kind == "if":
-            self.next()
-            self.expect("(")
-            g = self.parse_guard()
-            self.expect(")")
-            self.expect("{")
-            then = self.parse_stmt_seq(until=("}",))
-            self.expect("}")
+            body = self.block()
+            if t.kind == "while":
+                return While(g, body)
             els: Statement = Skip()
             if self.peek().kind == "else":
                 self.next()
-                self.expect("{")
-                els = self.parse_stmt_seq(until=("}",))
-                self.expect("}")
-            return IfThenElse(g, then, els)
+                els = self.block()
+            return IfThenElse(g, body, els)
         if t.kind == "{":
+            left = self.block()
+            if self.peek().kind != "[":
+                return left
             self.next()
-            inner = self.parse_stmt_seq(until=("}",))
-            self.expect("}")
-            if self.peek().kind == "[":
-                self.next()
-                p = self.parse_rational()
-                self.expect("]")
-                self.expect("{")
-                right = self.parse_stmt_seq(until=("}",))
-                self.expect("}")
-                if not (0 <= p <= 1):
-                    raise InvalidProbability(f"choice probability {p} not in [0,1]")
-                return Choice(p, inner, right)
-            return inner
+            p = self.parse_rational()
+            self.expect("]")
+            right = self.block()
+            if not (0 <= p <= 1):
+                raise InvalidProbability(f"choice probability {p} not in [0,1]")
+            return Choice(p, left, right)
         if t.kind == "ident":
             return self.parse_assign()
-        raise self.err(f"expected statement, found {t.value!r}")
+        raise self.error(f"expected statement, found {t.value!r}")
 
     def parse_assign(self) -> Statement:
         tok = self.next()
-        var = self.check_var(tok.value, tok)
+        var = self.check_var(tok)
         op = self.next()
         if op.kind == "--":
             return Decrement(var)
@@ -441,17 +377,16 @@ class _ProgParser:
             self.expect(",")
             cnt = self.next()
             if cnt.kind == "ident":
-                count: Optional[str] = self.check_var(cnt.value, cnt)
+                count: Optional[str] = self.check_var(cnt)
             elif cnt.kind == "num" and cnt.value == 1:
                 count = None
             else:
-                raise SyntaxError_("expected count variable or 1", cnt.line, cnt.col)
+                raise self.error("expected count variable or 1", cnt)
             self.expect(")")
             return IidIncrement(var, check_dist(dist), count)
         if op.kind != ":=":
-            raise SyntaxError_(f"expected ':=', '+=' or '--', found {op.value!r}",
-                               op.line, op.col)
-        if self.peek().kind in ("bernoulli", "geometric", "uniform", "dirac", "pgf"):
+            raise self.error(f"expected ':=', '+=' or '--', found {op.value!r}", op)
+        if self.peek().kind in _FIXED_DISTS or self.peek().kind == "pgf":
             dist = check_dist(self.parse_dist())
             return Seq((AssignConst(var, 0), IidIncrement(var, dist, None)))
         return desugar_linear_assign(var, *self.parse_linear_expr(), tok.line, tok.col)
@@ -462,35 +397,19 @@ class _ProgParser:
         sign = 1
         while True:
             t = self.peek()
-            if t.kind == "num":
-                self.next()
-                k = t.value
+            if t.kind not in ("num", "ident"):
+                raise self.error("expected linear expression term")
+            k = self.next().value if t.kind == "num" else 1
+            if t.kind == "num" and self.peek().kind not in ("*", "ident"):
+                constant += sign * k
+            else:                               # k*x, k x or x
                 if self.peek().kind == "*":
                     self.next()
-                    vt = self.expect("ident")
-                    v = self.check_var(vt.value, vt)
-                    coeffs[v] = coeffs.get(v, 0) + sign * k
-                elif self.peek().kind == "ident":
-                    vt = self.next()
-                    v = self.check_var(vt.value, vt)
-                    coeffs[v] = coeffs.get(v, 0) + sign * k
-                else:
-                    constant += sign * k
-            elif t.kind == "ident":
-                self.next()
-                v = self.check_var(t.value, t)
-                coeffs[v] = coeffs.get(v, 0) + sign
-            else:
-                raise self.err("expected linear expression term")
-            nxt = self.peek()
-            if nxt.kind == "+":
-                self.next()
-                sign = 1
-            elif nxt.kind == "-":
-                self.next()
-                sign = -1
-            else:
+                v = self.check_var(self.expect("ident"))
+                coeffs[v] = coeffs.get(v, 0) + sign * k
+            if self.peek().kind not in ("+", "-"):
                 break
+            sign = 1 if self.next().kind == "+" else -1
         coeffs = {v: c for v, c in coeffs.items() if c}
         if any(c < 0 for c in coeffs.values()):
             raise UnsupportedExpression("negative variable coefficient in assignment")
@@ -498,63 +417,40 @@ class _ProgParser:
 
     def parse_rational(self) -> Fraction:
         t = self.expect("num")
-        num = t.value
+        den = 1
         if self.peek().kind == "/":
             self.next()
             den = self.expect("num").value
             if den == 0:
-                raise SyntaxError_("zero denominator", t.line, t.col)
-            return Fraction(num, den)
-        return Fraction(num)
+                raise self.error("zero denominator", t)
+        return Fraction(t.value, den)
 
     def parse_dist(self) -> DistExpr:
         t = self.next()
-        if t.kind == "bernoulli":
-            self.expect("(")
-            p = self.parse_rational()
-            self.expect(")")
-            return Bernoulli(p)
-        if t.kind == "geometric":
-            self.expect("(")
-            p = self.parse_rational()
-            self.expect(")")
-            return Geometric(p)
-        if t.kind == "uniform":
-            self.expect("(")
-            lo = self.expect("num").value
-            self.expect(",")
-            hi = self.expect("num").value
-            self.expect(")")
-            return UniformRange(lo, hi)
-        if t.kind == "dirac":
-            self.expect("(")
-            n = self.expect("num").value
-            self.expect(")")
-            return Dirac(n)
         if t.kind == "pgf":
-            # the closed-form parser reads the raw text between the parentheses;
-            # its errors are reported at the start of that text
-            start = self.expect("(").pos + 1
+            self.expect("(")
             body = self.peek()
-            depth = 1
-            while depth:
-                tok = self.next()
-                if tok.kind == "eof":
-                    raise SyntaxError_("unterminated pgf(...)", tok.line, tok.col)
-                if tok.kind == "(":
-                    depth += 1
-                elif tok.kind == ")":
-                    depth -= 1
             try:
-                return RawPgf(parse_closed_form(self.src[start:tok.pos], known_vars=["t"]))
+                form = self.expr()
+                self.expect(")")
             except (GfSyntaxError, AlgebraError) as e:
-                raise SyntaxError_(str(e), body.line, body.col) from None
-        raise SyntaxError_(f"expected distribution, found {t.value!r}", t.line, t.col)
+                # reported at the body's first token, wherever in it the error is
+                message = e.message if isinstance(e, GfSyntaxError) else str(e)
+                raise SyntaxError_(message, body.line, body.col) from None
+            return RawPgf(form)
+        if t.kind not in _FIXED_DISTS:
+            raise self.error(f"expected distribution, found {t.value!r}", t)
+        dist, arg_types = _FIXED_DISTS[t.kind]
+        self.expect("(")
+        args = []
+        for i, arg_type in enumerate(arg_types):
+            if i:
+                self.expect(",")
+            args.append(self.parse_rational() if arg_type is Fraction else self.expect("num").value)
+        self.expect(")")
+        return dist(*args)
 
     def parse_guard(self) -> Guard:
-        return self.parse_or()
-
-    def parse_or(self) -> Guard:
         g = self.parse_and()
         while self.peek().kind == "||":
             self.next()
@@ -570,43 +466,28 @@ class _ProgParser:
 
     def parse_guard_atom(self) -> Guard:
         t = self.peek()
-        if t.kind == "!":
+        if t.kind in ("!", "("):
             self.next()
             self.nest()
-            g = Not(self.parse_guard_atom())
+            if t.kind == "!":
+                g = Not(self.parse_guard_atom())
+            else:
+                g = self.parse_guard()
+                self.expect(")")
             self.depth -= 1
             return g
-        if t.kind == "(":
-            self.next()
-            self.nest()
-            g = self.parse_guard()
-            self.expect(")")
-            self.depth -= 1
-            return g
-        vt = self.expect("ident")
-        v = self.check_var(vt.value, vt)
+        v = self.check_var(self.expect("ident"))
         op = self.next()
-        if op.kind not in ("<", "<=", ">", ">=", "=", "!="):
-            raise SyntaxError_(f"expected comparison, found {op.value!r}", op.line, op.col)
+        if op.kind not in _COMPARISONS:
+            raise self.error(f"expected comparison, found {op.value!r}", op)
         n = self.expect("num").value
         if op.kind == "=" and self.peek().kind == "mod":
             self.next()
             d = self.expect("num").value
             if d < 2 or n >= d:
-                raise SyntaxError_(f"modulo guard needs residue < modulus, modulus >= 2",
-                                   op.line, op.col)
+                raise self.error("modulo guard needs residue < modulus, modulus >= 2", op)
             return ModEq(v, n, d)
-        if op.kind == "<":
-            return Lt(v, n)
-        if op.kind == "<=":
-            return Lt(v, n + 1)
-        if op.kind == ">":
-            return Not(Lt(v, n + 1))
-        if op.kind == ">=":
-            return Not(Lt(v, n))
-        if op.kind == "=":
-            return Eq(v, n)
-        return Not(Eq(v, n))
+        return _COMPARISONS[op.kind](v, n)
 
 
 def parse(source: str) -> ProgramAst:
@@ -631,15 +512,9 @@ def print_guard(g: Guard) -> str:
 
 
 def print_dist(d: DistExpr) -> str:
-    if isinstance(d, Bernoulli):
-        return f"bernoulli({d.p})"
-    if isinstance(d, Geometric):
-        return f"geometric({d.p})"
-    if isinstance(d, UniformRange):
-        return f"uniform({d.lo}, {d.hi})"
-    if isinstance(d, Dirac):
-        return f"dirac({d.value})"
-    from .algebra import format_closed_form
+    for name, (dist, _) in _FIXED_DISTS.items():
+        if isinstance(d, dist):
+            return f"{name}({', '.join(map(str, d._values()))})"
     return f"pgf({format_closed_form(d.form)})"
 
 

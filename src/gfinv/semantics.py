@@ -13,7 +13,10 @@ always re-runs concretely on instantiated candidates.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import (
+    MONO_ONE,
     ClosedForm,
     Polynomial,
     ZERO,
@@ -54,11 +57,9 @@ def dist_pgf(d: P.DistExpr, var: str) -> ClosedForm:
     if isinstance(d, P.Geometric):
         return normalize(Polynomial.const(d.p), one - t * (1 - d.p))
     if isinstance(d, P.UniformRange):
-        width = d.hi - d.lo + 1
-        acc = Polynomial.zero()
-        for k in range(d.lo, d.hi + 1):
-            acc = acc + Polynomial.var(var, k) if k else acc + one
-        return normalize(acc, Polynomial.const(width))
+        # built in one dict: adding one monomial at a time copies the sum each time
+        terms = {((var, k),) if k else MONO_ONE: Fraction(1) for k in range(d.lo, d.hi + 1)}
+        return normalize(Polynomial(terms), Polynomial.const(d.hi - d.lo + 1))
     if isinstance(d, P.Dirac):
         return from_poly(Polynomial.var(var, d.value) if d.value else one)
     if isinstance(d, P.RawPgf):

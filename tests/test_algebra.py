@@ -470,6 +470,19 @@ class TestPrintParse:
             back = parse_closed_form(format_closed_form(f), ["x", "c"])
             assert back.num == f.num and back.den == f.den
 
+    def test_indeterminate_names(self):
+        # X_name names a known variable when some are known; with none known,
+        # only a name that prints back as X_name
+        assert parse_closed_form("X_x + X", ["x"]) == from_poly(2 * X)
+        assert parse_closed_form("X_zz") == from_poly(Polynomial.var("zz"))
+        for text, known in [("X_", None), ("X_", ["x"]), ("X_zz", ["x", "c"]), ("X_X", None)]:
+            with pytest.raises(GfSyntaxError, match=f"1:1: unknown indeterminate {text!r}"):
+                parse_closed_form(text, known)
+
+    def test_two_minus_signs_are_not_a_decrement(self):
+        assert parse_closed_form("1--X") == parse_closed_form("1 - -X") == from_poly(X + 1)
+        assert parse_closed_form("--X") == from_poly(X)
+
     def test_multichar_variable_names(self):
         f = from_poly(Polynomial.var("foo") + ONE)
         text = format_closed_form(f)

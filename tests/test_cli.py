@@ -61,6 +61,23 @@ class TestUnknownNames:
         assert f"unknown name {name!r}" in refusal(args, capsys)
 
 
+class TestMalformedForms:
+    @pytest.mark.parametrize("args, message", [
+        (["check", GEO, "--init", "X", "--invariant", "X_"], "unknown indeterminate 'X_'"),
+        (["synthesize", GEO, "--init", "X_"], "unknown indeterminate 'X_'"),
+        (["expand", "1/(1-X_)", "--degree", "2"], "unknown indeterminate 'X_'"),
+        (["check", GEO, "--init", "X", "--invariant", "X_zz"], "unknown indeterminate 'X_zz'"),
+        (["synthesize", GEO, "--init", "X_zz"], "unknown indeterminate 'X_zz'"),
+        (["check", GEO, "--init", "X", "--invariant", "1//2"], "comments are allowed only"),
+        (["synthesize", GEO, "--init", "1//2"], "comments are allowed only"),
+        (["expand", "1//2", "--degree", "2"], "comments are allowed only"),
+    ], ids=["check-empty-name", "synthesize-empty-name", "expand-empty-name",
+            "check-undeclared-name", "synthesize-undeclared-name",
+            "check-comment", "synthesize-comment", "expand-comment"])
+    def test_is_a_one_line_error(self, args, message, capsys):
+        assert message in refusal(args, capsys)
+
+
 class TestMalformedNumbers:
     @pytest.mark.parametrize("chain, extra, where", [
         ("s1 s2 1/0\ninit s1 1\n", [], "line 1: '1/0'"),

@@ -1,6 +1,6 @@
 """Property tests of both parsers: printing then parsing is the identity on
-the core language and on normalized closed forms, and no text makes a parser
-raise anything but its documented errors."""
+the core language, on normalized closed forms and on every closed form that
+parses, and no text makes a parser raise anything but its documented errors."""
 
 from fractions import Fraction as F
 
@@ -66,8 +66,8 @@ PROGRAM_TOKENS = ["nat", "x", "y", ";", "while", "if", "else", "skip", "diverge"
                   "&&", "||", "!", "mod", "iid", "bernoulli", "geometric", "uniform",
                   "dirac", "pgf", "0", "1", "2", "1/2", "+", "-", "*", "/", ",", "^", "T",
                   "X"]
-FORM_TOKENS = ["X", "Y", "X_y", "T", "a", "q", "0", "1", "2", "1/2", "(", ")", "+", "-",
-               "*", "/", "^"]
+FORM_TOKENS = ["X", "Y", "X_y", "X_", "T", "a", "q", "mod", "0", "1", "2", "1/2", "(", ")",
+               "+", "-", "--", "*", "/", "//", "^"]
 
 
 def texts(tokens):
@@ -125,3 +125,13 @@ def test_closed_forms_raise_only_documented_errors(text):
         parse_closed_form(text)
     except (GfSyntaxError, AlgebraError):
         pass
+
+
+@settings(derandomize=True, deadline=None)
+@given(texts(FORM_TOKENS))
+def test_parsed_closed_forms_print_and_parse_back(text):
+    try:
+        f = parse_closed_form(text)
+    except (GfSyntaxError, AlgebraError):
+        return
+    assert parse_closed_form(format_closed_form(f)) == f

@@ -85,3 +85,15 @@ def test_one_time_limit_serves_every_layer():
             if clock and name not in ("__init__.py", "cli.py"):
                 found.append(f"{name}:{node.lineno}: time.monotonic")
     assert not found, "threaded deadlines:\n" + "\n".join(found)
+
+
+def test_one_lexer_serves_both_grammars():
+    """Only ``algebra/gfexpr.py``, whose lexer reads closed forms and programs,
+    imports ``re``: a second tokenizer would."""
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "re" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "re"):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["algebra/gfexpr.py"]

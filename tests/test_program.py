@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gfinv import program as P
+from gfinv.algebra import GfSyntaxError, parse_closed_form
 from gfinv.program import (
     Bernoulli,
     Choice,
@@ -110,6 +111,12 @@ class TestParse:
         with pytest.raises(SyntaxError_, match=message) as exc:
             parse(f"nat x;\nx :=  pgf({body})")
         assert (exc.value.line, exc.value.col) == (2, 11)
+
+    def test_a_comment_is_read_in_a_pgf_body_but_not_in_a_closed_form(self):
+        body = "1/2 + 1/2*T // a comment\n"
+        assert parse(f"nat x;\nx := pgf({body})") == parse("nat x;\nx := pgf(1/2 + 1/2*T)")
+        with pytest.raises(GfSyntaxError, match="1:13: '//' comments are allowed only in programs"):
+            parse_closed_form(body, ["t"])
 
     def test_bad_pgf_mass_rejected(self):
         with pytest.raises(InvalidProbability):

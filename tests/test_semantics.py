@@ -27,6 +27,7 @@ from gfinv.semantics import (
     NestedLoop,
     apply_statement,
     char_functional,
+    dist_pgf,
     marginalize,
     mod_filter,
     restrict,
@@ -241,6 +242,13 @@ class TestApplyStatement:
     def test_nested_loop_rejected(self):
         with pytest.raises(NestedLoop):
             apply_statement(P.While(P.Lt("x", 1), P.Skip()), from_poly(X))
+
+    def test_a_wide_uniform_pgf_is_built_in_linear_time(self):
+        # one monomial added at a time copied the growing sum: 2 s at 20,001 terms
+        start = time.monotonic()
+        f = dist_pgf(P.UniformRange(0, 100000), "x")
+        assert time.monotonic() - start < 5
+        assert len(f.num.terms) == 100001 and f.den == ONE
 
 
 class TestSubstitute:
