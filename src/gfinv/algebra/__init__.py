@@ -19,7 +19,6 @@ from .closedform import (
     normalize,
     series_expand,
     shape_nonneg,
-    var,
 )
 from .gfexpr import (
     GfSyntaxError,

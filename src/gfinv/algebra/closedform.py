@@ -135,10 +135,6 @@ def const(c) -> ClosedForm:
     return from_poly(Polynomial.const(c))
 
 
-def var(name: str, exp: int = 1) -> ClosedForm:
-    return from_poly(Polynomial.var(name, exp))
-
-
 ZERO = ClosedForm(Polynomial(), Polynomial.const(1))
 ONE = ClosedForm(Polynomial.const(1), Polynomial.const(1))
 

@@ -15,6 +15,11 @@ operands and its results, the gcd and both cofactors, are converted.
 Each job has one helper: ``Polynomial.subs_var`` substitutes, ``_quotient``
 divides exactly (inside the gcd, which hands its cofactors to callers), and
 ``_int_primitive`` converts to integer coefficients.
+
+The loops that one call can keep running for seconds poll the time limit
+(``check_deadline``): each row of a product (``_mul_into``, under ``*``,
+``**`` and ``subs_var``), each step of an exact division (``_quotient``,
+under ``poly_gcd``) and each column of ``row_reduce``.
 """
 
 from __future__ import annotations
@@ -91,11 +96,13 @@ def _add_into(acc: dict, terms: dict) -> dict:
     return acc
 
 
-def _mul_into(acc: dict, a: dict, b: dict) -> dict:
+def _mul_into(acc: dict, a: dict, b: dict, where="while multiplying polynomials") -> dict:
     """acc += a * b, on term dicts that store no zero (so no product is).
     A factor 1 or -1, most of those the template solver meets, costs no
-    Fraction product."""
+    Fraction product.  Polls ``check_deadline(where)`` before each row: one
+    product of two large factors alone can take seconds."""
     for m1, c1 in a.items():
+        check_deadline(where)
         if c1 == 1:
             row = {mono_mul(m1, m2): c2 for m2, c2 in b.items()}
         elif c1 == -1:
@@ -210,27 +217,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        """By repeated squaring, polling ``check_deadline`` before each term
-        row of each product: the last product of a large power alone can
-        take seconds."""
+        """By repeated squaring; each product polls as ``_mul_into`` does."""
         if n < 0:
             raise ValueError("negative polynomial power")
         where = f"while raising a polynomial to the power {n}"
-
-        def times(a: dict, b: dict) -> dict:
-            acc: dict = {}
-            for m, c in a.items():
-                check_deadline(where)
-                _mul_into(acc, {m: c}, b)
-            return acc
-
         result, base = {MONO_ONE: Fraction(1)}, self.terms
         while n:
             if n & 1:
-                result = times(result, base)
+                result = _mul_into({}, result, base, where)
             n >>= 1
             if n:
-                base = times(base, base)
+                base = _mul_into({}, base, base, where)
         return Polynomial._of(result)
 
     # -- structure ---------------------------------------------------------
@@ -457,6 +454,7 @@ def _quotient(d: dict, f: dict) -> Optional[dict]:
     r = dict(f)
     q: dict = {}
     while r:
+        check_deadline("while dividing polynomials")
         rm = max(r)
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(k < 0 for k in qm):

@@ -109,16 +109,14 @@ def _eval_guard(g: P.Guard, state: State, idx: Dict[str, int]) -> bool:
 # -- distribution pmfs ------------------------------------------------------------
 
 def dist_pmf(d: P.DistExpr, cap: int) -> Tuple[List[Fraction], Fraction]:
-    """(probabilities for values 0..cap, exact tail mass above cap)."""
+    """(probabilities for values 0..cap, exact tail mass above cap).  A Dirac
+    draw never comes here: ``_exec`` shifts by it."""
     probs = [Fraction(0)] * (cap + 1)
     if isinstance(d, P.Bernoulli):
         if cap >= 0:
             probs[0] = 1 - d.p
         if cap >= 1:
             probs[1] = d.p
-    elif isinstance(d, P.Dirac):
-        if d.value <= cap:
-            probs[d.value] = Fraction(1)
     elif isinstance(d, P.UniformRange):
         w = Fraction(1, d.hi - d.lo + 1)
         for k in range(d.lo, min(d.hi, cap) + 1):
@@ -142,8 +140,6 @@ def dist_pmf(d: P.DistExpr, cap: int) -> Tuple[List[Fraction], Fraction]:
 
 def _effective_cap(d: P.DistExpr, count: int, cap: int) -> int:
     """Finite-support distributions stay exact; only true tails are truncated."""
-    if isinstance(d, P.Dirac):
-        return max(cap, d.value * count)
     if isinstance(d, P.Bernoulli):
         return max(cap, count)
     if isinstance(d, P.UniformRange):
@@ -210,7 +206,7 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
     if isinstance(stmt, P.IidIncrement):
         i = idx[stmt.var]
         if isinstance(stmt.dist, P.Dirac):
-            # a shift: a Dirac draw is never truncated (see _effective_cap)
+            # a shift: exact, so a Dirac draw is never truncated and needs no pmf
             k = stmt.dist.value
             if stmt.count is None:
                 return _map_states(m, i, lambda s: s[i] + k)

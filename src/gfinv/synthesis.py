@@ -84,23 +84,17 @@ def enumerate_templates(variables: Sequence[str], max_den_degree: int) -> Iterat
     """Breadth-first template stream: for each denominator total degree d, one
     template with all numerator monomials of degree <= d and all denominator
     monomials of degree <= d, the denominator constant pinned to 1."""
-    vs = list(variables)
     for d in range(max_den_degree + 1):
-        monos = [m for k in range(d + 1) for m in _monomials_of_degree(vs, k)]
-        num = Polynomial.zero()
-        den = Polynomial.const(1)
-        params: List[str] = []
+        monos = [m for k in range(d + 1) for m in _monomials_of_degree(list(variables), k)]
+        num, den = {}, {(): Fraction(1)}
         for i, m in enumerate(monos):
-            name = f"a{i}"
-            params.append(name)
-            num = num + Polynomial.monomial(m) * Polynomial.var("$" + name)
-        for i, m in enumerate(monos):
-            if m == ():
-                continue
-            name = f"b{i}"
-            params.append(name)
-            den = den + Polynomial.monomial(m) * Polynomial.var("$" + name)
-        yield Template(ClosedForm(num, den), tuple(params), f"auto(d={d})")
+            # "$" sorts before any letter, so the parameter leads the monomial
+            num[((f"$a{i}", 1),) + m] = Fraction(1)
+            if m:
+                den[((f"$b{i}", 1),) + m] = Fraction(1)
+        params = [f"a{i}" for i in range(len(monos))] + [f"b{i}" for i in range(1, len(monos))]
+        yield Template(ClosedForm(Polynomial._of(num), Polynomial._of(den)), tuple(params),
+                       f"auto(d={d})")
 
 
 def parse_template(text: str, variables: Sequence[str]) -> Template:
@@ -280,15 +274,21 @@ def _canonical(eqs: List[Polynomial]) -> frozenset:
 def solve_system(system: PolySystem) -> List[Valuation]:
     """All consistent valuations found by the staged solver (possibly empty).
 
+    A branch maps each parameter it eliminates to its value in those left
+    and never rewrites a value; they are resolved once, at the end of the
+    branch, and each valuation is re-checked against the system when found.
+
     Raises SolverBudgetExceeded when the branch budget runs out.  Polls
     ``check_deadline`` at every branch and every round of the stages.
     """
     budget = [max(1, len(system.equations)) * BRANCH_LIMIT]
-    results: List[Dict[str, Fraction]] = []
+    found: List[Valuation] = []
+    seen = set()
     all_params = tuple("$" + p for p in system.parameters)
     block = {"$" + p for p in system.numerator}
     # stage 4 meets the same polynomial on many branches; factor it once
     factored: Dict[frozenset, List[Polynomial]] = {}
+    seen_rr = set()     # systems that stage 3 has row-reduced
 
     def spend():
         check_deadline("while solving")
@@ -297,14 +297,11 @@ def solve_system(system: PolySystem) -> List[Valuation]:
             raise SolverBudgetExceeded(
                 f"solver exceeded budget ({len(system.equations)} eqs x {BRANCH_LIMIT})")
 
-    def branch(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set,
-               t: str, values: Iterable[Fraction]):
+    def branch(eqs: List[Polynomial], subst: Dict[str, Polynomial], t: str,
+               values: Iterable[Fraction]):
         for value in values:
             spend()
-            expr = Polynomial.const(value)
-            new_subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
-            new_subst[t] = expr
-            attempt([q.subs_var(t, expr) for q in eqs], new_subst, seen_rr)
+            attempt([q.subs_var(t, value) for q in eqs], {**subst, t: Polynomial.const(value)})
 
     def finish(subst: Dict[str, Polynomial]):
         free = sorted(set(all_params) - set(subst))
@@ -312,18 +309,28 @@ def solve_system(system: PolySystem) -> List[Valuation]:
         combos = itertools.product(DEFAULT_VALUES, repeat=len(free))
         for combo in itertools.islice(combos, MAX_FREE_COMBOS):
             val: Dict[str, Fraction] = dict(zip(free, combo))
-            # resolve substitution chains against the chosen defaults
-            for t, expr in subst.items():
-                for fvar, fval in val.items():
-                    expr = expr.subs_var(fvar, fval)
-                if not expr.is_const():
+            # a value holds only parameters assigned after it, or free ones
+            for t in reversed(subst):
+                expr = subst[t]
+                for v in expr.vars() & val.keys():
+                    expr = expr.subs_var(v, val[v])
+                if not expr.is_const():     # a parameter the system does not list
                     break
                 val[t] = expr.constant_term()
             else:
-                results.append(({p[1:]: val.get(p, Fraction(0)) for p in all_params},
-                                tuple(p[1:] for p in free)))
+                val = {p[1:]: val.get(p, Fraction(0)) for p in all_params}
+                key = tuple(sorted(val.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                residues = list(system.equations)
+                # zeros first: each drops the terms it meets, so later passes are short
+                for p, x in sorted(val.items(), key=lambda px: px[1] != 0):
+                    residues = [e.subs_var("$" + p, x) for e in residues]
+                if not any(residues):
+                    found.append(Valuation(val, tuple(p[1:] for p in free)))
 
-    def attempt(eqs: List[Polynomial], subst: Dict[str, Polynomial], seen_rr: set):
+    def attempt(eqs: List[Polynomial], subst: Dict[str, Polynomial]):
         while True:
             check_deadline("while solving")
             eqs = [e for e in eqs if not e.is_zero()]
@@ -339,15 +346,14 @@ def solve_system(system: PolySystem) -> List[Valuation]:
                 coef = e.terms[((t, 1),)]
                 expr = (e - Polynomial.monomial(((t, 1),), coef)) * (-1 / coef)
                 eqs = [q.subs_var(t, expr) for q in eqs if q is not e]
-                subst = {k: v.subs_var(t, expr) for k, v in subst.items()}
-                subst[t] = expr
+                subst = {**subst, t: expr}
                 continue
             # stage 2: single-parameter equations -> exact rational roots
             singles = [e for e in eqs if len(_param_vars(e)) == 1]
             if singles:
                 e = min(singles, key=lambda q: (q.total_degree(), len(q.terms)))
                 t = sorted(_param_vars(e))[0]
-                branch(eqs, subst, seen_rr, t, _rational_roots(e, t))  # e becomes 0, dropped
+                branch(eqs, subst, t, _rational_roots(e, t))  # e becomes 0, dropped
                 return
             # stage 3: row reduction over the monomial basis
             key = _canonical(eqs)
@@ -367,30 +373,15 @@ def solve_system(system: PolySystem) -> List[Valuation]:
                     rest = [q for q in eqs if q is not e]
                     for f in factors:
                         spend()
-                        attempt(rest + [f], dict(subst), seen_rr)
+                        attempt(rest + [f], subst)
                     return
             # stage 5: 0/1 on the smallest parameter; later levels take the rest
             t = min(v for e in eqs for v in _param_vars(e))
-            branch(eqs, subst, seen_rr, t, DEFAULT_VALUES)
+            branch(eqs, subst, t, DEFAULT_VALUES)
             return
 
-    attempt(list(system.equations), {}, set())
-
-    # exact soundness check, and deduplication preserving discovery order
-    unique: List[Valuation] = []
-    seen = set()
-    for val, free in results:
-        key = tuple(sorted(val.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        residues = list(system.equations)
-        # zeros first: each drops the terms it meets, so later passes are short
-        for p, x in sorted(val.items(), key=lambda px: px[1] != 0):
-            residues = [e.subs_var("$" + p, x) for e in residues]
-        if not any(residues):
-            unique.append(Valuation(val, free))
-    return unique
+    attempt(list(system.equations), {})
+    return found
 
 
 # -- the search loop -----------------------------------------------------------------
@@ -417,13 +408,12 @@ class Failure(Record):
 def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] = None):
     """Search templates, solve, filter, verify; first full certificate wins.
 
-    Returns a Certificate on success, else a Failure naming the stage at
-    which the last candidate died, with per-template diagnostics; a
-    candidate that several valuations of one template give is judged and
-    reported once.  The search runs under ``time_limit(timeout_s)``, which
-    every layer polls; a search it stops without a partial certificate
-    fails at stage ``timeout``, and the last diagnostic names the template
-    and the layer that the deadline stopped.
+    Returns a Certificate on success, else a Failure at the stage of the last
+    outcome, with per-template diagnostics; a candidate that several
+    valuations of one template give is judged and reported once.  The search
+    runs under ``time_limit(timeout_s)``, which every layer polls; a search
+    it stops without a partial certificate fails at stage ``timeout``, and
+    the last diagnostic names the template and the layer that it stopped.
 
     When no template gives a certificate, a bounded exact search
     (``oracle.closed_class_witness``) looks for the reason: a guard state
@@ -432,21 +422,19 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     finds one, the last diagnostic names all three.
     """
     cfg = config or SynthesisConfig()
-    diagnostics: List[str] = []
     best_partial: Optional[Certificate] = None
     unknown_candidate: Optional[ClosedForm] = None
-    last_stage = "enumerate"
-    # (template, candidate) -> [index of its line in diagnostics, or None,
-    # valuations]: a candidate that several valuations give is judged and
-    # printed once
-    judged: Dict[tuple, list] = {}
+    log: List[list] = [["enumerate", None, 1]]     # [stage, line or None, valuations]
+    judged: Dict[tuple, list] = {}      # (template, candidate) -> its entry
+
+    def note(stage: str, line: Optional[str] = None) -> list:
+        log.append([stage, line, 1])
+        return log[-1]
 
     variables = sorted(_loop_vars(loop)
                        | {v for v in g.vars() if not v.startswith("$")})
-    if cfg.user_template is not None:
-        stream: Iterable[Template] = [cfg.user_template]
-    else:
-        stream = enumerate_templates(variables, cfg.max_den_degree)
+    stream = ([cfg.user_template] if cfg.user_template is not None
+              else enumerate_templates(variables, cfg.max_den_degree))
 
     with time_limit(cfg.timeout_s):
         try:
@@ -455,94 +443,74 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                 try:
                     system = build_system(template, loop, g)
                 except (SemanticsError, InvalidDenominator) as e:
-                    diagnostics.append(f"{desc}: semantics failed: {e}")
-                    last_stage = "semantics"
+                    note("semantics", f"{desc}: semantics failed: {e}")
                     continue
                 if any(e.is_const() and not e.is_zero() for e in system.equations):
-                    diagnostics.append(f"{desc}: inconsistent system (no solution)")
-                    last_stage = "solve"
+                    note("solve", f"{desc}: inconsistent system (no solution)")
                     continue
                 try:
                     valuations = solve_system(system)
                 except SolverBudgetExceeded as e:
-                    diagnostics.append(f"{desc}: {e}")
-                    last_stage = "solve"
+                    note("solve", f"{desc}: {e}")
                     continue
                 if not valuations:
-                    diagnostics.append(f"{desc}: no solution found by the staged solver")
-                    last_stage = "solve"
+                    note("solve", f"{desc}: no solution found by the staged solver")
                     continue
                 for val in valuations:
                     try:
                         candidate = instantiate(template.form, val.assignment)
                     except InvalidDenominator:
-                        diagnostics.append(f"{desc}: valuation makes denominator invalid")
-                        last_stage = "instantiate"
+                        note("instantiate", f"{desc}: valuation makes denominator invalid")
                         continue
                     if candidate.is_zero() and not g.is_zero():
-                        diagnostics.append(f"{desc}: trivial zero candidate filtered")
-                        last_stage = "instantiate"
+                        note("instantiate", f"{desc}: trivial zero candidate filtered")
                         continue
                     key = (template, candidate)
                     if key in judged:
-                        judged[key][1] += 1
+                        judged[key][2] += 1
                         continue
-                    judged[key] = [len(diagnostics), 1]
                     if not shape_nonneg(candidate):
                         neg = find_negative_coefficient(candidate, SCAN_DEGREE)
                         if neg is None:
-                            diagnostics.append(
-                                f"{desc}: cannot determine positivity of "
-                                f"{format_closed_form(candidate)}")
                             unknown_candidate = candidate
+                            why = f"cannot determine positivity of {format_closed_form(candidate)}"
                         else:
-                            diagnostics.append(
-                                f"{desc}: negative coefficient {neg[1]} at "
-                                f"{format_monomial(neg[0], variables)}")
-                        last_stage = "positivity"
+                            why = (f"negative coefficient {neg[1]} at "
+                                   f"{format_monomial(neg[0], variables)}")
+                        judged[key] = note("positivity", f"{desc}: {why}")
                         continue
                     try:
                         verdict, cert = certify(loop, g, candidate)
+                        why = f"verification verdict {verdict.value}"
                     except (SemanticsError, InvalidDenominator) as e:
-                        diagnostics.append(f"{desc}: verification failed: {e}")
-                        last_stage = "verify"
-                        continue
+                        cert, why = None, f"verification failed: {e}"
                     if cert is None:
-                        diagnostics.append(f"{desc}: verification verdict {verdict.value}")
-                        last_stage = "verify"
+                        judged[key] = note("verify", f"{desc}: {why}")
                         continue
                     if cert.is_full:
                         return cert
-                    if best_partial is None:
-                        best_partial = cert
-                    judged[key][0] = None
-                    last_stage = "certify"
+                    best_partial = best_partial or cert
+                    judged[key] = note("certify")
         except TimeoutError as e:   # "deadline reached while ..." from the layer it stopped
-            diagnostics.append(f"{desc}: timeout{str(e).removeprefix('deadline')}")
-            last_stage = "timeout"
-        for at, n in judged.values():
-            if n > 1 and at is not None:
-                diagnostics[at] += f" (from {n} valuations)"
+            note("timeout", f"{desc}: timeout{str(e).removeprefix('deadline')}")
         if best_partial is not None:
             return best_partial
-        probe = _divergence_probe(loop, g)
+        probe = _divergence_probe(loop, g, variables)
+    diagnostics = [line + (f" (from {n} valuations)" if n > 1 else "")
+                   for _, line, n in log if line]
     if probe:
         diagnostics.append(probe)
-    return Failure(last_stage,
-                   f"no certifiable invariant found (last stage: {last_stage})",
+    return Failure(log[-1][0], f"no certifiable invariant found (last stage: {log[-1][0]})",
                    diagnostics, unknown_candidate)
 
 
-def _divergence_probe(loop: P.While, g: ClosedForm) -> Optional[str]:
+def _divergence_probe(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[str]:
     """Why no finite invariant exists, when ``oracle.closed_class_witness``
     proves it: a reachable guard state whose occupation coefficient is
     infinite, with the initial term, the path and the closed set."""
     from . import oracle
 
-    if has_parameters(g):
-        return None
-    vars = sorted(g.vars() | _loop_vars(loop))
-    if not vars:
+    if has_parameters(g) or not vars:
         return None
     try:
         witness = oracle.closed_class_witness(loop, g, vars)

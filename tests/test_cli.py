@@ -249,6 +249,27 @@ class TestCheckCommand:
         assert rep["diagnostics"] == [
             "deadline reached while raising a polynomial to the power 60"]
 
+    def test_a_deadline_stops_a_product(self):
+        # both powers take about 0.3 s; their product alone takes about 1.5 s
+        start = time.monotonic()
+        rc, rep, _ = invoke(["check", GEO, "--init", "X",
+                             "--invariant", "(1+X+C)^28*(1+X+C)^32", "--timeout", "0.6"])
+        assert time.monotonic() - start < 0.6 + 1.5
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "failure:timeout"
+        assert rep["diagnostics"] == ["deadline reached while multiplying polynomials"]
+
+    def test_a_deadline_stops_a_gcd(self, tmp_path):
+        # the draw's 4001-term pgf makes the gcds in normalize run for seconds
+        prog = tmp_path / "wide.pgcl"
+        prog.write_text("nat x; nat c;\n"
+                        "while (x = 1) { { c += iid(uniform(0, 4000), 1) } [1/2] { x := 0 } }")
+        start = time.monotonic()
+        rc, rep, _ = invoke(["check", str(prog), "--init", "X",
+                             "--invariant", "(1 + 2*X)/(2 - C)", "--timeout", "1"])
+        assert time.monotonic() - start < 1 + 1.5
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "failure:timeout"
+        assert rep["diagnostics"] == ["deadline reached while dividing polynomials"]
+
     def test_a_deadline_not_reached_leaves_the_report_unchanged(self):
         args = ["check", self.FDR] + self.HARD
         reports = [invoke(args + extra)[1] for extra in ([], ["--timeout", "60"])]

@@ -16,6 +16,7 @@ from gfinv.algebra import (
     instantiate,
     mass,
     normalize,
+    parse_closed_form,
     series_expand,
     shape_nonneg,
 )
@@ -367,7 +368,7 @@ MOD_STATEMENTS = [
 ]
 
 
-# the core node kinds that no list above holds: drawn only by
+# the core node kinds, distributions included, that no list above holds: drawn only by
 # test_statement_matches_oracle, so that the draws of the other tests stay
 CORE_STATEMENTS = [
     ("diverge", P.Diverge(), False),
@@ -378,6 +379,8 @@ CORE_STATEMENTS = [
     ("ite_or", P.IfThenElse(P.Or(P.Eq("x", 0), P.Lt("y", 2)), P.Decrement("y"),
                             P.IidIncrement("x", P.Dirac(1), None)), False),
     ("ite_not", P.IfThenElse(P.Not(P.Lt("x", 2)), P.Diverge(), P.Decrement("x")), False),
+    ("iid_pgf", P.IidIncrement("x", P.RawPgf(parse_closed_form("1/3 + 2/3*T^2", ["t"])), "y"),
+     False),
 ]
 
 
@@ -396,7 +399,8 @@ def test_every_core_node_kind_has_an_oracle_case():
     # compared on
     covered = {k for _, stmt, _ in STATEMENTS + MOD_STATEMENTS + CORE_STATEMENTS
                for k in _node_kinds(stmt)}
-    kinds = (set(typing.get_args(P.Statement)) - {P.While}) | set(typing.get_args(P.Guard))
+    kinds = ((set(typing.get_args(P.Statement)) - {P.While}) | set(typing.get_args(P.Guard))
+             | set(typing.get_args(P.DistExpr)))
     assert kinds <= covered, kinds - covered
 
 

@@ -560,3 +560,33 @@ class TestAnalyzeProgram:
         ast = parse("nat x;\nwhile (x > 0) { while (x > 1) { x := x - 1 }; x := x - 1 }")
         analysis = analyze_program(ast, G_X, SynthesisConfig())
         assert analysis.failure is not None and analysis.failure.stage == "structure"
+
+    LOOP = "while (x = 1) { { c := c + 1 } [1/2] { x := 0 } }"
+
+    def test_straight_line_segments_thread_the_measure(self):
+        ast = parse(f"nat x; nat c; x := 1; {self.LOOP}; c := c + 1")
+        analysis = analyze_program(ast, from_poly(ONE), SynthesisConfig(max_den_degree=1))
+        assert analysis.ok
+        assert [s.kind for s in analysis.segments] == ["straight", "loop", "straight"]
+        assert analysis.certificate.kind == CertificateKind.EXACT_POSTERIOR
+        assert equal(analysis.certificate.invariant, OCC)
+        assert equal(analysis.final_measure, normalize(C, 2 - C))
+
+    def test_a_straight_line_segment_that_diverges_fails_at_semantics(self):
+        ast = parse(f"nat x; nat c; x := 0; {self.LOOP}")
+        analysis = analyze_program(ast, normalize(ONE, 1 - X), SynthesisConfig())
+        assert analysis.failure.stage == "semantics"
+        assert "series diverges when summing over x" in analysis.failure.message
+        assert analysis.certificate is None and analysis.final_measure is None
+
+    def test_a_loop_under_a_conditional_is_rejected(self):
+        ast = parse("nat x; if (x = 0) { while (x < 3) { x := x + 1 } } else { skip }")
+        analysis = analyze_program(ast, G_X, SynthesisConfig())
+        assert analysis.failure is not None and analysis.failure.stage == "structure"
+
+    def test_an_exhausted_solver_budget_fails_at_solve(self, corpus, monkeypatch):
+        monkeypatch.setattr(synthesis, "BRANCH_LIMIT", 0)
+        ast, init, expected, _ = corpus["random_walk"]
+        res = analyze_program(ast, init, SynthesisConfig(max_den_degree=expected["max_degree"]))
+        assert res.failure.stage == "solve"
+        assert res.failure.diagnostics[-1].endswith(": solver exceeded budget (3 eqs x 0)")
