@@ -12,6 +12,7 @@ templates of synthesis) are only scaled; see ``normalize``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import Frozen, _set_field, check_deadline
@@ -19,7 +20,6 @@ from .poly import (
     MONO_ONE,
     Mono,
     Polynomial,
-    mono_div,
     mono_key,
     poly_gcd,
 )
@@ -224,38 +224,44 @@ def _series_layers(f: ClosedForm, degree: int,
         raise InvalidDenominator("series expansion needs a concrete invertible denominator")
     vs = sorted(f.vars(), key=lambda v: (order.index(v) if order and v in order else 10**9, v)) \
         if order else sorted(f.vars())
-    den_rest = [(m, c) for m, c in f.den.terms.items() if m != MONO_ONE]
-    coeffs: Dict[Mono, Fraction] = {}
+    # the recurrence runs on exponent tuples over vs; a (name, exponent)
+    # monomial is built only for a coefficient that is yielded
+    num = {tuple(dict(m).get(v, 0) for v in vs): c for m, c in f.num.terms.items()}
+    den_rest = [(tuple(dict(m).get(v, 0) for v in vs), -c)
+                for m, c in f.den.terms.items() if m != MONO_ONE]
+    coeffs: Dict[tuple, Fraction] = {}
     for d in range(degree + 1):
         check_deadline(f"while expanding the series at degree {d}")
         layer = []
-        for m in _monomials_of_degree(vs, d):
-            acc = f.num.terms.get(m, Fraction(0))
+        for exps in _compositions(d, len(vs)):
+            acc = num.get(exps)
             for t, dt in den_rest:
-                rest = mono_div(m, t)
-                if rest is None:
+                rest = tuple(map(sub, exps, t))
+                if min(rest) < 0:
                     continue
                 prev = coeffs.get(rest)
-                if prev:
-                    acc = acc - dt * prev
-            val = acc / c0
-            if val:
-                coeffs[m] = val
-                layer.append((m, val))
+                if prev is not None:
+                    acc = dt * prev if acc is None else acc + dt * prev
+            if acc:
+                val = acc / c0
+                coeffs[exps] = val
+                layer.append((tuple(sorted((v, e) for v, e in zip(vs, exps) if e)), val))
         yield layer
 
 
 def _monomials_of_degree(vs: List[str], d: int) -> Iterable[Mono]:
     """All monomials over vs of total degree d, graded-lex ascending."""
-    if not vs:
-        if d == 0:
-            yield MONO_ONE
-        return
     for exps in _compositions(d, len(vs)):
         yield tuple(sorted((v, e) for v, e in zip(vs, exps) if e))
 
 
 def _compositions(total: int, parts: int):
+    """The tuples of ``parts`` nonnegative integers that sum to total, in lex
+    order; none for ``parts == 0`` except the empty tuple at total 0."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return

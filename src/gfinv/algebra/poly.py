@@ -10,7 +10,8 @@ callers with a program context pass their own order).
 
 ``poly_gcd`` is the exception to ``Fraction`` coefficients: its kernel
 works on integer polynomials, ``{exponent tuple: int}`` dicts, and only its
-operands and its results, the gcd and both cofactors, are converted.
+operands and its results, the gcd and both cofactors, are converted.  A gcd
+of 1 converts nothing back: the operands are its cofactors.
 
 Each job has one helper: ``Polynomial.subs_var`` substitutes, ``_quotient``
 divides exactly (inside the gcd, which hands its cofactors to callers), and
@@ -18,8 +19,9 @@ divides exactly (inside the gcd, which hands its cofactors to callers), and
 
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
-``**`` and ``subs_var``), each step of an exact division (``_quotient``,
-under ``poly_gcd``) and each column of ``row_reduce``.
+``**`` and ``subs_var``), each group of an evaluation (``_eval_last``) and
+each step of an exact division (``_quotient``), both under ``poly_gcd``, and
+each column of ``row_reduce``.
 """
 
 from __future__ import annotations
@@ -342,9 +344,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> tuple:
     variable at a large integer, take the gcd of the images, and read the
     candidate back from its integer coefficients' symmetric digits in that
     base.  A candidate is kept only when it divides both operands exactly,
-    which makes it the gcd, and that division yields the cofactors.  When
-    every evaluation point fails, the gcd is given up as 1 and the result is
-    (1, p, q): callers then cancel less, but stay exact.  With one zero
+    which makes it the gcd, and that division yields the cofactors.  A
+    constant candidate divides everything, so coprime operands come back as
+    they are, (1, p, q), and nothing is divided.  When every evaluation point
+    fails, the gcd is given up as 1 and the result is also (1, p, q):
+    callers then cancel less, but stay exact.  With one zero
     operand the gcd is the other one's primitive part; gcd(0, 0) is
     (0, 0, 0).
 
@@ -362,7 +366,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> tuple:
     cp, f = _int_primitive(p, vars)
     cq, g = _int_primitive(q, vars)
     found = _heu_gcd(f, g, vars)
-    if found is None:
+    if found is None or found[0] == {(0,) * len(vars): 1}:
         return Polynomial.const(1), p, q
     h, fbar, gbar = found
     sign, h = _from_ints(h, vars, Fraction(1)).primitive()
@@ -392,53 +396,72 @@ def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[tuple]:
     A polynomial is a ``{exponent tuple: int}`` dict, one exponent per
     variable of ``vars``; the last variable is evaluated away.  h is
     primitive up to the gcd of the operands' integer contents and its sign is
-    not normalized; the cofactors are integer polynomials.
+    not normalized; the cofactors are integer polynomials.  A candidate that
+    is a constant divides both operands, so the gcd is then that content gcd
+    alone, and no division runs.
     """
     cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
     c = math.gcd(cf, cg)
     one = (0,) * len(vars)
-    if f.keys() == {one} or g.keys() == {one}:
-        return {one: c}, {e: a // c for e, a in f.items()}, {e: a // c for e, a in g.items()}
-    f = {e: a // cf for e, a in f.items()}
-    g = {e: a // cg for e, a in g.items()}
-    xi = 2 * min(max(abs(a) for a in r.values()) for r in (f, g)) + 29
-    for _ in range(6):
-        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
-        found = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
-        if found is not None:
-            cand: dict = {}
-            for e, a in found[0].items():
-                n, k = a, 0
-                while n:
-                    digit = n % xi
-                    if digit > xi // 2:
-                        digit -= xi
-                    if digit:
-                        cand[e + (k,)] = digit
-                    n, k = (n - digit) // xi, k + 1
-            cont = math.gcd(*cand.values())
-            cand = {e: a // cont for e, a in cand.items()}
-            fbar = _quotient(cand, f)
-            gbar = None if fbar is None else _quotient(cand, g)
-            if gbar is not None:
-                return ({e: a * c for e, a in cand.items()},
-                        {e: a * (cf // c) for e, a in fbar.items()},
-                        {e: a * (cg // c) for e, a in gbar.items()})
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
+    if f.keys() != {one} and g.keys() != {one}:
+        fp = {e: a // cf for e, a in f.items()}
+        gp = {e: a // cg for e, a in g.items()}
+        xi = 2 * min(max(abs(a) for a in r.values()) for r in (fp, gp)) + 29
+        for _ in range(6):
+            ff, gg = _eval_last(fp, xi), _eval_last(gp, xi)
+            found = _heu_gcd(ff, gg, vars[:-1]) if ff and gg else None
+            if found is not None:
+                cand: dict = {}
+                for e, a in found[0].items():
+                    n, k = a, 0
+                    while n:
+                        digit = n % xi
+                        if digit > xi // 2:
+                            digit -= xi
+                        if digit:
+                            cand[e + (k,)] = digit
+                        n, k = (n - digit) // xi, k + 1
+                if cand.keys() == {one}:
+                    break
+                cont = math.gcd(*cand.values())
+                cand = {e: a // cont for e, a in cand.items()}
+                fbar = _quotient(cand, fp)
+                gbar = None if fbar is None else _quotient(cand, gp)
+                if gbar is not None:
+                    return ({e: a * c for e, a in cand.items()},
+                            {e: a * (cf // c) for e, a in fbar.items()},
+                            {e: a * (cg // c) for e, a in gbar.items()})
+            xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+        else:
+            return None
+    if c == 1:
+        return {one: 1}, f, g
+    return {one: c}, {e: a // c for e, a in f.items()}, {e: a // c for e, a in g.items()}
 
 
 def _eval_last(f: dict, xi: int) -> dict:
-    """f with its last variable set to xi, zero terms dropped."""
-    powers: dict = {}
-    out: dict = {}
+    """f with its last variable set to xi, zero terms dropped.
+
+    The terms that share all exponents but the last form one group, and each
+    group is summed by Horner over its exponents, highest first; the groups
+    keep the order of their first terms.  Polls ``check_deadline`` once per
+    group: a wide operand makes each sum a long integer.
+    """
+    groups: dict = {}
     for e, a in f.items():
-        k = e[-1]
-        if k not in powers:
-            powers[k] = xi ** k
-        rest = e[:-1]
-        out[rest] = out.get(rest, 0) + a * powers[k]
-    return {e: a for e, a in out.items() if a}
+        groups.setdefault(e[:-1], []).append((e[-1], a))
+    out: dict = {}
+    for rest, terms in groups.items():
+        check_deadline("while taking a polynomial gcd")
+        terms.sort(reverse=True)
+        acc, k = 0, terms[0][0]
+        for j, a in terms:
+            acc = acc * xi ** (k - j) + a
+            k = j
+        acc *= xi ** k
+        if acc:
+            out[rest] = acc
+    return out
 
 
 def _quotient(d: dict, f: dict) -> Optional[dict]:
@@ -454,7 +477,7 @@ def _quotient(d: dict, f: dict) -> Optional[dict]:
     r = dict(f)
     q: dict = {}
     while r:
-        check_deadline("while dividing polynomials")
+        check_deadline("while taking a polynomial gcd")
         rm = max(r)
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(k < 0 for k in qm):

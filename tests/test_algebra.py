@@ -26,7 +26,7 @@ from gfinv.algebra import (
     shape_nonneg,
 )
 from gfinv.algebra import closedform, poly
-from gfinv.algebra.poly import mono_div, mono_key, mono_mul
+from gfinv.algebra.poly import mono_degree, mono_div, mono_key, mono_mul
 
 ONE = Polynomial.const(1)
 X = Polynomial.var("x")
@@ -224,6 +224,65 @@ def test_the_kernel_cofactors_keep_the_contents():
     h, fbar, gbar = (poly._from_ints(d, ["x"], F(1)) for d in poly._heu_gcd(f, g, ["x"]))
     assert h in (2 + 2 * X, -2 - 2 * X)
     assert h * fbar == 6 + 6 * X and h * gbar == 4 * (1 + X) * (2 + X)
+    # a coprime pair: the gcd is the contents' gcd 2, and no division runs
+    k = {(0,): 8, (1,): 4}              # 4(x + 2)
+    h, fbar, gbar = (poly._from_ints(d, ["x"], F(1)) for d in poly._heu_gcd(f, k, ["x"]))
+    assert h == 2
+    assert h * fbar == 6 + 6 * X and h * gbar == 4 * (2 + X)
+
+
+@pytest.mark.parametrize("p, q", [
+    ("6*X + 4*C", "3 + X*C"),                      # p has the content 2
+    ("1/2 + X^3", "2/3*X - 5*C^2"),
+    ("(1 + X)^2*(2 - C)", "(1 - X)*(3 + C*Y)"),
+    ("X^4 - C", "X^4 - 2*C"),
+])
+def test_coprime_operands_come_back_as_they_are(p, q, monkeypatch):
+    calls = []
+
+    def spy(d, f):
+        calls.append(d)
+        return quotient(d, f)
+
+    quotient = poly._quotient
+    monkeypatch.setattr(poly, "_quotient", spy)
+    p, q = (parse_closed_form(t, ["c", "x", "y"]).num for t in (p, q))
+    g, pbar, qbar = poly_gcd(p, q)
+    assert g == ONE and pbar is p and qbar is q
+    assert calls == []
+
+
+def naive_eval_last(f, xi):
+    out = {}
+    for e, a in f.items():
+        out[e[:-1]] = out.get(e[:-1], 0) + a * xi ** e[-1]
+    return {e: a for e, a in out.items() if a}
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * (n - 1), st.integers(0, 2000)),
+                    st.integers(-10**6, 10**6).filter(bool), max_size=25),
+    st.lists(st.tuples(st.tuples(*[st.integers(4, 6)] * (n - 1)), st.integers(0, 1999),
+                       st.integers(-50, 50).filter(bool)), max_size=3))),
+    st.integers(2, 10**4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_eval_last_is_the_sum_of_the_evaluated_terms(drawn, xi):
+    f, cancelling = drawn
+    f = dict(f)
+    for rest, k, a in cancelling:
+        # a*xi^(k+1) - (a*xi)*xi^k: the group sums to 0 and must be dropped
+        if rest + (k,) not in f and rest + (k + 1,) not in f:
+            f[rest + (k + 1,)], f[rest + (k,)] = a, -a * xi
+    got = poly._eval_last(f, xi)
+    want = naive_eval_last(f, xi)
+    assert got == want
+    # the groups keep the order of their first terms
+    assert list(got) == [rest for rest in dict.fromkeys(e[:-1] for e in f) if rest in want]
+
+
+def test_eval_last_honours_its_deadline():
+    with time_limit(0), pytest.raises(TimeoutError, match="polynomial gcd"):
+        poly._eval_last({(0, 5): 1, (1, 0): 2}, 31)
 
 
 def reference_subs(p, var, value):
@@ -412,6 +471,21 @@ def test_negative_scan_is_the_first_negative_of_the_full_expansion(order, num, d
     full = sorted(series_expand(f, 6, order).items(), key=lambda t: mono_key(t[0], order))
     want = next(((m, c) for m, c in full if c < 0), None)
     assert find_negative_coefficient(f, 6, order) == want
+
+
+@pytest.mark.parametrize("order", [None, ["y", "x", "c"], ["x", "y"]])
+@given(polys(4, 2), polys(4, 2))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_expansion_times_the_denominator_is_the_numerator(order, num, d):
+    # up to the degree, (series of num/den) * den == num; layer k holds the
+    # coefficients of total degree k
+    den = d + (2 - d.constant_term())
+    layers = list(closedform._series_layers(ClosedForm(num, den), 5, order))
+    assert all(mono_degree(m) == k for k, layer in enumerate(layers) for m, _ in layer)
+    series = Polynomial({m: c for layer in layers for m, c in layer})
+    product = series * den
+    assert {m: c for m, c in product.terms.items() if mono_degree(m) <= 5} == \
+        {m: c for m, c in num.terms.items() if mono_degree(m) <= 5}
 
 
 def test_a_low_negative_coefficient_is_found_without_the_full_expansion():

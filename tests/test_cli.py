@@ -258,17 +258,28 @@ class TestCheckCommand:
         assert rc == EXIT_PARTIAL and rep["outcome"] == "failure:timeout"
         assert rep["diagnostics"] == ["deadline reached while multiplying polynomials"]
 
-    def test_a_deadline_stops_a_gcd(self, tmp_path):
-        # the draw's 4001-term pgf makes the gcds in normalize run for seconds
+    @staticmethod
+    def wide_draw(tmp_path, width):
         prog = tmp_path / "wide.pgcl"
         prog.write_text("nat x; nat c;\n"
-                        "while (x = 1) { { c += iid(uniform(0, 4000), 1) } [1/2] { x := 0 } }")
+                        f"while (x = 1) {{ {{ c += iid(uniform(0, {width}), 1) }} [1/2] {{ x := 0 }} }}")
+        return str(prog)
+
+    def test_a_deadline_stops_a_gcd(self, tmp_path):
+        # the draw's 50001-term pgf makes the gcds in normalize run for two minutes
+        prog = self.wide_draw(tmp_path, 50000)
         start = time.monotonic()
-        rc, rep, _ = invoke(["check", str(prog), "--init", "X",
+        rc, rep, _ = invoke(["check", prog, "--init", "X",
                              "--invariant", "(1 + 2*X)/(2 - C)", "--timeout", "1"])
         assert time.monotonic() - start < 1 + 1.5
         assert rc == EXIT_PARTIAL and rep["outcome"] == "failure:timeout"
-        assert rep["diagnostics"] == ["deadline reached while dividing polynomials"]
+        assert rep["diagnostics"] == ["deadline reached while taking a polynomial gcd"]
+
+    def test_a_wide_draw_is_refuted_within_its_deadline(self, tmp_path):
+        # most of its gcds are 1, and a gcd of 1 runs no division
+        rc, rep, _ = invoke(["check", self.wide_draw(tmp_path, 4000), "--init", "X",
+                             "--invariant", "(1 + 2*X)/(2 - C)", "--timeout", "2"])
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "not-certified:refuted"
 
     def test_a_deadline_not_reached_leaves_the_report_unchanged(self):
         args = ["check", self.FDR] + self.HARD
