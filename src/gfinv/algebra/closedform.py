@@ -157,7 +157,7 @@ def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
         _require_invertible(den)
         return ClosedForm(Polynomial(), Polynomial.const(1))
     # Parametric pairs are never GCD-reduced: the synthesis systems built
-    # from unreduced forms are smaller (thirds_geometric at degree 3: 201
+    # from unreduced forms are smaller (thirds_geometric at degree 3: 87
     # terms against 2,702), and ClosedForm.__add__ keeps their denominators
     # from compounding.
     if not den.is_const() and not num.is_const() \

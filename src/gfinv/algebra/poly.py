@@ -14,20 +14,25 @@ operands and its results, the gcd and both cofactors, are converted.  A gcd
 of 1 converts nothing back: the operands are its cofactors.
 
 Each job has one helper: ``Polynomial.subs_var`` substitutes, ``_quotient``
-divides exactly (inside the gcd, which hands its cofactors to callers), and
-``_int_primitive`` converts to integer coefficients.
+divides exactly (inside the gcd, which hands its cofactors to callers, and
+under ``exact_quotient``, which takes and returns ``Polynomial``s), and
+``_int_primitive`` converts to integer coefficients.  ``_quotient`` stops as
+soon as a quotient monomial leaves the degree box that a true quotient keeps
+to, and finds each next leading monomial on a heap of the remainder's keys.
 
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
-``**`` and ``subs_var``), each group of an evaluation (``_eval_last``) and
-each step of an exact division (``_quotient``), both under ``poly_gcd``, and
-each column of ``row_reduce``.
+``**`` and ``subs_var``), each group of an evaluation (``_eval_last``, under
+``poly_gcd``), each step of an exact division (``_quotient``, under
+``poly_gcd`` and ``exact_quotient``), and each column of ``row_reduce``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, lt, neg, sub
 from typing import Optional, Sequence, Union
 
 from .. import check_deadline
@@ -464,29 +469,70 @@ def _eval_last(f: dict, xi: int) -> dict:
     return out
 
 
-def _quotient(d: dict, f: dict) -> Optional[dict]:
+def exact_quotient(f: Polynomial, d: Polynomial) -> Optional[Polynomial]:
+    """f/d when the nonzero d divides f over Q[vars], else None.  Both
+    operands are made integer-primitive over their joint variables, and
+    ``_quotient`` divides them, polling as "while dividing polynomials"."""
+    vars = sorted(f.vars() | d.vars())
+    cf, fi = _int_primitive(f, vars)
+    cd, di = _int_primitive(d, vars)
+    q = _quotient(di, fi, "while dividing polynomials")
+    return None if q is None else _from_ints(q, vars, cf / cd)
+
+
+def _quotient(d: dict, f: dict, where="while taking a polynomial gcd") -> Optional[dict]:
     """f/d for the integer-primitive d and the integer polynomial f, or None
     when d does not divide f.
 
     Sparse division along lex order of the exponent tuples.  By Gauss's lemma
     a primitive divisor of f over Q leaves an integral quotient, so a
     coefficient that does not divide exactly proves that d does not divide f.
+    A quotient has deg_v(f) - deg_v(d) in each variable v, so a quotient
+    monomial outside that degree box proves it too.
+
+    The remainder is kept over negated exponents, with a heap of its keys:
+    the heap's least key is the remainder's lex-greatest monomial, and keys
+    whose terms have cancelled are skipped when they surface.  Polls
+    ``check_deadline(where)`` at each step.
     """
-    dm = max(d)
-    dc = d[dm]
-    r = dict(f)
+    if not f:
+        return {}
+    # the degree box over negated exponents: deg_v(d) - deg_v(f) <= -deg_v(q)
+    low = tuple(map(sub, map(max, zip(*d)), map(max, zip(*f))))
+    if any(lo > 0 for lo in low):
+        return None
+    dn = {tuple(map(neg, e)): a for e, a in d.items()}
+    dm = min(dn)
+    dc = dn.pop(dm)                 # dn keeps d's other terms
+    r = {tuple(map(neg, e)): a for e, a in f.items()}
+    heap = list(r)
+    heapq.heapify(heap)
     q: dict = {}
     while r:
-        check_deadline("while taking a polynomial gcd")
-        rm = max(r)
-        qm = tuple(a - b for a, b in zip(rm, dm))
-        if any(k < 0 for k in qm):
+        check_deadline(where)
+        rm = heapq.heappop(heap)
+        c = r.pop(rm, None)
+        if c is None:
+            continue
+        qm = tuple(map(sub, rm, dm))
+        if max(qm, default=0) > 0 or any(map(lt, qm, low)):
             return None
-        qc, rem = divmod(r[rm], dc)
+        qc, rem = divmod(c, dc)
         if rem:
             return None
-        q[qm] = qc
-        _add_into(r, {tuple(x + y for x, y in zip(qm, e)): -qc * a for e, a in d.items()})
+        q[tuple(map(neg, qm))] = qc
+        for e, a in dn.items():
+            m = tuple(map(add, qm, e))
+            s = r.get(m)
+            if s is None:
+                r[m] = -qc * a
+                heapq.heappush(heap, m)
+            else:
+                s -= qc * a
+                if s:
+                    r[m] = s
+                else:
+                    del r[m]
     return q
 
 

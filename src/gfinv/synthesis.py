@@ -2,9 +2,10 @@
 
 Templates are rational closed forms whose coefficients are polynomials in
 symbolic parameters.  Applying the loop's characteristic functional once and
-requiring the fixed-point equation Phi(I) = I, cross-multiplied and compared
-coefficient-wise per program monomial, yields a polynomial equation system
-over the parameters.  The solver runs staged exact elimination:
+requiring the fixed-point equation Phi(I) = I, read over Phi(I)'s denominator
+and compared coefficient-wise per program monomial, yields a polynomial
+equation system over the parameters (see ``build_system``).  The solver runs
+staged exact elimination:
 
   1. substitution t := -rest/c: of linear equations first, then of quadratic
      ones in which a numerator parameter t occurs only in one term c*t,
@@ -51,7 +52,7 @@ from .algebra import (
     shape_nonneg,
 )
 from .algebra.closedform import _monomials_of_degree
-from .algebra.poly import _int_primitive
+from .algebra.poly import _int_primitive, exact_quotient
 from .invariant import Certificate, CertificateKind, certify
 from . import Frozen, Record, check_deadline, program as P, time_limit
 from .semantics import SemanticsError, apply_statement, char_functional
@@ -136,29 +137,36 @@ def parse_template(text: str, variables: Sequence[str]) -> Template:
 def build_system(template: Template, loop: P.While, g: ClosedForm) -> PolySystem:
     """Coefficient comparison of Phi(template) = template.
 
-    The difference Phi(I) - I must vanish; grouping its numerator by
+    The residual Phi(I) - I must vanish; grouping its numerator by
     program-variable monomials yields one parameter-polynomial equation per
-    monomial.  Parametric forms are not GCD-reduced, only added over equal
-    denominators where they share one (see ``normalize``), so the numerator
-    may keep common factors with the denominator.  Such a factor vanishes
-    only where a denominator would be identically zero, and such valuations
-    are filtered as invalid anyway.
+    monomial.  When the template's denominator D divides Phi(I)'s, by Q, the
+    equations are the residual over Phi(I)'s own denominator, Phi.num - N*Q;
+    otherwise the two forms are cross-multiplied, which multiplies the
+    residual by D.  Both have the same zeros where D is not identically
+    zero: D's constant term is 1 in an automatic template, and
+    ``instantiate`` rejects a valuation that makes a user template's D
+    vanish.  Parametric forms are not GCD-reduced (see ``normalize``), so
+    the numerator may keep common factors with the denominator.  Such a
+    factor vanishes only where a denominator would be identically zero, and
+    such valuations are filtered as invalid anyway.
 
     The numerator block is the parameters of the template's numerator that
     do not occur in its denominator.  Phi is affine, so each equation is
     linear in them jointly; the block is left empty if some monomial is not.
     """
-    phi = char_functional(loop, g, template.form)
-    diff = phi - template.form
+    form = template.form
+    phi = char_functional(loop, g, form)
+    quotient = Polynomial.const(1) if phi.den == form.den else exact_quotient(phi.den, form.den)
+    residual = (phi - form).num if quotient is None else phi.num - form.num * quotient
     eqs: Dict[tuple, dict] = {}
-    for m, c in diff.num.terms.items():
+    for m, c in residual.terms.items():
         # "$" sorts before any letter, so a monomial's parameters come first
         i = 0
         while i < len(m) and m[i][0][0] == "$":
             i += 1
         eqs.setdefault(m[i:], {})[m[:i]] = c   # each such pair comes from one m
     ordered = [Polynomial._of(eqs[k]) for k in sorted(eqs, key=mono_key)]
-    block = _param_vars(template.form.num) - _param_vars(template.form.den)
+    block = _param_vars(form.num) - _param_vars(form.den)
     if any(sum(e for v, e in m if v in block) > 1 for q in ordered for m in q.terms):
         block = set()
     return PolySystem(tuple(ordered), template.parameters,
@@ -252,8 +260,13 @@ def _rational_roots(p: Polynomial, var: str) -> List[Fraction]:
 
 
 def _divisors(n: int) -> List[int]:
-    """The positive divisors of n in increasing order ([1] for 0)."""
-    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    """The positive divisors of n in increasing order ([1] for 0).  Polls
+    ``check_deadline`` at each candidate: a large n has some 10^10 of them."""
+    low = []
+    for d in range(1, math.isqrt(n) + 1):
+        check_deadline("while solving")
+        if n % d == 0:
+            low.append(d)
     return sorted({*low, *(n // d for d in low)}) or [1]
 
 
@@ -368,6 +381,7 @@ def solve_system(system: PolySystem) -> List[Valuation]:
                 key = frozenset(e.terms.items())
                 factors = factored.get(key)
                 if factors is None:
+                    check_deadline("while solving")     # one factorization can take 0.3 s
                     factors = factored[key] = _factor_poly(e)
                 if factors:
                     rest = [q for q in eqs if q is not e]

@@ -26,7 +26,7 @@ from gfinv.algebra import (
     shape_nonneg,
 )
 from gfinv.algebra import closedform, poly
-from gfinv.algebra.poly import mono_degree, mono_div, mono_key, mono_mul
+from gfinv.algebra.poly import exact_quotient, mono_degree, mono_div, mono_key, mono_mul
 
 ONE = Polynomial.const(1)
 X = Polynomial.var("x")
@@ -172,9 +172,9 @@ class TestMass:
 
 # ring laws on random small polynomials
 
-def polys(max_terms=4, max_exp=3):
+def polys(max_terms=4, max_exp=3, names=("x", "c", "y")):
     monomial = st.lists(
-        st.tuples(st.sampled_from(["x", "c", "y"]), st.integers(1, max_exp)),
+        st.tuples(st.sampled_from(names), st.integers(1, max_exp)),
         max_size=2).map(lambda ps: tuple(sorted(dict(ps).items())))
     term = st.tuples(monomial, st.fractions(min_value=-4, max_value=4,
                                             max_denominator=4))
@@ -471,6 +471,47 @@ def test_negative_scan_is_the_first_negative_of_the_full_expansion(order, num, d
     full = sorted(series_expand(f, 6, order).items(), key=lambda t: mono_key(t[0], order))
     want = next(((m, c) for m, c in full if c < 0), None)
     assert find_negative_coefficient(f, 6, order) == want
+
+
+PARAMETRIC = ("$a", "$b", "c", "x")
+
+
+@given(polys(4, 2, PARAMETRIC), polys(3, 2, PARAMETRIC).filter(bool), polys(3, 2, PARAMETRIC))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_exact_quotient_is_the_reference_division(p, d, f):
+    assert exact_quotient(p * d, d) == p
+    want = reference_quotient(f, d)
+    assert exact_quotient(f, d) == want
+    if not d.is_const():
+        assert exact_quotient(p * d + 1, d) is None
+
+
+A, B = Polynomial.var("$a"), Polynomial.var("$b")
+
+
+@pytest.mark.parametrize("f, d", [
+    (X * X + 1, X - 1),
+    (X * C, X * X),                 # outside the degree box at once
+    (A * X * X + X + 3, 1 + B * X),
+    ((1 + A * X) * (1 + B * X) + C, 1 + B * X),
+])
+def test_a_non_divisor_gives_none(f, d):
+    assert exact_quotient(f, d) is None
+
+
+def test_a_wide_operand_and_a_non_divisor_part_within_seconds():
+    # 1 + C + ... + C^50000 by C - 2: a scan of the whole remainder for its
+    # leading term at every step takes about a minute
+    f = Polynomial({((("c", k),) if k else ()): F(1) for k in range(50001)})
+    with time_limit(10):
+        assert exact_quotient(f, C - 2) is None
+
+
+def test_exact_quotient_honours_its_deadline():
+    f = (X + 1) * (C - 2)
+    with time_limit(0), pytest.raises(TimeoutError,
+                                      match="deadline reached while dividing polynomials"):
+        exact_quotient(f, C - 2)
 
 
 @pytest.mark.parametrize("order", [None, ["y", "x", "c"], ["x", "y"]])

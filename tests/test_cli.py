@@ -435,14 +435,25 @@ class TestLazySympy:
         assert got["reports"][1][1]["outcome"] == "ExactPosterior"
         assert got["sympy_loaded"] is False
 
-    def test_factoring_loads_it(self, corpus):
+    def test_factoring_loads_it(self, tmp_path):
+        # test_a_negative_coefficient_names_its_monomial's program: its
+        # degree-1 system reaches the factoring stage
+        path = tmp_path / "program.pgcl"
+        path.write_text("nat x; nat y; while (x > 0 && y <= 2) { {x := 0} [1/2] {y := y + 1} }")
+        calls = [["synthesize", str(path), "--init", "X", "--max-degree", "1"]]
+        got = json.loads(fresh_interpreter(RUN_AND_REPORT, json.dumps(calls)))
+        (rc, rep), = got["reports"]
+        assert got["sympy_loaded"] is True
+        assert rc == EXIT_PARTIAL and rep["outcome"].startswith("failure:")
+
+    def test_sequential_loops_is_solved_without_factoring(self, corpus):
         ast, _, expected, d = corpus["sequential_loops"]
         calls = [["synthesize", str(d / "program.pgcl"),
                   "--init", (d / "init.gf").read_text().strip(),
                   "--max-degree", str(expected["max_degree"])]]
         got = json.loads(fresh_interpreter(RUN_AND_REPORT, json.dumps(calls)))
         (rc, rep), = got["reports"]
-        assert got["sympy_loaded"] is True
+        assert got["sympy_loaded"] is False
         assert rc == EXIT_PARTIAL
         assert rep["outcome"] == expected["outcome"]
         assert equal(parse_closed_form(rep["candidate"], ast.variables),

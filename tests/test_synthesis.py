@@ -19,8 +19,10 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
+from gfinv.algebra.poly import exact_quotient
 from gfinv.invariant import CertificateKind
 from gfinv.program import While, parse, top_level_segments
+from gfinv.semantics import char_functional
 from gfinv.synthesis import (
     Failure,
     PolySystem,
@@ -34,6 +36,7 @@ from gfinv.synthesis import (
     synthesize,
     _factor_poly,
     _pivot,
+    _rational_roots,
     _row_reduce,
 )
 
@@ -74,6 +77,34 @@ class TestEnumerate:
         a = [t.form.num.terms.keys() for t in enumerate_templates(["x", "c"], 2)]
         b = [t.form.num.terms.keys() for t in enumerate_templates(["x", "c"], 2)]
         assert [set(k) for k in a] == [set(k) for k in b]
+
+
+def first_loop(ast):
+    return next(s for s in top_level_segments(ast) if isinstance(s, While))
+
+
+def template_vars(loop, init):
+    """The variables that ``synthesize`` builds its templates over."""
+    return sorted(synthesis._loop_vars(loop) | {v for v in init.vars() if not v.startswith("$")})
+
+
+def cross_multiplied_system(tpl, loop, init, like):
+    """The system read off (Phi(I) - I).num, with ``like``'s parameters and block."""
+    eqs = {}
+    for m, c in (char_functional(loop, init, tpl.form) - tpl.form).num.terms.items():
+        i = sum(1 for v, _ in m if v.startswith("$"))
+        eqs.setdefault(m[i:], {})[m[:i]] = c
+    return PolySystem(tuple(Polynomial(eqs[k]) for k in sorted(eqs, key=mono_key)),
+                      like.parameters, like.numerator)
+
+
+def evaluate(p, assignment):
+    total = F(0)
+    for m, coeff in p.terms.items():
+        for v, exp in m:
+            coeff *= assignment[v[1:]] ** exp
+        total += coeff
+    return total
 
 
 class TestBuildAndSolve:
@@ -196,6 +227,52 @@ class TestBuildAndSolve:
             solve_system(system)
         with time_limit(0), pytest.raises(TimeoutError):
             _row_reduce(list(system.equations))
+
+    def test_rational_roots_honour_the_deadline(self):
+        # the constant has some 2.9e10 candidate divisors below its square root
+        t = Polynomial.var("$t")
+        start = time.monotonic()
+        with time_limit(0.5), pytest.raises(TimeoutError):
+            _rational_roots(t * t - 818358770033436551431, "$t")
+        assert time.monotonic() - start < 1.5
+
+    def test_the_residual_is_read_over_phis_denominator(self):
+        ast = parse("nat x; while (x = 1 mod 4) { {x := x + 4} [1/2] {x := x + 1} }")
+        tpl = list(enumerate_templates(["x"], 4))[4]
+        # cross-multiplied by the template's denominator, the system has 22
+        assert len(build_system(tpl, first_loop(ast), G_X).equations) == 18
+
+    def test_a_denominator_that_does_not_divide_gives_none_at_once(self, corpus):
+        # without the degree box, this division runs for the whole budget
+        ast, init, _, _ = corpus["fast_dice_roller"]
+        loop = first_loop(ast)
+        tpl = list(enumerate_templates(template_vars(loop, init), 1))[1]
+        phi = char_functional(loop, init, tpl.form)
+        with time_limit(0.1):
+            assert exact_quotient(phi.den, tpl.form.den) is None
+
+    def test_the_residual_has_the_solutions_of_the_cross_multiplied_system(self, corpus):
+        cases = [(name, first_loop(ast), init, 2) for name, (ast, init, _, _) in corpus.items()
+                 # its degree-1 solve runs out of time; its degree-2 build runs past 20 s
+                 if name != "fast_dice_roller"]
+        for k in (2, 3, 4):
+            ast = parse(f"nat x; while (x = 1 mod {k}) {{ {{x := x + {k}}} [1/2] {{x := x + 1}} }}")
+            cases.append((f"residue_k{k}", first_loop(ast), G_X, k))
+        differ = []
+        for name, loop, init, degree in cases:
+            for tpl in enumerate_templates(template_vars(loop, init), degree):
+                system = build_system(tpl, loop, init)
+                crossed = cross_multiplied_system(tpl, loop, init, system)
+                got, want = solve_system(system), solve_system(crossed)
+                if [(v.assignment, v.free) for v in got] == [(v.assignment, v.free) for v in want]:
+                    continue
+                differ.append((name, tpl.provenance))
+                # a positive-dimensional family, of which the two solves pick
+                # different points: each is a zero of both systems
+                for v in got + want:
+                    for eqs in (system.equations, crossed.equations):
+                        assert all(evaluate(e, v.assignment) == 0 for e in eqs)
+        assert differ == [("cond_and", "auto(d=2)")]
 
     def test_solver_soundness_on_random_systems(self):
         rng = random.Random(11)
@@ -520,6 +597,21 @@ class TestSynthesize:
         assert time.monotonic() - start < 2.0 + 2
         assert isinstance(res, Failure) and res.stage == "timeout"
         assert any("timeout reached while solving" in d for d in res.diagnostics)
+
+    @pytest.mark.parametrize("source", [
+        # stage 2 meets a constant with some 2.9e10 candidate divisors
+        "nat x; nat y; while (x < 2) { { {y := y + 1} [2/3] {y += iid(uniform(0, 2), 1)} }"
+        " [2/3] { {y--} [1/2] {x := 2} } }",
+        # stage 4 meets one new equation to factor after another
+        "nat x; nat y; while (y < 3) { { {x := 0} [1/3] {y--} } [3/4] {x--} }",
+    ], ids=["divisors", "factoring"])
+    def test_every_stage_honours_the_deadline(self, source):
+        ast = parse(source)
+        start = time.monotonic()
+        res = synthesize(first_loop(ast), from_poly(ONE),
+                         SynthesisConfig(max_den_degree=2, timeout_s=3.0))
+        assert time.monotonic() - start < 3.0 + 1
+        assert isinstance(res, Failure) and res.stage == "timeout"
 
 
 class TestUserTemplates:
