@@ -85,46 +85,30 @@ class ClosedForm(Frozen):
         return self.num.vars() | self.den.vars()
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        other = _lift(other)
         if self.den == other.den:
             return normalize(self.num + other.num, self.den)
         return normalize(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "ClosedForm":
         return ClosedForm(-self.num, self.den)
 
-    def __sub__(self, other) -> "ClosedForm":
-        return self + (-_lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + _lift(other)
+    def __sub__(self, other: "ClosedForm") -> "ClosedForm":
+        return self + (-other)
 
     def __mul__(self, other) -> "ClosedForm":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):     # Choice scales by a probability
             return normalize(self.num * other, self.den)
         return normalize(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "ClosedForm":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError
-            return normalize(self.num, self.den * other)
+    def __truediv__(self, other: "ClosedForm") -> "ClosedForm":
         return normalize(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "ClosedForm":
         return normalize(self.num ** n, self.den ** n)
-
-
-def _lift(v) -> ClosedForm:
-    if isinstance(v, ClosedForm):
-        return v
-    return from_poly(v if isinstance(v, Polynomial) else Polynomial.const(v))
 
 
 def from_poly(p: Polynomial) -> ClosedForm:
@@ -303,8 +287,6 @@ def mass(f: ClosedForm) -> ExtendedMass:
     shape is monotonically nonincreasing on [0,1]^n, so den(1) > 0 implies
     convergence with value num(1)/den(1) and den(1) <= 0 implies divergence.
     """
-    if f.is_zero():
-        return ExtendedMass.of(0)
     if not shape_nonneg(f):
         raise UnknownSign("mass is only evaluated on shape-certified nonnegative forms")
     d1 = sum(f.den.terms.values(), Fraction(0))  # den with every variable at 1

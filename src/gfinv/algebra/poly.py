@@ -22,8 +22,8 @@ to, and finds each next leading monomial on a heap of the remainder's keys.
 
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
-``**`` and ``subs_var``), each group of an evaluation (``_eval_last``, under
-``poly_gcd``), each step of an exact division (``_quotient``, under
+``**`` and ``subs_var``), every 1024th term of an evaluation (``_eval_last``,
+under ``poly_gcd``), each step of an exact division (``_quotient``, under
 ``poly_gcd`` and ``exact_quotient``), and each column of ``row_reduce``.
 """
 
@@ -449,18 +449,19 @@ def _eval_last(f: dict, xi: int) -> dict:
 
     The terms that share all exponents but the last form one group, and each
     group is summed by Horner over its exponents, highest first; the groups
-    keep the order of their first terms.  Polls ``check_deadline`` once per
-    group: a wide operand makes each sum a long integer.
+    keep the order of their first terms.  Polls ``check_deadline`` at every
+    1024th term of a group: a wide group makes each step a long integer.
     """
     groups: dict = {}
     for e, a in f.items():
         groups.setdefault(e[:-1], []).append((e[-1], a))
     out: dict = {}
     for rest, terms in groups.items():
-        check_deadline("while taking a polynomial gcd")
         terms.sort(reverse=True)
         acc, k = 0, terms[0][0]
-        for j, a in terms:
+        for i, (j, a) in enumerate(terms):
+            if not i % 1024:
+                check_deadline("while taking a polynomial gcd")
             acc = acc * xi ** (k - j) + a
             k = j
         acc *= xi ** k

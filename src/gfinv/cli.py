@@ -35,7 +35,7 @@ from .algebra import (
     series_expand,
     shape_nonneg,
 )
-from .invariant import Certificate, CertificateKind, Verdict, certify
+from .invariant import DEFAULT_REFUTE_DEGREE, Certificate, CertificateKind, Verdict, certify
 from .oracle import (
     Diverges,
     FiniteChain,
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--init", required=True, help="initial measure (closed form)")
     c.add_argument("--invariant", required=True,
                    help="candidate closed form, or @file")
-    c.add_argument("--refute-degree", type=_count, default=25)
+    c.add_argument("--refute-degree", type=_count, default=DEFAULT_REFUTE_DEGREE)
     c.add_argument("--timeout", type=_seconds, default=None,
                    help="seconds before the check, parsing included, stops with failure:timeout")
     c.set_defaults(fn=cmd_check)
@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--template", help="user template file")
     s.add_argument("--max-degree", type=_count, default=3,
                    help="maximum denominator total degree")
-    s.add_argument("--timeout", type=_seconds, default=60.0)
+    s.add_argument("--timeout", type=_seconds, default=60.0,
+                   help="seconds for the template search, plus up to 0.5 s of witness search")
     s.set_defaults(fn=cmd_synthesize)
 
     u = sub.add_parser("unroll", help="oracle lower bounds by loop unrolling")

@@ -48,15 +48,13 @@ class CertificateKind(enum.Enum):
 
 class Certificate(Frozen):
     kind: CertificateKind
-    loop: P.While
-    initial: ClosedForm
     invariant: ClosedForm
     verdict: Verdict
-    posterior: Optional[ClosedForm]
-    mass_invariant: Optional[ExtendedMass]
-    mass_initial: Optional[Fraction]
-    mass_posterior: Optional[Fraction]
-    past: bool
+    posterior: Optional[ClosedForm] = None
+    mass_invariant: Optional[ExtendedMass] = None
+    mass_initial: Optional[Fraction] = None
+    mass_posterior: Optional[Fraction] = None
+    past: bool = False
 
     @property
     def is_full(self) -> bool:
@@ -102,39 +100,44 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
     rule needs |I| finite and |[not guard]*I| = |g|; a finite-mass mismatch
     still witnesses PAST, and infinite mass leaves an upper bound only.  So
     does a ``diverge`` in the body: both rules assume a body that loses no
-    mass, and the mass that diverges never terminates.
+    mass, and the mass that diverges never terminates.  When |I|, |g| or
+    |[not guard]*I| cannot be decided (UnknownSign), or |g| is infinite, no
+    mass claim is sound: the certificate is a plain ExactInvariant or
+    Superinvariant, without posterior or masses.
     """
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         raise ValueError("exact_posterior needs a verified (super)invariant")
     bound = posterior_upper_bound(loop, invariant)
-    mass_i = mass(invariant)        # may raise UnknownSign: caller maps to Unknown
-    mass_g_ext = mass(g)
-    if not mass_g_ext.finite:
-        raise UnknownSign("initial measure has infinite mass")
-    mass_g = mass_g_ext.value
-    given = dict(loop=loop, initial=g, invariant=invariant, verdict=verdict,
-                 mass_invariant=mass_i, mass_initial=mass_g)
-    if mass_i.finite and not any(isinstance(s, P.Diverge) for s in P._stmts(loop.body)):
-        mass_b = mass(bound)
-        if mass_b.finite and mass_b.value == mass_g:
-            return Certificate(CertificateKind.EXACT_POSTERIOR, posterior=bound,
-                               mass_posterior=mass_b.value, past=True, **given)
-        return Certificate(CertificateKind.PAST_WITNESS, posterior=None,
-                           mass_posterior=mass_b.value if mass_b.finite else None,
-                           past=True, **given)
-    return Certificate(CertificateKind.UPPER_BOUND_ONLY, posterior=bound,
-                       mass_posterior=None, past=False, **given)
+    try:
+        mass_i, mass_g = mass(invariant), mass(g)
+        exact_rule = (mass_g.finite and mass_i.finite
+                      and not any(isinstance(s, P.Diverge) for s in P._stmts(loop.body)))
+        mass_b = mass(bound) if exact_rule else None
+    except UnknownSign:
+        mass_g = None
+    if mass_g is None or not mass_g.finite:
+        return Certificate(CertificateKind.EXACT_INVARIANT if verdict == Verdict.EXACT
+                           else CertificateKind.SUPERINVARIANT, invariant, verdict)
+    given = dict(invariant=invariant, verdict=verdict,
+                 mass_invariant=mass_i, mass_initial=mass_g.value)
+    if mass_b is None:
+        return Certificate(CertificateKind.UPPER_BOUND_ONLY, posterior=bound, **given)
+    if mass_b.finite and mass_b.value == mass_g.value:
+        return Certificate(CertificateKind.EXACT_POSTERIOR, posterior=bound,
+                           mass_posterior=mass_b.value, past=True, **given)
+    return Certificate(CertificateKind.PAST_WITNESS,
+                       mass_posterior=mass_b.value if mass_b.finite else None,
+                       past=True, **given)
 
 
 def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
             refute_degree: int = DEFAULT_REFUTE_DEGREE):
-    """verify + exact_posterior in one step.
+    """The shape test, verify and exact_posterior in one step.
 
     Returns (verdict, certificate-or-None).  A candidate that fails the
-    nonnegativity shape check is never certified (Unknown), and UnknownSign
-    from mass evaluation downgrades to a plain invariant certificate rather
-    than a false posterior claim.  Every layer raises TimeoutError past the
-    deadline of the innermost ``time_limit``.
+    nonnegativity shape check is never certified: Refuted by a negative
+    series coefficient up to refute_degree, else Unknown.  Every layer
+    raises TimeoutError past the deadline of the innermost ``time_limit``.
     """
     if not shape_nonneg(candidate):
         neg = find_negative_coefficient(candidate, refute_degree)
@@ -142,12 +145,4 @@ def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
     verdict = verify(loop, g, candidate, refute_degree)
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         return verdict, None
-    try:
-        cert = exact_posterior(loop, g, candidate, verdict)
-    except UnknownSign:
-        kind = (CertificateKind.EXACT_INVARIANT if verdict == Verdict.EXACT
-                else CertificateKind.SUPERINVARIANT)
-        cert = Certificate(kind=kind, loop=loop, initial=g, invariant=candidate,
-                           verdict=verdict, posterior=None, mass_invariant=None,
-                           mass_initial=None, mass_posterior=None, past=False)
-    return verdict, cert
+    return verdict, exact_posterior(loop, g, candidate, verdict)

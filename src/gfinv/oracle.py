@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import ClosedForm, Mono, mono_key, row_reduce, series_expand
+from .algebra import ClosedForm, Mono, mass, mono_key, row_reduce, series_expand, shape_nonneg
 from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
@@ -55,10 +55,6 @@ class SparseMeasure(Record):
     @staticmethod
     def dirac(state: State) -> "SparseMeasure":
         return SparseMeasure({tuple(state): Fraction(1)})
-
-    @staticmethod
-    def zero() -> "SparseMeasure":
-        return SparseMeasure({})
 
     def mass(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -283,7 +279,7 @@ def kleene_iterate(loop: P.While, g: SparseMeasure, vars: Sequence[str],
     """
     idx = {v: i for i, v in enumerate(vars)}
     current = g
-    occ = SparseMeasure.zero()
+    occ = SparseMeasure({})
     truncated = g.residual
     for _ in range(steps + 1):
         occ = occ.plus(SparseMeasure(current.entries))
@@ -325,9 +321,9 @@ class FiniteChain(Record):
             total = sum(row.values(), Fraction(0))
             if total != 1:
                 raise OracleError(f"transition row of {src} sums to {total}, not 1")
-        for s, mass in self.initial.items():
-            if mass < 0:
-                raise OracleError(f"initial mass of {s} is {mass}, which is negative")
+        for s, value in self.initial.items():
+            if value < 0:
+                raise OracleError(f"initial mass of {s} is {value}, which is negative")
 
     @staticmethod
     def parse(text: str) -> "FiniteChain":
@@ -432,6 +428,7 @@ def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[s
 SEARCH_STATES = 64        # guard states closed_class_witness expands at most
 SEARCH_SUPPORT_CAP = 32   # a draw's pmf is cut off here, its tail left open
 SOURCE_DEGREE = 12        # series degree of g whose terms seed the search
+SEARCH_SECONDS = 0.5      # synthesis gives the search this, after the template stream
 
 
 class ClosedClassWitness(Record):
@@ -599,13 +596,11 @@ def measure_from_closed_form(f: ClosedForm, degree: int,
     finite mass (the mass minus what is kept).  Otherwise no residual can
     back the measure, and OracleError is raised.
     """
-    from .algebra import mass as _mass, shape_nonneg as _shape
-
     coeffs = series_expand(f, degree, order=list(vars))
     entries = {_mono_state(mono, vars): c for mono, c in coeffs.items()}
     if f.is_polynomial() and f.num.total_degree() <= degree:
         return SparseMeasure(entries)
-    total = _mass(f) if _shape(f) else None
+    total = mass(f) if shape_nonneg(f) else None
     if total is None or not total.finite:
         raise OracleError(f"the series cut off at degree {degree} leaves a tail of "
                           + ("unknown" if total is None else "infinite") + " mass")

@@ -50,10 +50,6 @@ class InvalidProbability(ProgramError):
     pass
 
 
-class UnsupportedExpression(ProgramError):
-    pass
-
-
 # -- distributions -------------------------------------------------------------
 
 class Bernoulli(Frozen):
@@ -412,7 +408,7 @@ class _ProgParser(FormParser):
             sign = 1 if self.next().kind == "+" else -1
         coeffs = {v: c for v, c in coeffs.items() if c}
         if any(c < 0 for c in coeffs.values()):
-            raise UnsupportedExpression("negative variable coefficient in assignment")
+            raise ProgramError("negative variable coefficient in assignment")
         return coeffs, constant
 
     def parse_rational(self) -> Fraction:

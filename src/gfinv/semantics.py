@@ -186,8 +186,8 @@ def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
     if isinstance(g, P.And):
         return restrict_guard(restrict_guard(f, g.left), g.right)
     if isinstance(g, P.Or):
-        both = restrict_guard(restrict_guard(f, g.left), g.right)
-        return restrict_guard(f, g.left) + restrict_guard(f, g.right) - both
+        left = restrict_guard(f, g.left)
+        return left + restrict_guard(f, g.right) - restrict_guard(left, g.right)
     if isinstance(g, P.Not):
         return f - restrict_guard(f, g.inner)
     raise TypeError(f"unknown guard {g!r}")

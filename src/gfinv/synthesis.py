@@ -54,7 +54,7 @@ from .algebra import (
 from .algebra.closedform import _monomials_of_degree
 from .algebra.poly import _int_primitive, exact_quotient
 from .invariant import Certificate, CertificateKind, certify
-from . import Frozen, Record, check_deadline, program as P, time_limit
+from . import Frozen, Record, check_deadline, oracle, program as P, time_limit
 from .semantics import SemanticsError, apply_statement, char_functional
 
 
@@ -111,14 +111,12 @@ def parse_template(text: str, variables: Sequence[str]) -> Template:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("template:"):
-            line = line[len("template:"):].strip()
-            form, _ = parse_closed_form_with_params(line, variables)
-        elif "=" in line and form is not None:
+        body = line.removeprefix("template:")
+        if body == line and "=" in line and form is not None:
             name, expr = line.split("=", 1)
             links.append((name.strip(), expr.strip()))
         else:
-            form, _ = parse_closed_form_with_params(line, variables)
+            form, _ = parse_closed_form_with_params(body.strip(), variables)
     if form is None:
         raise ValueError("template file contains no closed form")
     for name, expr in links:
@@ -433,7 +431,9 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
     (``oracle.closed_class_witness``) looks for the reason: a guard state
     of infinite occupation coefficient, with the initial term and the path
     that reach it and the closed set of guard states it recurs in.  When it
-    finds one, the last diagnostic names all three.
+    finds one, the last diagnostic names all three.  The search has its own
+    budget, ``oracle.SEARCH_SECONDS``, after the stream's: a stream that ran
+    out of time does not starve it, and synthesis may overrun ``timeout_s`` by it.
     """
     cfg = config or SynthesisConfig()
     best_partial: Optional[Certificate] = None
@@ -507,8 +507,9 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
                     judged[key] = note("certify")
         except TimeoutError as e:   # "deadline reached while ..." from the layer it stopped
             note("timeout", f"{desc}: timeout{str(e).removeprefix('deadline')}")
-        if best_partial is not None:
-            return best_partial
+    if best_partial is not None:
+        return best_partial
+    with time_limit(oracle.SEARCH_SECONDS):
         probe = _divergence_probe(loop, g, variables)
     diagnostics = [line + (f" (from {n} valuations)" if n > 1 else "")
                    for _, line, n in log if line]
@@ -522,8 +523,6 @@ def _divergence_probe(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional
     """Why no finite invariant exists, when ``oracle.closed_class_witness``
     proves it: a reachable guard state whose occupation coefficient is
     infinite, with the initial term, the path and the closed set."""
-    from . import oracle
-
     if has_parameters(g) or not vars:
         return None
     try:
@@ -570,42 +569,39 @@ def analyze_program(ast: P.ProgramAst, g: ClosedForm,
     closed-form semantics, each top-level loop is synthesized with the current
     measure as its initial measure, and certified exact posteriors thread into
     the next segment.  Nested loops are rejected."""
-    from .program import top_level_segments
-
     segments: List[SegmentResult] = []
     current = g
     last_cert: Optional[Certificate] = None
-    for seg in top_level_segments(ast):
-        if isinstance(seg, P.While):
-            if any(isinstance(s, P.While) for s in P._stmts(seg.body)):
-                fail = Failure("structure", "nested loops are not supported; "
-                               "only top-level loops with loop-free bodies are analyzed")
-                segments.append(SegmentResult("loop", fail, initial=current, loop=seg))
-                return ProgramAnalysis(segments, None, fail, None)
-            res = synthesize(seg, current, config)
-            segments.append(SegmentResult("loop", res, initial=current, loop=seg))
-            if isinstance(res, Failure):
-                return ProgramAnalysis(segments, None, res, None)
-            last_cert = res
-            if res.kind == CertificateKind.EXACT_POSTERIOR:
-                current = res.posterior
-            else:
-                # an upper bound or PAST witness cannot soundly seed the next
-                # segment; stop here with the partial certificate
-                return ProgramAnalysis(segments, res, None, res.posterior)
+    for seg in P.top_level_segments(ast):
+        loop = seg if isinstance(seg, P.While) else None
+        nested = any(isinstance(s, P.While) for s in P._stmts(seg.body if loop else seg))
+        if nested and loop:
+            outcome = Failure("structure", "nested loops are not supported; only "
+                              "top-level loops with loop-free bodies are analyzed")
+        elif nested:
+            outcome = Failure("structure",
+                              "loops nested under conditionals or choices are not supported")
+        elif loop:
+            outcome = synthesize(loop, current, config)
         else:
-            if any(isinstance(s, P.While) for s in P._stmts(seg)):
-                fail = Failure("structure", "loops nested under conditionals or "
-                               "choices are not supported")
-                segments.append(SegmentResult("straight", fail))
-                return ProgramAnalysis(segments, None, fail, None)
             try:
-                current = apply_statement(seg, current)
+                outcome = apply_statement(seg, current)
             except SemanticsError as e:
-                fail = Failure("semantics", str(e))
-                segments.append(SegmentResult("straight", fail))
-                return ProgramAnalysis(segments, None, fail, None)
-            segments.append(SegmentResult("straight", current))
+                outcome = Failure("semantics", str(e))
+        if loop:
+            segments.append(SegmentResult("loop", outcome, current, loop))
+        else:
+            segments.append(SegmentResult("straight", outcome))
+        if isinstance(outcome, Failure):
+            return ProgramAnalysis(segments, None, outcome, None)
+        if not loop:
+            current = outcome
+        elif outcome.kind == CertificateKind.EXACT_POSTERIOR:
+            last_cert, current = outcome, outcome.posterior
+        else:
+            # an upper bound or PAST witness cannot soundly seed the next
+            # segment; stop here with the partial certificate
+            return ProgramAnalysis(segments, outcome, None, outcome.posterior)
     return ProgramAnalysis(segments, last_cert, None, current)
 
 
@@ -623,12 +619,10 @@ def _loop_vars(loop: P.While) -> set:
 
     guard_vars(loop.guard)
     for s in P._stmts(loop.body):
-        if isinstance(s, (P.AssignConst, P.Decrement)):
+        if isinstance(s, (P.AssignConst, P.Decrement, P.IidIncrement)):
             out.add(s.var)
-        elif isinstance(s, P.IidIncrement):
-            out.add(s.var)
-            if s.count:
-                out.add(s.count)
-        elif isinstance(s, P.IfThenElse):
+        if isinstance(s, P.IidIncrement) and s.count:
+            out.add(s.count)
+        if isinstance(s, P.IfThenElse):
             guard_vars(s.guard)
     return out

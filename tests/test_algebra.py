@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -151,6 +152,11 @@ class TestMass:
         m = mass(normalize(ONE, 2 - C))
         assert m.finite and m.value == 1
 
+    def test_zero_has_mass_zero(self):
+        for zero in (closedform.ZERO, normalize(Polynomial(), 2 - C)):
+            m = mass(zero)
+            assert m.finite and m.value == 0
+
     def test_divergent(self):
         assert not mass(normalize(ONE, ONE - 2 * X)).finite
 
@@ -283,6 +289,16 @@ def test_eval_last_is_the_sum_of_the_evaluated_terms(drawn, xi):
 def test_eval_last_honours_its_deadline():
     with time_limit(0), pytest.raises(TimeoutError, match="polynomial gcd"):
         poly._eval_last({(0, 5): 1, (1, 0): 2}, 31)
+
+
+def test_eval_last_polls_inside_one_wide_group():
+    # Horner over this one group runs for about 0.5 s; a poll per group
+    # would let it finish past the deadline
+    f = {(k,): 1 + k % 7 for k in range(50001)}
+    start = time.monotonic()
+    with time_limit(0.05), pytest.raises(TimeoutError, match="polynomial gcd"):
+        poly._eval_last(f, 37)
+    assert time.monotonic() - start < 0.25
 
 
 def reference_subs(p, var, value):

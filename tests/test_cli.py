@@ -146,6 +146,13 @@ def test_subtracting_a_huge_constant_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("gfinv: error: 3:3: cannot subtract 1000000")
 
 
+def test_a_negative_variable_coefficient_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "program.pgcl"
+    path.write_text("nat x;\nnat y;\ny := 1 - x;\nwhile (x > 0) { x := x - 1 }\n")
+    err = refusal(["check", str(path), "--init", "X", "--invariant", "1"], capsys)
+    assert err == "gfinv: error: negative variable coefficient in assignment\n"
+
+
 class TestSynthesizeCommand:
     def test_geometric_full_certificate(self):
         rc, rep, _ = invoke(["synthesize", str(BENCH / "geometric/program.pgcl"),
@@ -280,6 +287,25 @@ class TestCheckCommand:
         rc, rep, _ = invoke(["check", self.wide_draw(tmp_path, 4000), "--init", "X",
                              "--invariant", "(1 + 2*X)/(2 - C)", "--timeout", "2"])
         assert rc == EXIT_PARTIAL and rep["outcome"] == "not-certified:refuted"
+
+    def test_an_init_of_infinite_mass_certifies_no_posterior(self, tmp_path):
+        prog = tmp_path / "reset.pgcl"
+        prog.write_text("nat x; nat c;\nwhile (x = 1) { x := 0 }\n")
+        rc, rep, _ = invoke(["check", str(prog), "--init", "X/(1-C)",
+                             "--invariant", "(1+X)/(1-C)"])
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == "ExactInvariant" and rep["verdict"] == "exact"
+        assert rep["posterior"] is None and rep["past"] is False
+        assert set(rep["masses"].values()) == {None}
+
+    def test_an_undecided_posterior_mass_certifies_no_posterior(self, tmp_path):
+        prog = tmp_path / "reset.pgcl"
+        prog.write_text("nat x;\nwhile (x = 1) { x := 0 }\n")
+        rc, rep, _ = invoke(["check", str(prog), "--init", "X",
+                             "--invariant", "(6+3*X)/(3-X)"])
+        assert rc == EXIT_PARTIAL
+        assert rep["outcome"] == "Superinvariant" and rep["verdict"] == "super"
+        assert rep["posterior"] is None and set(rep["masses"].values()) == {None}
 
     def test_a_deadline_not_reached_leaves_the_report_unchanged(self):
         args = ["check", self.FDR] + self.HARD

@@ -97,3 +97,17 @@ def test_one_lexer_serves_both_grammars():
                     or isinstance(node, ast.ImportFrom) and node.module == "re"):
                 importers.append(path.relative_to(SRC).as_posix())
     assert importers == ["algebra/gfexpr.py"]
+
+
+def test_only_sympy_is_imported_inside_a_function():
+    """Every gfinv module is imported at the top of the module that uses it.
+    Only ``_factor_poly`` imports inside its body: sympy, which only stage 4
+    of the solver needs, costs about 0.3 s to load."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.relative_to(SRC).as_posix(), node.name, name)
+                          for name, _ in _imported_names(node)]
+    assert found == [("synthesis.py", "_factor_poly", "sympy"),
+                     ("synthesis.py", "_factor_poly", "_sort_gens")]

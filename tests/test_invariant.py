@@ -121,6 +121,34 @@ class TestCertify:
         assert verdict == Verdict.REFUTED and cert is None
 
 
+class TestInfiniteInitialMass:
+    """From X/(1-C) the initial measure has infinite mass, so no mass claim
+    is sound: a verified candidate certifies a plain (super)invariant.  So
+    does a mass that the shape test cannot decide."""
+
+    LOOP = parse("nat x; nat c;\nwhile (x = 1) { x := 0 }").body
+    INIT = normalize(X, ONE - C)
+
+    @pytest.mark.parametrize("num, verdict, kind", [
+        (ONE + X, Verdict.EXACT, CertificateKind.EXACT_INVARIANT),
+        (2 + X, Verdict.SUPER, CertificateKind.SUPERINVARIANT),
+    ], ids=["exact", "super"])
+    def test_certifies_no_posterior(self, num, verdict, kind):
+        got, cert = certify(self.LOOP, self.INIT, normalize(num, ONE - C))
+        assert got == cert.verdict == verdict and cert.kind == kind
+        assert cert.posterior is None and not cert.past and not cert.is_full
+        assert cert.mass_initial is cert.mass_invariant is cert.mass_posterior is None
+
+    def test_an_undecided_posterior_mass_certifies_no_posterior(self):
+        # |I| = 9/2 is finite, but the shape test cannot decide the sign of
+        # [not guard]*I = (6 - 2X + 5X^2/3)/(3 - X), so its mass is unknown
+        loop = parse("nat x;\nwhile (x = 1) { x := 0 }").body
+        verdict, cert = certify(loop, G, normalize(6 + 3 * X, 3 - X))
+        assert verdict == cert.verdict == Verdict.SUPER
+        assert cert.kind == CertificateKind.SUPERINVARIANT and cert.posterior is None
+        assert cert.mass_initial is cert.mass_invariant is cert.mass_posterior is None
+
+
 class TestDivergingBody:
     # terminates with probability 1/2: the other half of the mass diverges
     LOOP = parse("nat x;\nwhile (x < 1) { {x := x + 1} [1/2] {diverge} }").body

@@ -244,6 +244,24 @@ class TestApplyStatement:
         with pytest.raises(NestedLoop):
             apply_statement(P.While(P.Lt("x", 1), P.Skip()), from_poly(X))
 
+    def test_assigning_zero_sums_a_convergent_series(self):
+        f = normalize(ONE, 2 - X)
+        assert apply_statement(P.AssignConst("x", 0), f) == const(1)
+        # the oracle keeps the series to degree 8 and the cut-off tail as residual
+        pushed = exec_loopfree(P.AssignConst("x", 0), measure_from_closed_form(f, 8, ["x"]),
+                               ["x"])
+        assert list(pushed.entries) == [(0,)]
+        assert pushed.entries[(0,)] + pushed.residual == 1 and pushed.residual > 0
+
+    @pytest.mark.parametrize("f, message", [
+        (normalize(ONE, ONE - X), "series diverges"),
+        # the sum over x converges, but the denominator is not of geometric shape
+        (normalize(C, (2 - X) * (3 - C)), "cannot certify convergence"),
+    ], ids=["diverges", "not-geometric"])
+    def test_assigning_zero_refuses_a_sum_it_cannot_certify(self, f, message):
+        with pytest.raises(DivergentMarginalization, match=message):
+            apply_statement(P.AssignConst("x", 0), f)
+
     def test_a_wide_uniform_pgf_is_built_in_linear_time(self):
         # one monomial added at a time copied the growing sum: 2 s at 20,001 terms
         start = time.monotonic()
@@ -447,6 +465,15 @@ class TestOracleEquivalence:
         symbolic = apply_statement(stmt, f)
         assert time.perf_counter() - start < 1
         self.assert_matches_oracle(stmt, f, symbolic, "mod5")
+
+    def test_a_linear_assignment_matches_oracle(self):
+        stmt = parse("nat x; nat y;\nx := y + 1").body
+        # x does not occur on the right: the rewrite starts from x := 0
+        assert P.AssignConst("x", 0) in list(P._stmts(stmt))
+        rng = random.Random(zlib.crc32(b"linear_assign"))
+        for trial in range(6):
+            f = _random_nonneg_form(rng, ["x", "y"], True)
+            self.assert_matches_oracle(stmt, f, apply_statement(stmt, f), trial)
 
     def test_linearity(self):
         rng = random.Random(99)

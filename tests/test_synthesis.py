@@ -613,6 +613,28 @@ class TestSynthesize:
         assert time.monotonic() - start < 3.0 + 1
         assert isinstance(res, Failure) and res.stage == "timeout"
 
+    SELF_LOOP = "nat x; nat y; while (y < 3) { { {x := 0} [1/3] {y--} } [3/4] {x--} }"
+
+    def test_the_witness_search_has_a_budget_of_its_own(self):
+        # y stays 0 < 3 from 1: the stream runs out of time, yet the search
+        # that runs after it still proves that no finite invariant exists
+        start = time.monotonic()
+        res = synthesize(first_loop(parse(self.SELF_LOOP)), from_poly(ONE),
+                         SynthesisConfig(max_den_degree=2, timeout_s=3.0))
+        assert time.monotonic() - start < 3.0 + 1
+        assert isinstance(res, Failure) and res.stage == "timeout"
+        assert res.diagnostics[-1].startswith(
+            "the occupation measure has an infinite coefficient at state (x=0, y=0)")
+
+    def test_an_outer_limit_still_bounds_the_witness_search(self):
+        start = time.monotonic()
+        with time_limit(0.5):
+            res = synthesize(first_loop(parse(self.SELF_LOOP)), from_poly(ONE),
+                             SynthesisConfig(max_den_degree=2, timeout_s=3.0))
+        assert time.monotonic() - start < 0.5 + 1
+        assert isinstance(res, Failure) and res.stage == "timeout"
+        assert "infinite coefficient" not in res.diagnostics[-1]
+
 
 class TestUserTemplates:
     def test_linked_parameters(self):
@@ -626,6 +648,21 @@ class TestUserTemplates:
         assert tpl.parameters == ("b",)
         inst = instantiate(tpl.form, {"b": F(1, 2)})
         assert equal(inst, normalize(2 * X + ONE, ONE - C * F(1, 2)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("# a comment only\n", "contains no closed form"),
+        ("(a*X + 1)/(1 - b*C)\na = 1/(1 - b)\n", "must be polynomial in parameters"),
+        # a link needs a form before it and no prefix; else it is read as a form
+        ("a = 2\n(a*X + 1)/(1 - b*C)\n", "trailing input"),
+        ("(a*X + 1)/(1 - b*C)\ntemplate: a = 2\n", "trailing input"),
+    ], ids=["no-form", "rational-link", "link-before-form", "prefixed-link"])
+    def test_a_malformed_file_is_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_template(text, ["x", "c"])
+
+    def test_a_prefixed_line_after_a_form_is_a_form(self):
+        tpl = parse_template("(a*X + 1)/(1 - b*C)\ntemplate: (d*X)/(1 - e*C)\n", ["x", "c"])
+        assert tpl.parameters == ("d", "e")
 
     def test_a_product_of_parameters_is_solved(self):
         # p*q = 1 has a family of solutions and nothing to factor: the 0/1
