@@ -13,12 +13,13 @@ works on integer polynomials, ``{exponent tuple: int}`` dicts, and only its
 operands and its results, the gcd and both cofactors, are converted.  A gcd
 of 1 converts nothing back: the operands are its cofactors.
 
-Each job has one helper: ``Polynomial.subs_var`` substitutes, ``_quotient``
-divides exactly (inside the gcd, which hands its cofactors to callers, and
-under ``exact_quotient``, which takes and returns ``Polynomial``s), and
-``_int_primitive`` converts to integer coefficients.  ``_quotient`` stops as
-soon as a quotient monomial leaves the degree box that a true quotient keeps
-to, and finds each next leading monomial on a heap of the remainder's keys.
+Each job has one helper: ``_layers`` splits by the powers of a variable,
+``Polynomial.subs_var`` substitutes, ``_quotient`` divides exactly (inside
+the gcd, which hands its cofactors to callers, and under ``exact_quotient``,
+which takes and returns ``Polynomial``s), and ``_int_primitive`` converts to
+integer coefficients.  ``_quotient`` stops as soon as a quotient monomial
+leaves the degree box that a true quotient keeps to, and finds each next
+leading monomial on a heap of the remainder's keys.
 
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
@@ -144,10 +145,6 @@ class Polynomial:
         return p
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
 
     @staticmethod
     def const(c) -> "Polynomial":
@@ -333,12 +330,6 @@ def _layers(p: Polynomial, v: str) -> dict:
         else:
             layers.setdefault(0, {})[m] = c
     return layers
-
-
-def _as_univar(p: Polynomial, v: str) -> list:
-    """Dense coefficient list in v; entries are polynomials in the other vars."""
-    layers = _layers(p, v)
-    return [Polynomial._of(layers.get(e, {})) for e in range(max(layers, default=0) + 1)]
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> tuple:

@@ -119,17 +119,6 @@ def _analysis_report(analysis: ProgramAnalysis, order) -> Dict:
     return report
 
 
-def _emit(report: Dict, out) -> None:
-    json.dump(report, out, indent=2, sort_keys=True, default=str)
-    out.write("\n")
-
-
-def _outcome_exit(report: Dict) -> int:
-    if report.get("outcome") == CertificateKind.EXACT_POSTERIOR.value:
-        return EXIT_FULL
-    return EXIT_PARTIAL
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -168,7 +157,7 @@ def _init_arg(text: str, variables) -> ClosedForm:
     return g
 
 
-def cmd_check(args, out) -> int:
+def cmd_check(args) -> Dict:
     t0 = time.monotonic()
     source = _read(args.program)
     ast = parse(source)
@@ -195,11 +184,10 @@ def cmd_check(args, out) -> int:
         report.update(_cert_payload(cert, list(ast.variables)))
     else:
         report["outcome"] = f"not-certified:{verdict.value}"
-    _emit(report, out)
-    return _outcome_exit(report)
+    return report
 
 
-def cmd_synthesize(args, out) -> int:
+def cmd_synthesize(args) -> Dict:
     t0 = time.monotonic()
     source = _read(args.program)
     ast = parse(source)
@@ -210,14 +198,12 @@ def cmd_synthesize(args, out) -> int:
     t1 = time.monotonic()
     analysis = analyze_program(ast, g, config)
     t2 = time.monotonic()
-    report = _report("synthesize", source,
-                     timing={"parse_s": t1 - t0, "synthesize_s": t2 - t1},
-                     **_analysis_report(analysis, list(ast.variables)))
-    _emit(report, out)
-    return _outcome_exit(report)
+    return _report("synthesize", source,
+                   timing={"parse_s": t1 - t0, "synthesize_s": t2 - t1},
+                   **_analysis_report(analysis, list(ast.variables)))
 
 
-def cmd_unroll(args, out) -> int:
+def cmd_unroll(args) -> Dict:
     t0 = time.monotonic()
     source = _read(args.program)
     ast = parse(source)
@@ -232,15 +218,13 @@ def cmd_unroll(args, out) -> int:
         return dict(sorted((format_monomial(_state_mono(s, order), order), str(v))
                            for s, v in measure.entries.items()))
 
-    report = _report("unroll", source, outcome="lower-bounds", steps=args.steps,
-                     occupation_lower=fmt(res.occ_lower),
-                     posterior_lower=fmt(res.post_lower), residual=str(res.residual),
-                     timing={"unroll_s": t1 - t0})
-    _emit(report, out)
-    return EXIT_FULL
+    return _report("unroll", source, outcome="lower-bounds", steps=args.steps,
+                   occupation_lower=fmt(res.occ_lower),
+                   posterior_lower=fmt(res.post_lower), residual=str(res.residual),
+                   timing={"unroll_s": t1 - t0})
 
 
-def cmd_expand(args, out) -> int:
+def cmd_expand(args) -> Dict:
     t0 = time.monotonic()
     f = _parse_form(args.expression)
     coeffs = series_expand(f, args.degree)
@@ -248,13 +232,11 @@ def cmd_expand(args, out) -> int:
     order = sorted(f.vars())
     table = {format_monomial(m, order): str(c)
              for m, c in sorted(coeffs.items(), key=lambda t: mono_key(t[0], order))}
-    report = _report("expand", args.expression, outcome="expanded", degree=args.degree,
-                     coefficients=table, timing={"expand_s": t1 - t0})
-    _emit(report, out)
-    return EXIT_FULL
+    return _report("expand", args.expression, outcome="expanded", degree=args.degree,
+                   coefficients=table, timing={"expand_s": t1 - t0})
 
 
-def cmd_chain(args, out) -> int:
+def cmd_chain(args) -> Dict:
     t0 = time.monotonic()
     source = _read(args.chain)
     chain = FiniteChain.parse(source)
@@ -282,8 +264,7 @@ def cmd_chain(args, out) -> int:
                     f"{c}-contraction bound (strictly at some state)")
         except Diverges as e:
             report["diagnostics"].append(str(e))
-    _emit(report, out)
-    return EXIT_FULL
+    return report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,11 +348,18 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code else EXIT_FULL
     try:
-        return args.fn(args, out)
+        report = args.fn(args)
+        json.dump(report, out, indent=2, sort_keys=True, default=str)
+        out.write("\n")
     except (ProgramError, AlgebraError, SemanticsError,
             OracleError, ValueError, OSError) as e:
         print(f"gfinv: error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    # only a check or a synthesis can fall short of a full certificate
+    if report["mode"] in ("check", "synthesize") \
+            and report["outcome"] != CertificateKind.EXACT_POSTERIOR.value:
+        return EXIT_PARTIAL
+    return EXIT_FULL
 
 
 def main() -> None:

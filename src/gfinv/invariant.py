@@ -20,7 +20,6 @@ from .algebra import (
     ClosedForm,
     ExtendedMass,
     UnknownSign,
-    equal,
     find_negative_coefficient,
     mass,
     shape_nonneg,
@@ -71,15 +70,14 @@ def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
            refute_degree: int = DEFAULT_REFUTE_DEGREE) -> Verdict:
     """Classify a fully instantiated candidate against the fixed point equation.
 
-    Exact when Phi(I) = I as rational functions; Super when the difference
-    I - Phi(I) passes the nonnegativity shape check; Refuted when some series
-    coefficient of the difference up to refute_degree is negative; otherwise
-    Unknown.  The series search raises TimeoutError past the deadline.
+    Exact when the difference I - Phi(I) is zero; Super when it passes the
+    nonnegativity shape check; Refuted when some series coefficient of the
+    difference up to refute_degree is negative; otherwise Unknown.  The
+    series search raises TimeoutError past the deadline.
     """
-    phi = char_functional(loop, g, candidate)
-    if equal(phi, candidate):
+    diff = candidate - char_functional(loop, g, candidate)
+    if diff.is_zero():
         return Verdict.EXACT
-    diff = candidate - phi
     if shape_nonneg(diff):
         return Verdict.SUPER
     if find_negative_coefficient(diff, refute_degree) is not None:

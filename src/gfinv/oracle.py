@@ -4,8 +4,9 @@ Executes loop-free statements exactly on finite maps from states to
 rationals, tracks every truncated probability tail in an explicit residual,
 iterates loops Kleene-style to certified lower bounds, computes exact
 expected visiting times of finite Markov chains by sparse exact elimination
-(``row_reduce``, the template solver's kernel), and cross-checks closed
-forms against oracle runs.
+(``row_reduce``, the template solver's kernel); ``tests/support.py``
+cross-checks closed forms against its runs.  Each Kleene step, each state
+of an iid draw and each row of a pmf convolution poll the time limit.
 
 ``closed_class_witness`` proves that a loop has no finite occupation
 invariant: by a bounded exact search, it names a guard state that the
@@ -75,10 +76,6 @@ class SparseMeasure(Record):
             else:
                 out.pop(s, None)
         return SparseMeasure(out, self.residual + other.residual)
-
-    def filtered(self, keep) -> "SparseMeasure":
-        return SparseMeasure({s: v for s, v in self.entries.items() if keep(s)},
-                             Fraction(0))
 
 
 def eval_guard(g: P.Guard, state: State, vars: Sequence[str]) -> bool:
@@ -153,6 +150,7 @@ def _convolve(a: Tuple[List[Fraction], Fraction], b: Tuple[List[Fraction], Fract
     for i, x in enumerate(pa):
         if not x:
             continue
+        check_deadline("while convolving a pmf")
         for j, y in enumerate(pb):
             if not y or i + j > cap:
                 continue
@@ -212,6 +210,7 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
         residual = m.residual
         cache: Dict[int, Tuple[List[Fraction], Fraction]] = {}
         for s, v in m.entries.items():
+            check_deadline("while drawing an iid sum")
             count = 1 if stmt.count is None else s[idx[stmt.count]]
             if count not in cache:
                 cache[count] = iid_sum_pmf(stmt.dist, count,
@@ -282,18 +281,19 @@ def kleene_iterate(loop: P.While, g: SparseMeasure, vars: Sequence[str],
     occ = SparseMeasure({})
     truncated = g.residual
     for _ in range(steps + 1):
+        check_deadline("while iterating the loop")
         occ = occ.plus(SparseMeasure(current.entries))
         frontier = SparseMeasure(
             {s: v for s, v in current.entries.items() if _eval_guard(loop.guard, s, idx)})
         nxt = _exec(loop.body, frontier, idx, support_cap)
         truncated += nxt.residual
         current = SparseMeasure(nxt.entries)
-    post = occ.filtered(lambda s: not _eval_guard(loop.guard, s, idx))
     # mass still flowing: everything that reached the final frontier, plus all
     # truncation losses along the way
     residual = current.mass() + truncated
     occ.residual = residual
-    post.residual = residual
+    post = SparseMeasure({s: v for s, v in occ.entries.items()
+                          if not _eval_guard(loop.guard, s, idx)}, residual)
     return KleeneResult(occ, post, residual)
 
 
@@ -329,12 +329,7 @@ class FiniteChain(Record):
     def parse(text: str) -> "FiniteChain":
         transitions: Dict[str, Dict[str, Fraction]] = {}
         initial: Dict[str, Fraction] = {}
-        states: List[str] = []
-
-        def note(s: str):
-            if s not in states:
-                states.append(s)
-
+        states: Dict[str, None] = {}        # in order of first mention
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -345,25 +340,15 @@ class FiniteChain(Record):
                 raise OracleError(f"line {lineno}: expected {shape}")
             head, state, value = parts[0], parts[1], parse_rational(parts[2], f"line {lineno}")
             if head == "init":
-                note(state)
+                states[state] = None
                 initial[state] = initial.get(state, Fraction(0)) + value
             else:
-                note(head)
-                note(state)
+                states[head] = states[state] = None
                 row = transitions.setdefault(head, {})
                 row[state] = row.get(state, Fraction(0)) + value
-        chain = FiniteChain(states, transitions, initial)
+        chain = FiniteChain(list(states), transitions, initial)
         chain.validate()
         return chain
-
-    def format(self) -> str:
-        lines = []
-        for src in self.states:
-            for dst, p in self.transitions.get(src, {}).items():
-                lines.append(f"{src} {dst} {p}")
-        for s, v in self.initial.items():
-            lines.append(f"init {s} {v}")
-        return "\n".join(lines) + "\n"
 
 
 def _forward(successors: Dict, sources) -> set:
@@ -536,46 +521,6 @@ def best_contraction_bound(chain: FiniteChain, c: Fraction,
 
 
 # -- closed form vs oracle -------------------------------------------------------------
-
-class CrosscheckReport(Record):
-    violations: List[Tuple[Mono, Fraction, Fraction]]
-    max_gap: Fraction
-    total_gap: Fraction
-    residual: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def crosscheck(f: ClosedForm, m: SparseMeasure, degree: int,
-               vars: Sequence[str]) -> CrosscheckReport:
-    """Compare a closed form against an oracle lower bound, entrywise.
-
-    A closed-form coefficient below the oracle value is a soundness violation;
-    the gaps above it are summed and their maximum kept, for comparison with
-    the oracle residual.
-    """
-    coeffs = series_expand(f, degree, order=list(vars))
-    violations = []
-    max_gap = Fraction(0)
-    total_gap = Fraction(0)
-    monos = set(coeffs)
-    for s in m.entries:
-        if sum(s) <= degree:
-            monos.add(_state_mono(s, vars))
-    for mono in sorted(monos, key=lambda t: mono_key(t, list(vars))):
-        got = coeffs.get(mono, Fraction(0))
-        state = _mono_state(mono, vars)
-        lower = m.entries.get(state, Fraction(0))
-        if got < lower:
-            violations.append((mono, got, lower))
-        else:
-            gap = got - lower
-            max_gap = max(max_gap, gap)
-            total_gap += gap
-    return CrosscheckReport(violations, max_gap, total_gap, m.residual)
-
 
 def _state_mono(state: State, vars: Sequence[str]) -> Mono:
     return tuple(sorted((v, e) for v, e in zip(vars, state) if e))

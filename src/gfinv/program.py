@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import Frozen
-from .algebra import (AlgebraError, ClosedForm, GfSyntaxError, format_closed_form, mass,
-                      shape_nonneg)
+from .algebra import AlgebraError, ClosedForm, GfSyntaxError, mass, shape_nonneg
 from .algebra.gfexpr import FormParser
 
 MAX_SUBTRACTED = 100    # per assignment; each unit subtracted is one Decrement
@@ -489,66 +488,3 @@ class _ProgParser(FormParser):
 def parse(source: str) -> ProgramAst:
     """Parse program text; raises SyntaxError_/UndeclaredVariable/InvalidProbability."""
     return _ProgParser(source).parse_program()
-
-
-# -- pretty printer ----------------------------------------------------------------
-
-def print_guard(g: Guard) -> str:
-    if isinstance(g, Lt):
-        return f"{g.var} < {g.bound}"
-    if isinstance(g, Eq):
-        return f"{g.var} = {g.value}"
-    if isinstance(g, ModEq):
-        return f"{g.var} = {g.residue} mod {g.modulus}"
-    if isinstance(g, And):
-        return f"({print_guard(g.left)}) && ({print_guard(g.right)})"
-    if isinstance(g, Or):
-        return f"({print_guard(g.left)}) || ({print_guard(g.right)})"
-    return f"!({print_guard(g.inner)})"
-
-
-def print_dist(d: DistExpr) -> str:
-    for name, (dist, _) in _FIXED_DISTS.items():
-        if isinstance(d, dist):
-            return f"{name}({', '.join(map(str, d._values()))})"
-    return f"pgf({format_closed_form(d.form)})"
-
-
-def _print_stmt(s: Statement, indent: int) -> str:
-    pad = "    " * indent
-    if isinstance(s, Skip):
-        return pad + "skip"
-    if isinstance(s, Diverge):
-        return pad + "diverge"
-    if isinstance(s, AssignConst):
-        return pad + f"{s.var} := {s.value}"
-    if isinstance(s, Decrement):
-        return pad + f"{s.var}--"
-    if isinstance(s, IidIncrement):
-        if isinstance(s.dist, Dirac):
-            if s.count is None:
-                return pad + f"{s.var} := {s.var} + {s.dist.value}"
-            return pad + f"{s.var} := {s.var} + {s.dist.value}*{s.count}"
-        count = s.count if s.count is not None else "1"
-        return pad + f"{s.var} += iid({print_dist(s.dist)}, {count})"
-    if isinstance(s, Choice):
-        return (pad + "{\n" + _print_stmt(s.left, indent + 1) + "\n" + pad
-                + f"}} [{s.prob}] {{\n" + _print_stmt(s.right, indent + 1)
-                + "\n" + pad + "}")
-    if isinstance(s, Seq):
-        return (";\n").join(_print_stmt(t, indent) for t in s.stmts)
-    if isinstance(s, IfThenElse):
-        out = (pad + f"if ({print_guard(s.guard)}) {{\n"
-               + _print_stmt(s.then, indent + 1) + "\n" + pad + "}")
-        if not isinstance(s.els, Skip):
-            out += " else {\n" + _print_stmt(s.els, indent + 1) + "\n" + pad + "}"
-        return out
-    if isinstance(s, While):
-        return (pad + f"while ({print_guard(s.guard)}) {{\n"
-                + _print_stmt(s.body, indent + 1) + "\n" + pad + "}")
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def print_program(ast: ProgramAst) -> str:
-    decls = "".join(f"nat {v};\n" for v in ast.variables)
-    return decls + _print_stmt(ast.body, 0) + "\n"

@@ -25,7 +25,7 @@ from .algebra import (
     normalize,
 )
 from .algebra.closedform import _constant_section, geometric_den
-from .algebra.poly import _as_univar, mono_degree_in, mono_div
+from .algebra.poly import _layers, mono_degree_in, mono_div
 from . import program as P
 
 
@@ -81,19 +81,19 @@ def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
         return ZERO
     if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
         return f
-    num_by = _as_univar(f.num, var)
-    den_by = _as_univar(f.den, var)
-    d0 = den_by[0]
+    num_by = _layers(f.num, var)
+    den_by = _layers(f.den, var)
+    d0 = Polynomial._of(den_by.pop(0, {}))
+    higher = [(j, Polynomial._of(den_by[j])) for j in sorted(den_by)]
     b: list = []
     for i in range(bound):
-        acc = (num_by[i] if i < len(num_by) else Polynomial.zero()) * d0 ** i
-        for j in range(1, min(i, len(den_by) - 1) + 1):
-            dj = den_by[j]
-            if dj.is_zero():
-                continue
+        acc = Polynomial._of(num_by.get(i, {})) * d0 ** i
+        for j, dj in higher:
+            if j > i:
+                break
             acc = acc - dj * b[i - j] * d0 ** (j - 1)
         b.append(acc)
-    num_out = Polynomial.zero()
+    num_out = Polynomial()
     for i in range(bound):
         if b[i].is_zero():
             continue
@@ -163,13 +163,11 @@ def substitute(f: ClosedForm, var: str, h: ClosedForm) -> ClosedForm:
 
 def _subst_poly(p: Polynomial, var: str, h: ClosedForm):
     """p[var/h] cleared to (polynomial, degree): result = poly / h.den^degree."""
-    layers = _as_univar(p, var)
-    deg = len(layers) - 1
-    acc = Polynomial.zero()
-    for i, layer in enumerate(layers):
-        if layer.is_zero():
-            continue
-        acc = acc + layer * h.num ** i * h.den ** (deg - i)
+    layers = _layers(p, var)
+    deg = max(layers, default=0)
+    acc = Polynomial()
+    for i in sorted(layers):
+        acc = acc + Polynomial._of(layers[i]) * h.num ** i * h.den ** (deg - i)
     return acc, deg
 
 
@@ -227,7 +225,7 @@ def mod_filter(f: ClosedForm, var: str, residue: int, modulus: int) -> ClosedFor
         if cols in minors:
             return minors[cols]
         row = d - len(cols)
-        acc = Polynomial.zero()
+        acc = Polynomial()
         for i, s in enumerate(cols):
             a = entry(row, s)
             if a.is_zero():
@@ -238,7 +236,7 @@ def mod_filter(f: ClosedForm, var: str, residue: int, modulus: int) -> ClosedFor
         return acc
 
     cols = tuple(range(d))
-    section = Polynomial.zero()
+    section = Polynomial()
     for t in cols:
         # the cofactor of M[0][t] is the coefficient of var^t in N/den; of the
         # parts of num, only var^a * P_a with a + t = residue mod d is kept

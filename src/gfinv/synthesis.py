@@ -101,28 +101,37 @@ def enumerate_templates(variables: Sequence[str], max_den_degree: int) -> Iterat
 def parse_template(text: str, variables: Sequence[str]) -> Template:
     """Parse a user template file: a closed form plus parameter links.
 
-    Lines: optional ``template:`` prefix for the form; ``name = expr`` links
-    pin or tie parameters (expr is polynomial in other parameters); ``#``
-    comments.  Links are substituted into the form immediately.
+    Lines: the form, optionally prefixed ``template:``; after it, unprefixed
+    ``name = expr`` links that pin or tie parameters of the form (expr is
+    polynomial in other parameters); ``#`` comments.  No form holds ``=``, so
+    a line with one is a link.  Links are substituted into the form
+    immediately; a malformed one is a ValueError naming its line.
     """
     form: Optional[ClosedForm] = None
-    links: List[Tuple[str, str]] = []
-    for raw in text.splitlines():
+    links: List[Tuple[str, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         body = line.removeprefix("template:")
-        if body == line and "=" in line and form is not None:
-            name, expr = line.split("=", 1)
-            links.append((name.strip(), expr.strip()))
-        else:
-            form, _ = parse_closed_form_with_params(body.strip(), variables)
+        if "=" not in line:
+            if line:
+                form, _ = parse_closed_form_with_params(body.strip(), variables)
+            continue
+        where = f"template line {lineno}"
+        if body != line:
+            raise ValueError(f"{where}: a link takes no 'template:' prefix")
+        if form is None:
+            raise ValueError(f"{where}: a link must follow the closed form")
+        links.append((where, *map(str.strip, line.split("=", 1))))
     if form is None:
         raise ValueError("template file contains no closed form")
-    for name, expr in links:
+    for where, name, expr in links:
+        if "$" + name not in form.vars():
+            raise ValueError(f"{where}: {name!r} is not a parameter of the form")
         link_form, _ = parse_closed_form_with_params(expr, variables)
+        if not all(v.startswith("$") for v in link_form.vars()):
+            raise ValueError(f"{where}: link {name} = {expr} holds an indeterminate")
         if not link_form.is_polynomial():
-            raise ValueError(f"link {name} = {expr} must be polynomial in parameters")
+            raise ValueError(f"{where}: link {name} = {expr} must be polynomial in parameters")
         num = form.num.subs_var("$" + name, link_form.num)
         den = form.den.subs_var("$" + name, link_form.num)
         form = ClosedForm(num, den)
@@ -557,10 +566,6 @@ class ProgramAnalysis(Record):
     certificate: Optional[Certificate]
     failure: Optional[Failure]
     final_measure: Optional[ClosedForm]
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None and self.certificate is not None
 
 
 def analyze_program(ast: P.ProgramAst, g: ClosedForm,

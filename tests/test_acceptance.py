@@ -30,7 +30,6 @@ from gfinv.oracle import (
     best_contraction_bound,
     chain_occupation,
     chain_posterior,
-    crosscheck,
     exec_loopfree,
     kleene_iterate,
     measure_from_closed_form,
@@ -45,6 +44,8 @@ from gfinv.synthesis import (
     parse_template,
     synthesize,
 )
+
+from support import crosscheck
 
 ONE = Polynomial.const(1)
 X = Polynomial.var("x")
@@ -127,7 +128,7 @@ def tau_n(n):
 def fdr_candidate(n, tau):
     Cv = lambda k: Polynomial.var("c", k)
     geom = lambda i: sum((Cv(k) for k in range(1, i)), Polynomial.const(1))
-    acc = Polynomial.zero()
+    acc = Polynomial()
     for i, a in tau.items():
         if not a:
             continue
@@ -321,7 +322,7 @@ class TestCriterion5:
 
 
 def random_poly(rng, vars, max_terms=4, max_exp=3, signed=True):
-    p = Polynomial.zero()
+    p = Polynomial()
     for _ in range(rng.randrange(1, max_terms + 1)):
         mono = tuple(sorted({v: rng.randrange(0, max_exp + 1) for v in
                              rng.sample(vars, rng.randrange(1, len(vars) + 1))
@@ -335,7 +336,7 @@ def random_poly(rng, vars, max_terms=4, max_exp=3, signed=True):
 
 
 def random_nonneg_poly_form(rng, vars, degree=6):
-    p = Polynomial.zero()
+    p = Polynomial()
     for _ in range(rng.randrange(1, 5)):
         exps = {v: rng.randrange(0, 3) for v in vars}
         while sum(exps.values()) > degree:

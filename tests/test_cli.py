@@ -71,9 +71,10 @@ class TestMalformedForms:
         (["check", GEO, "--init", "X", "--invariant", "1//2"], "comments are allowed only"),
         (["synthesize", GEO, "--init", "1//2"], "comments are allowed only"),
         (["expand", "1//2", "--degree", "2"], "comments are allowed only"),
+        (["expand", "Foo", "--degree", "2"], "uppercase identifier 'Foo' is not an indeterminate"),
     ], ids=["check-empty-name", "synthesize-empty-name", "expand-empty-name",
             "check-undeclared-name", "synthesize-undeclared-name",
-            "check-comment", "synthesize-comment", "expand-comment"])
+            "check-comment", "synthesize-comment", "expand-comment", "expand-uppercase-name"])
     def test_is_a_one_line_error(self, args, message, capsys):
         assert message in refusal(args, capsys)
 
@@ -138,6 +139,32 @@ def test_every_report_starts_with_the_same_header(args):
     assert len(rep["program_digest"]) == 16
 
 
+CHECK_ONE = ["--init", "X", "--invariant", "1"]
+
+
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("check", "nat x; nat x; while (x > 0) { x-- }", CHECK_ONE,
+     "1:13: duplicate declaration of 'x'"),
+    ("check", "nat x; while (x > 0) { x += iid(bernoulli(1/2), 2) }", CHECK_ONE,
+     "expected count variable or 1"),
+    ("check", "nat x; while (x > 0) { x *= 2 }", CHECK_ONE, "expected ':=', '+=' or '--'"),
+    ("check", "nat x; while (x > 0) { x := * }", CHECK_ONE, "expected linear expression term"),
+    ("check", "nat x; while (x > 0) { {x := 0} [1/0] {skip} }", CHECK_ONE, "zero denominator"),
+    ("check", "nat x; while (x = 5 mod 3) { x := 0 }", CHECK_ONE,
+     "modulo guard needs residue < modulus"),
+    ("chain", "a b 1/2\ninit a 1\n", [], "sums to 1/2, not 1"),
+    ("chain", "a b\n", [], "line 1: expected 'src dst prob'"),
+    ("chain", "a a 1\ninit a 1\n", ["--contraction", "2"], "contraction factor must be in (0,1)"),
+], ids=["duplicate-declaration", "constant-count", "unknown-operator", "missing-term",
+        "zero-denominator", "residue-above-modulus", "row-sum", "short-line",
+        "contraction-above-one"])
+def test_a_malformed_input_file_is_a_one_line_error(command, text, extra, message,
+                                                    tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert message in refusal([command, str(path)] + extra, capsys)
+
+
 def test_subtracting_a_huge_constant_is_a_one_line_error(tmp_path, capsys):
     # each unit subtracted is one decrement statement; the parser bounds them
     path = tmp_path / "program.pgcl"
@@ -190,6 +217,12 @@ class TestSynthesizeCommand:
                     if ": negative coefficient " in d]
         assert "-1 at Y^2" in negative and "-1 at 1" in negative
         assert not any("(" in d for d in negative)
+
+    def test_a_program_without_a_loop_is_no_loop(self, tmp_path):
+        path = tmp_path / "program.pgcl"
+        path.write_text("nat x; x := 1")
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X"])
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "no-loop"
 
     def test_missing_file_is_error(self):
         rc, _, _ = invoke(["synthesize", "no/such/file.pgcl", "--init", "X"])
@@ -377,6 +410,13 @@ class TestChainCommand:
         assert rep["contraction_posterior_bound"] == {
             "s1": "0", "s2": "4/3", "s3": "4/3"}
         assert rep["occupation_improves_contraction"] is True
+
+    def test_a_closed_class_has_no_contraction_bound(self, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text("a a 1\ninit a 1\n")
+        rc, rep, _ = invoke(["chain", str(path), "--contraction", "1/2"])
+        assert rc == EXIT_FULL and rep["occupation"] == {"a": "oo"}
+        assert rep["diagnostics"] == ["no finite 1/2-contraction invariant"]
 
 
 class TestCorpusExitCodes:

@@ -16,7 +16,9 @@ from gfinv.algebra import (
     normalize,
     parse_closed_form,
 )
-from gfinv.program import ProgramError, parse, print_program
+from gfinv.program import ProgramError, parse
+
+from support import print_program
 
 VARS = ("x", "y")
 var = st.sampled_from(VARS)

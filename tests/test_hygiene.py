@@ -69,6 +69,28 @@ def test_every_module_level_definition_is_named_somewhere():
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)
 
 
+def test_no_module_level_definition_serves_only_the_tests():
+    """What only tests call lives in ``tests/support.py``: every module-level
+    definition of a ``src/gfinv`` module is named by another part of the
+    package or by the benchmark.  The ``__init__.py`` re-exports do not count."""
+    words = re.compile(r"\w+")
+    modules = {path: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"}
+    named = Counter(w for text in modules.values() for w in words.findall(text))
+    named.update(w for path in sorted((ROOT / "perfbench").rglob("*.py"))
+                 for w in words.findall(path.read_text(encoding="utf-8")))
+    test_only = []
+    for path, text in modules.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            if named[node.name] == words.findall(own).count(node.name):
+                test_only.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not test_only, "named only by tests:\n" + "\n".join(test_only)
+
+
 def test_one_time_limit_serves_every_layer():
     """``gfinv.time_limit`` holds the one deadline: no function takes a
     ``deadline`` parameter, and no module reads the clock but the package

@@ -7,7 +7,6 @@ import pytest
 from gfinv import program as P, time_limit
 from gfinv.algebra import Polynomial, from_poly, normalize, parse_closed_form, series_expand
 from gfinv.oracle import (
-    CrosscheckReport,
     Diverges,
     FiniteChain,
     SparseMeasure,
@@ -15,12 +14,13 @@ from gfinv.oracle import (
     chain_occupation,
     chain_posterior,
     closed_class_witness,
-    crosscheck,
     exec_loopfree,
     kleene_iterate,
     measure_from_closed_form,
 )
 from gfinv.program import parse
+
+from support import crosscheck
 
 GEO = parse("nat x; nat c;\nwhile (x = 1) { { c := c + 1 } [1/2] { x := 0 } }")
 
@@ -114,6 +114,15 @@ class TestKleene:
                 assert res.residual <= prev_resid  # PAST program: residual shrinks
             prev_resid = res.residual
 
+    def test_a_step_of_many_wide_draws_stops_at_the_limit(self):
+        # without a poll per step and per drawn state, these 20 steps run far past it
+        ast = parse("nat x; nat y;\n"
+                    "while (x < 40) { {x := x + 1} [1/2] { y += iid(geometric(1/2), 1) } }")
+        start = time.monotonic()
+        with time_limit(0.5), pytest.raises(TimeoutError):
+            kleene_iterate(ast.body, SparseMeasure.dirac((0, 0)), ast.variables, 20)
+        assert time.monotonic() - start < 1.5
+
 
 class TestChain:
     def test_appendix_chain_occupation(self):
@@ -151,7 +160,7 @@ class TestChain:
 
     def test_round_trip_format(self):
         chain = FiniteChain.parse(APPENDIX_CHAIN)
-        again = FiniteChain.parse(chain.format())
+        again = FiniteChain.parse(format_chain(chain))
         assert again.transitions == chain.transitions
         assert again.initial == chain.initial
 
@@ -171,7 +180,7 @@ class TestChain:
         for _ in range(300):
             chain = random_chain(rng)
             want = dense_chain_occupation(chain)
-            assert chain_occupation(chain) == want, chain.format()
+            assert chain_occupation(chain) == want, format_chain(chain)
             seen["self_loop"] += any(s in row for s, row in chain.transitions.items())
             seen["terminal"] += any(s not in chain.transitions and want[s]
                                     for s in chain.states)
@@ -223,6 +232,14 @@ def random_chain(rng):
     for s in rng.sample(names, rng.randint(1, min(3, len(names)))):
         lines.append(f"init {s} {F(rng.randint(1, 3), rng.randint(1, 4))}")
     return FiniteChain.parse("\n".join(lines))
+
+
+def format_chain(chain):
+    """The chain as text that ``FiniteChain.parse`` reads back."""
+    lines = [f"{src} {dst} {p}" for src in chain.states
+             for dst, p in chain.transitions.get(src, {}).items()]
+    lines += [f"init {s} {v}" for s, v in chain.initial.items()]
+    return "\n".join(lines) + "\n"
 
 
 def reach(chain, s):
@@ -357,7 +374,7 @@ class TestCrosscheck:
 
     def test_zero_form_violates_everywhere(self):
         m = SparseMeasure({(0, 0): F(1, 2), (0, 1): F(1, 4)})
-        rep = crosscheck(normalize(Polynomial.zero(), Polynomial.const(1)), m, 5,
+        rep = crosscheck(normalize(Polynomial(), Polynomial.const(1)), m, 5,
                          GEO.variables)
         assert len(rep.violations) == len(m.entries)
 
@@ -422,6 +439,17 @@ class TestClosedClassWitness:
         loop, g, w = self.witness(*self.DIVERGENT["stuck at x=1"])
         with time_limit(0):
             assert w is not None and closed_class_witness(loop, g, ("x",)) is None
+
+    def test_a_search_through_a_wide_iid_sum_stops_at_the_limit(self):
+        # the pmf of c draws of uniform(0, 3000) has 3000*c entries: without a
+        # poll per row, convolving them runs far past the limit
+        ast = parse("nat x; nat c;\n"
+                    "while (x = 1) { { c += iid(uniform(0, 3000), c) } [1/2] { x := 0 } }")
+        g = parse_closed_form("X*C", ast.variables)
+        start = time.monotonic()
+        with time_limit(0.5):
+            assert closed_class_witness(ast.body, g, ast.variables) is None
+        assert time.monotonic() - start < 1.5
 
     @pytest.mark.parametrize("name", sorted(DIVERGENT))
     def test_kleene_lower_bound_grows_at_the_named_state(self, name):

@@ -17,8 +17,9 @@ from gfinv.program import (
     While,
     classify,
     parse,
-    print_program,
 )
+
+from support import print_program
 
 GEOMETRIC = "nat x; nat c;\nwhile (x = 1) { { c := c + 1 } [1/2] { x := 0 } }"
 

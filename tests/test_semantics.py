@@ -138,7 +138,7 @@ class TestRestrictGuard:
         for _ in range(20):
             m = _random_sparse_measure(rng, vars)
             f = from_poly(sum((Polynomial.monomial(_mono(vars, s), c)
-                               for s, c in m.entries.items()), Polynomial.zero()))
+                               for s, c in m.entries.items()), Polynomial()))
             for guard, rewrite in GUARD_REWRITES:
                 for s in m.entries:
                     assert eval_guard(guard, s, vars) == eval_guard(rewrite, s, vars)
@@ -156,7 +156,7 @@ XY_MONOS = [Polynomial.monomial(m) for m in
 def _random_bivariate_form(rng):
     """num/den without parameters; den has a constant term, x and y."""
     num = sum((m * F(rng.randrange(-4, 5), rng.randrange(1, 4))
-               for m in rng.sample(XY_MONOS, 3)), Polynomial.zero())
+               for m in rng.sample(XY_MONOS, 3)), Polynomial())
     den = ONE + X * F(rng.randrange(1, 4), rng.randrange(2, 5)) \
         - Y * F(rng.randrange(1, 4), rng.randrange(2, 5))
     for m in rng.sample(XY_MONOS[3:], rng.randrange(2)):
@@ -170,10 +170,10 @@ def _random_template(rng):
     den_monos = rng.sample(XY_MONOS[1:], 2)
     params = [f"$a{i}" for i in range(len(num_monos))] + \
         [f"$b{i + 1}" for i in range(len(den_monos))]
-    num = sum((m * Polynomial.var(p) for m, p in zip(num_monos, params)), Polynomial.zero())
+    num = sum((m * Polynomial.var(p) for m, p in zip(num_monos, params)), Polynomial())
     den = Polynomial.var("$b0") + sum(
         (m * Polynomial.var(p) for m, p in zip(den_monos, params[len(num_monos):])),
-        Polynomial.zero())
+        Polynomial())
     return normalize(num, den), params
 
 
@@ -309,7 +309,7 @@ class TestCharFunctional:
 
 
 def _random_nonneg_form(rng, vars, polynomial_only):
-    num = Polynomial.zero()
+    num = Polynomial()
     for _ in range(rng.randrange(1, 4)):
         m = tuple(sorted({v: rng.randrange(0, 3) for v in
                           rng.sample(vars, rng.randrange(1, len(vars) + 1))

@@ -280,7 +280,7 @@ class TestBuildAndSolve:
         for _ in range(25):
             eqs = []
             for _ in range(rng.randrange(1, 4)):
-                p = Polynomial.zero()
+                p = Polynomial()
                 for _ in range(rng.randrange(1, 4)):
                     mono = tuple(sorted({n: rng.randrange(0, 2) for n in
                                          rng.sample(names, rng.randrange(1, 3))}.items()))
@@ -358,7 +358,7 @@ def expr_factor_poly(p):
         if not f.free_symbols:
             continue
         poly = sympy.Poly(sympy.expand(f), *names)
-        out = Polynomial.zero()
+        out = Polynomial()
         for monom, coeff in poly.terms():
             mono = tuple(sorted(
                 (names[s], e) for s, e in zip(poly.gens, monom) if e))
@@ -392,7 +392,7 @@ def row_systems(draw):
     for _ in range(draw(st.integers(0, 3))):
         if not base:
             break
-        combo = Polynomial.zero()
+        combo = Polynomial()
         for e in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
             combo = combo + e * draw(st.fractions(-3, 3, max_denominator=2))
         eqs.insert(draw(st.integers(0, len(eqs))), combo)
@@ -583,7 +583,7 @@ class TestSynthesize:
         # gambler's ruin from 1: exit at 0 w.p. (N-1)/N, at N w.p. 1/N
         post = Polynomial.const(F(n - 1, n)) + Polynomial.var("x", n) * F(1, n)
         occ = sum((Polynomial.var("x", j) * F(2 * (n - j), n) for j in range(1, n)),
-                  Polynomial.zero())
+                  Polynomial())
         assert equal(res.invariant, from_poly(occ + post))
         assert equal(res.posterior, from_poly(post))
 
@@ -652,10 +652,14 @@ class TestUserTemplates:
     @pytest.mark.parametrize("text, message", [
         ("# a comment only\n", "contains no closed form"),
         ("(a*X + 1)/(1 - b*C)\na = 1/(1 - b)\n", "must be polynomial in parameters"),
-        # a link needs a form before it and no prefix; else it is read as a form
-        ("a = 2\n(a*X + 1)/(1 - b*C)\n", "trailing input"),
-        ("(a*X + 1)/(1 - b*C)\ntemplate: a = 2\n", "trailing input"),
-    ], ids=["no-form", "rational-link", "link-before-form", "prefixed-link"])
+        # a link needs a form before it and no prefix
+        ("a = 2\n(a*X + 1)/(1 - b*C)\n", "line 1: a link must follow the closed form"),
+        ("(a*X + 1)/(1 - b*C)\ntemplate: a = 2\n", "line 2: a link takes no 'template:' prefix"),
+        ("(a*X + 1)/(1 - b*C)\n# z is no parameter\nz = 2\n",
+         "line 3: 'z' is not a parameter of the form"),
+        ("(a*X + 1)/(1 - b*C)\na = X\n", "line 2: link a = X holds an indeterminate"),
+    ], ids=["no-form", "rational-link", "link-before-form", "prefixed-link", "unknown-name",
+            "indeterminate-link"])
     def test_a_malformed_file_is_refused(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_template(text, ["x", "c"])
@@ -695,7 +699,7 @@ class TestAnalyzeProgram:
     def test_straight_line_segments_thread_the_measure(self):
         ast = parse(f"nat x; nat c; x := 1; {self.LOOP}; c := c + 1")
         analysis = analyze_program(ast, from_poly(ONE), SynthesisConfig(max_den_degree=1))
-        assert analysis.ok
+        assert analysis.failure is None and analysis.certificate is not None
         assert [s.kind for s in analysis.segments] == ["straight", "loop", "straight"]
         assert analysis.certificate.kind == CertificateKind.EXACT_POSTERIOR
         assert equal(analysis.certificate.invariant, OCC)
