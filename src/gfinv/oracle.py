@@ -101,44 +101,20 @@ def _eval_guard(g: P.Guard, state: State, idx: Dict[str, int]) -> bool:
 
 # -- distribution pmfs ------------------------------------------------------------
 
-def dist_pmf(d: P.DistExpr, cap: int) -> Tuple[List[Fraction], Fraction]:
-    """(probabilities for values 0..cap, exact tail mass above cap).  A Dirac
-    draw never comes here: ``_exec`` shifts by it."""
+def dist_pmf(pgf: ClosedForm, cap: int) -> Tuple[List[Fraction], Fraction]:
+    """(probabilities for values 0..cap, exact tail mass above cap), read off
+    the pgf's series.  ``_exec`` shifts by a pgf T^k instead."""
     probs = [Fraction(0)] * (cap + 1)
-    if isinstance(d, P.Bernoulli):
-        if cap >= 0:
-            probs[0] = 1 - d.p
-        if cap >= 1:
-            probs[1] = d.p
-    elif isinstance(d, P.UniformRange):
-        w = Fraction(1, d.hi - d.lo + 1)
-        for k in range(d.lo, min(d.hi, cap) + 1):
-            probs[k] = w
-    elif isinstance(d, P.Geometric):
-        q = 1 - d.p
-        acc = d.p
-        for k in range(cap + 1):
-            probs[k] = acc
-            acc *= q
-    elif isinstance(d, P.RawPgf):
-        coeffs = series_expand(d.form, cap)
-        for m, c in coeffs.items():
-            k = m[0][1] if m else 0
-            probs[k] = c
-    else:
-        raise TypeError(f"unknown distribution {d!r}")
-    tail = 1 - sum(probs)
-    return probs, tail
+    for m, c in series_expand(pgf, cap).items():
+        probs[m[0][1] if m else 0] = c
+    return probs, 1 - sum(probs)
 
 
-def _effective_cap(d: P.DistExpr, count: int, cap: int) -> int:
-    """Finite-support distributions stay exact; only true tails are truncated."""
-    if isinstance(d, P.Bernoulli):
-        return max(cap, count)
-    if isinstance(d, P.UniformRange):
-        return max(cap, d.hi * count)
-    if isinstance(d, P.RawPgf) and d.form.is_polynomial():
-        return max(cap, d.form.num.total_degree() * count)
+def _effective_cap(pgf: ClosedForm, count: int, cap: int) -> int:
+    """The cap cuts off only a draw of infinite support: a polynomial pgf's
+    pmf is kept whole, degree * count entries for count draws."""
+    if pgf.is_polynomial():
+        return max(cap, pgf.num.total_degree() * count)
     return cap
 
 
@@ -158,13 +134,13 @@ def _convolve(a: Tuple[List[Fraction], Fraction], b: Tuple[List[Fraction], Fract
     return out, 1 - sum(out)
 
 
-def iid_sum_pmf(d: P.DistExpr, count: int, cap: int) -> Tuple[List[Fraction], Fraction]:
+def iid_sum_pmf(pgf: ClosedForm, count: int, cap: int) -> Tuple[List[Fraction], Fraction]:
     """pmf of the sum of `count` iid draws, truncated at cap with exact tail."""
     if count == 0:
         unit = [Fraction(0)] * (cap + 1)
         unit[0] = Fraction(1)
         return unit, Fraction(0)
-    base = dist_pmf(d, cap)
+    base = dist_pmf(pgf, cap)
     acc = None
     power = base
     k = count
@@ -199,9 +175,11 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
         return _map_states(m, i, lambda s: max(s[i] - 1, 0))
     if isinstance(stmt, P.IidIncrement):
         i = idx[stmt.var]
-        if isinstance(stmt.dist, P.Dirac):
-            # a shift: exact, so a Dirac draw is never truncated and needs no pmf
-            k = stmt.dist.value
+        pgf = stmt.pgf
+        if pgf.is_polynomial() and len(pgf.num.terms) == 1:
+            # pgf T^k, its coefficient 1 by mass 1: a shift, exact, so never
+            # truncated and in need of no pmf
+            k = pgf.num.total_degree()
             if stmt.count is None:
                 return _map_states(m, i, lambda s: s[i] + k)
             j = idx[stmt.count]
@@ -213,8 +191,7 @@ def _exec(stmt: P.Statement, m: SparseMeasure, idx: Dict[str, int],
             check_deadline("while drawing an iid sum")
             count = 1 if stmt.count is None else s[idx[stmt.count]]
             if count not in cache:
-                cache[count] = iid_sum_pmf(stmt.dist, count,
-                                           _effective_cap(stmt.dist, count, cap))
+                cache[count] = iid_sum_pmf(pgf, count, _effective_cap(pgf, count, cap))
             probs, tail = cache[count]
             for k, p in enumerate(probs):
                 if p:
@@ -411,7 +388,8 @@ def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[s
 # -- closed classes inside a loop guard ------------------------------------------------
 
 SEARCH_STATES = 64        # guard states closed_class_witness expands at most
-SEARCH_SUPPORT_CAP = 32   # a draw's pmf is cut off here, its tail left open
+SEARCH_SUPPORT_CAP = 32   # a draw of infinite support is cut off here, its tail left open;
+                          # a polynomial pgf's pmf is kept whole
 SOURCE_DEGREE = 12        # series degree of g whose terms seed the search
 SEARCH_SECONDS = 0.5      # synthesis gives the search this, after the template stream
 

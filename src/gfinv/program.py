@@ -5,13 +5,18 @@ variables.  Its core, which every interpreter handles, has the statements
 skip, diverge, constant assignment, decrement (saturating at 0), iid-sample
 increments, probabilistic choice, sequences, conditionals and while loops,
 and the guards ``x < n``, ``x = n``, ``x = r mod d`` and their combinations
-by ``&&``, ``||`` and ``!``.
+by ``&&``, ``||`` and ``!``.  A draw in the core is a distribution's pgf, a
+closed form in T.
 
 Everything else is sugar that the parser rewrites into the core:
 
-- linear assignments such as ``x := 2*x + y + 1`` become increments
-  (``desugar_linear_assign``); subtraction of a constant becomes repeated
-  decrements and therefore saturates at zero;
+- the named distributions are their pgfs: ``bernoulli(p)`` is
+  ``pgf(1 - p + p*T)``, ``geometric(p)`` is ``pgf(p/(1 - (1-p)*T))``,
+  ``uniform(lo, hi)`` is ``pgf((T^lo + ... + T^hi)/(hi - lo + 1))`` and
+  ``dirac(k)`` is ``pgf(T^k)``;
+- linear assignments such as ``x := 2*x + y + 1`` become increments by
+  ``dirac`` draws (``desugar_linear_assign``); subtraction of a constant
+  becomes repeated decrements and therefore saturates at zero;
 - ``x <= n`` is ``x < n + 1``, ``x > n`` is ``!(x < n + 1)``, ``x >= n`` is
   ``!(x < n)`` and ``x != n`` is ``!(x = n)``;
 - sampling ``x := D`` is ``x := 0`` followed by one iid increment of x by D.
@@ -27,7 +32,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import Frozen
-from .algebra import AlgebraError, ClosedForm, GfSyntaxError, mass, shape_nonneg
+from .algebra import (MONO_ONE, AlgebraError, ClosedForm, GfSyntaxError, Polynomial, from_poly,
+                      mass, normalize, shape_nonneg)
 from .algebra.gfexpr import FormParser
 
 MAX_SUBTRACTED = 100    # per assignment; each unit subtracted is one Decrement
@@ -51,46 +57,50 @@ class InvalidProbability(ProgramError):
 
 # -- distributions -------------------------------------------------------------
 
-class Bernoulli(Frozen):
-    p: Fraction
+# each named distribution builds its pgf, in the indeterminate "t" (printed T),
+# and checks its arguments
+
+def _check_open_unit(p: Fraction) -> None:
+    if not 0 < p < 1:
+        raise InvalidProbability(f"distribution parameter {p} not in (0,1)")
 
 
-class Geometric(Frozen):
-    """Number of failures before the first success: P(k) = p*(1-p)^k."""
-
-    p: Fraction
-
-
-class UniformRange(Frozen):
-    lo: int
-    hi: int
+def bernoulli(p: Fraction) -> ClosedForm:
+    """1 - p + p*T"""
+    _check_open_unit(p)
+    return from_poly(Polynomial({MONO_ONE: 1 - p, (("t", 1),): p}))
 
 
-class Dirac(Frozen):
-    value: int
+def geometric(p: Fraction) -> ClosedForm:
+    """p/(1 - (1-p)*T): the number of failures before the first success."""
+    _check_open_unit(p)
+    return normalize(Polynomial.const(p), Polynomial({MONO_ONE: 1, (("t", 1),): p - 1}))
 
 
-class RawPgf(Frozen):
-    form: ClosedForm  # univariate in the fresh indeterminate "T"
+def uniform(lo: int, hi: int) -> ClosedForm:
+    """(T^lo + ... + T^hi)/(hi - lo + 1)"""
+    if lo > hi:
+        raise InvalidProbability(f"empty uniform range [{lo},{hi}]")
+    # built in one dict: adding one monomial at a time copies the sum each time
+    terms = {(("t", k),) if k else MONO_ONE: Fraction(1) for k in range(lo, hi + 1)}
+    return normalize(Polynomial(terms), Polynomial.const(hi - lo + 1))
 
 
-DistExpr = Union[Bernoulli, Geometric, UniformRange, Dirac, RawPgf]
+def dirac(k: int) -> ClosedForm:
+    """T^k"""
+    return from_poly(Polynomial.var("t", k))
 
 
-def check_dist(d: DistExpr) -> DistExpr:
-    if isinstance(d, (Bernoulli, Geometric)) and not (0 < d.p < 1):
-        raise InvalidProbability(f"distribution parameter {d.p} not in (0,1)")
-    if isinstance(d, UniformRange) and d.lo > d.hi:
-        raise InvalidProbability(f"empty uniform range [{d.lo},{d.hi}]")
-    if isinstance(d, RawPgf):
-        if not (d.form.vars() <= {"t"}):
-            raise InvalidProbability("pgf must be univariate in T")
-        if not shape_nonneg(d.form):
-            raise InvalidProbability("pgf fails the nonnegativity shape check")
-        m = mass(d.form)
-        if not m.finite or m.value != 1:
-            raise InvalidProbability(f"pgf has mass {m}, expected 1")
-    return d
+def check_dist(pgf: ClosedForm) -> ClosedForm:
+    """A ``pgf(...)`` body, once it is univariate in T, of nonnegative shape and of mass 1."""
+    if not (pgf.vars() <= {"t"}):
+        raise InvalidProbability("pgf must be univariate in T")
+    if not shape_nonneg(pgf):
+        raise InvalidProbability("pgf fails the nonnegativity shape check")
+    m = mass(pgf)
+    if not m.finite or m.value != 1:
+        raise InvalidProbability(f"pgf has mass {m}, expected 1")
+    return pgf
 
 
 # -- statements and guards ------------------------------------------------------
@@ -148,10 +158,10 @@ class Decrement(Frozen):
 
 
 class IidIncrement(Frozen):
-    """var += sum of `count` iid draws from dist; count None means one draw."""
+    """var += sum of `count` iid draws with pgf ``pgf`` in T; count None means one draw."""
 
     var: str
-    dist: DistExpr
+    pgf: ClosedForm
     count: Optional[str]
 
 
@@ -241,11 +251,11 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int,
     if self_c == 0:
         out.append(AssignConst(var, 0))
     elif self_c > 1:
-        out.append(IidIncrement(var, Dirac(self_c - 1), var))
+        out.append(IidIncrement(var, dirac(self_c - 1), var))
     for v in sorted(others):
-        out.append(IidIncrement(var, Dirac(others[v]), v))
+        out.append(IidIncrement(var, dirac(others[v]), v))
     if constant > 0:
-        out.append(IidIncrement(var, Dirac(constant), None))
+        out.append(IidIncrement(var, dirac(constant), None))
     elif constant < 0:
         out.extend(Decrement(var) for _ in range(-constant))
     if not out:
@@ -255,12 +265,12 @@ def desugar_linear_assign(var: str, coeffs: Dict[str, int], constant: int,
 
 # -- parser -----------------------------------------------------------------------
 
-# the distributions written name(arg, ...), and the type of each argument
+# a distribution written name(arg, ...): its pgf builder and the type of each argument
 _FIXED_DISTS = {
-    "bernoulli": (Bernoulli, (Fraction,)),
-    "geometric": (Geometric, (Fraction,)),
-    "uniform": (UniformRange, (int, int)),
-    "dirac": (Dirac, (int,)),
+    "bernoulli": (bernoulli, (Fraction,)),
+    "geometric": (geometric, (Fraction,)),
+    "uniform": (uniform, (int, int)),
+    "dirac": (dirac, (int,)),
 }
 
 # x op n as a guard of the core
@@ -368,7 +378,7 @@ class _ProgParser(FormParser):
         if op.kind == "+=":
             self.expect("iid")
             self.expect("(")
-            dist = self.parse_dist()
+            pgf = self.parse_dist()
             self.expect(",")
             cnt = self.next()
             if cnt.kind == "ident":
@@ -378,12 +388,11 @@ class _ProgParser(FormParser):
             else:
                 raise self.error("expected count variable or 1", cnt)
             self.expect(")")
-            return IidIncrement(var, check_dist(dist), count)
+            return IidIncrement(var, pgf, count)
         if op.kind != ":=":
             raise self.error(f"expected ':=', '+=' or '--', found {op.value!r}", op)
         if self.peek().kind in _FIXED_DISTS or self.peek().kind == "pgf":
-            dist = check_dist(self.parse_dist())
-            return Seq((AssignConst(var, 0), IidIncrement(var, dist, None)))
+            return Seq((AssignConst(var, 0), IidIncrement(var, self.parse_dist(), None)))
         return desugar_linear_assign(var, *self.parse_linear_expr(), tok.line, tok.col)
 
     def parse_linear_expr(self) -> Tuple[Dict[str, int], int]:
@@ -420,7 +429,8 @@ class _ProgParser(FormParser):
                 raise self.error("zero denominator", t)
         return Fraction(t.value, den)
 
-    def parse_dist(self) -> DistExpr:
+    def parse_dist(self) -> ClosedForm:
+        """A distribution, as its pgf in T."""
         t = self.next()
         if t.kind == "pgf":
             self.expect("(")
@@ -432,10 +442,10 @@ class _ProgParser(FormParser):
                 # reported at the body's first token, wherever in it the error is
                 message = e.message if isinstance(e, GfSyntaxError) else str(e)
                 raise SyntaxError_(message, body.line, body.col) from None
-            return RawPgf(form)
+            return check_dist(form)
         if t.kind not in _FIXED_DISTS:
             raise self.error(f"expected distribution, found {t.value!r}", t)
-        dist, arg_types = _FIXED_DISTS[t.kind]
+        build, arg_types = _FIXED_DISTS[t.kind]
         self.expect("(")
         args = []
         for i, arg_type in enumerate(arg_types):
@@ -443,7 +453,7 @@ class _ProgParser(FormParser):
                 self.expect(",")
             args.append(self.parse_rational() if arg_type is Fraction else self.expect("num").value)
         self.expect(")")
-        return dist(*args)
+        return build(*args)
 
     def parse_guard(self) -> Guard:
         g = self.parse_and()

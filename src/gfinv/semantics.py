@@ -13,17 +13,7 @@ always re-runs concretely on instantiated candidates.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import (
-    MONO_ONE,
-    ClosedForm,
-    Polynomial,
-    ZERO,
-    from_poly,
-    has_parameters,
-    normalize,
-)
+from .algebra import ClosedForm, Polynomial, ZERO, from_poly, has_parameters, normalize
 from .algebra.closedform import _constant_section, geometric_den
 from .algebra.poly import _layers, mono_degree_in, mono_div
 from . import program as P
@@ -48,24 +38,12 @@ class NestedLoop(SemanticsError):
 
 # -- distribution PGFs ---------------------------------------------------------
 
-def dist_pgf(d: P.DistExpr, var: str) -> ClosedForm:
-    """Probability generating function of the distribution, in indeterminate var."""
-    t = Polynomial.var(var)
-    one = Polynomial.const(1)
-    if isinstance(d, P.Bernoulli):
-        return from_poly(one * (1 - d.p) + t * d.p)
-    if isinstance(d, P.Geometric):
-        return normalize(Polynomial.const(d.p), one - t * (1 - d.p))
-    if isinstance(d, P.UniformRange):
-        # built in one dict: adding one monomial at a time copies the sum each time
-        terms = {((var, k),) if k else MONO_ONE: Fraction(1) for k in range(d.lo, d.hi + 1)}
-        return normalize(Polynomial(terms), Polynomial.const(d.hi - d.lo + 1))
-    if isinstance(d, P.Dirac):
-        return from_poly(Polynomial.var(var, d.value) if d.value else one)
-    if isinstance(d, P.RawPgf):
-        f = d.form
-        return ClosedForm(f.num.subs_var("t", t), f.den.subs_var("t", t))
-    raise TypeError(f"unknown distribution {d!r}")
+def dist_pgf(pgf: ClosedForm, var: str) -> ClosedForm:
+    """A draw's pgf with T renamed to var, term by term: ``subs_var`` would
+    take time quadratic in the terms of a wide uniform."""
+    def rename(p: Polynomial) -> Polynomial:
+        return Polynomial._of({((var, m[0][1]),) if m else m: c for m, c in p.terms.items()})
+    return ClosedForm(rename(pgf.num), rename(pgf.den))
 
 
 # -- primitive closed-form operations -------------------------------------------
@@ -276,7 +254,7 @@ def apply_statement(stmt: P.Statement, f: ClosedForm) -> ClosedForm:
             return f
         return shift_down(high, stmt.var) + low
     if isinstance(stmt, P.IidIncrement):
-        pgf = dist_pgf(stmt.dist, stmt.var)
+        pgf = dist_pgf(stmt.pgf, stmt.var)
         if stmt.count is None:
             return f * pgf
         h = pgf * from_poly(Polynomial.var(stmt.count))

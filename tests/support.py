@@ -9,13 +9,10 @@ from gfinv import Record
 from gfinv.algebra import ClosedForm, Mono, format_closed_form, mono_key, series_expand
 from gfinv.oracle import SparseMeasure, _mono_state, _state_mono
 from gfinv.program import (
-    _FIXED_DISTS,
     And,
     AssignConst,
     Choice,
     Decrement,
-    Dirac,
-    DistExpr,
     Diverge,
     Eq,
     Guard,
@@ -48,13 +45,6 @@ def print_guard(g: Guard) -> str:
     return f"!({print_guard(g.inner)})"
 
 
-def print_dist(d: DistExpr) -> str:
-    for name, (dist, _) in _FIXED_DISTS.items():
-        if isinstance(d, dist):
-            return f"{name}({', '.join(map(str, d._values()))})"
-    return f"pgf({format_closed_form(d.form)})"
-
-
 def _print_stmt(s: Statement, indent: int) -> str:
     pad = "    " * indent
     if isinstance(s, Skip):
@@ -66,12 +56,11 @@ def _print_stmt(s: Statement, indent: int) -> str:
     if isinstance(s, Decrement):
         return pad + f"{s.var}--"
     if isinstance(s, IidIncrement):
-        if isinstance(s.dist, Dirac):
-            if s.count is None:
-                return pad + f"{s.var} := {s.var} + {s.dist.value}"
-            return pad + f"{s.var} := {s.var} + {s.dist.value}*{s.count}"
+        if s.pgf.is_polynomial() and len(s.pgf.num.terms) == 1:     # T^k, a shift
+            k = s.pgf.num.total_degree()
+            return pad + f"{s.var} := {s.var} + {k}" + (f"*{s.count}" if s.count else "")
         count = s.count if s.count is not None else "1"
-        return pad + f"{s.var} += iid({print_dist(s.dist)}, {count})"
+        return pad + f"{s.var} += iid(pgf({format_closed_form(s.pgf)}), {count})"
     if isinstance(s, Choice):
         return (pad + "{\n" + _print_stmt(s.left, indent + 1) + "\n" + pad
                 + f"}} [{s.prob}] {{\n" + _print_stmt(s.right, indent + 1)

@@ -11,6 +11,7 @@ import pytest
 
 from gfinv.algebra import equal, parse_closed_form
 from gfinv.cli import EXIT_ERROR, EXIT_FULL, EXIT_PARTIAL, run
+from gfinv.program import parse
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,12 +153,27 @@ CHECK_ONE = ["--init", "X", "--invariant", "1"]
     ("check", "nat x; while (x > 0) { {x := 0} [1/0] {skip} }", CHECK_ONE, "zero denominator"),
     ("check", "nat x; while (x = 5 mod 3) { x := 0 }", CHECK_ONE,
      "modulo guard needs residue < modulus"),
+    ("check", "nat x;\nwhile (x + 1) { skip }", CHECK_ONE,
+     "2:10: expected comparison, found '+'"),
+    ("check", "nat x; while (x > 0) { x := bernoulli(0) }", CHECK_ONE,
+     "distribution parameter 0 not in (0,1)"),
+    ("check", "nat x; while (x > 0) { x := bernoulli(1) }", CHECK_ONE,
+     "distribution parameter 1 not in (0,1)"),
+    ("check", "nat x; while (x > 0) { x := geometric(3/2) }", CHECK_ONE,
+     "distribution parameter 3/2 not in (0,1)"),
+    ("check", "nat x; while (x > 0) { x := uniform(3, 1) }", CHECK_ONE,
+     "empty uniform range [3,1]"),
+    ("check", "nat x; while (x > 0) { x := pgf(a*T + 1 - a) }", CHECK_ONE,
+     "pgf must be univariate in T"),
+    ("check", "nat x; while (x > 0) { x := pgf(1 - 1/2*T + 1/2*T^2) }", CHECK_ONE,
+     "pgf fails the nonnegativity shape check"),
     ("chain", "a b 1/2\ninit a 1\n", [], "sums to 1/2, not 1"),
     ("chain", "a b\n", [], "line 1: expected 'src dst prob'"),
     ("chain", "a a 1\ninit a 1\n", ["--contraction", "2"], "contraction factor must be in (0,1)"),
 ], ids=["duplicate-declaration", "constant-count", "unknown-operator", "missing-term",
-        "zero-denominator", "residue-above-modulus", "row-sum", "short-line",
-        "contraction-above-one"])
+        "zero-denominator", "residue-above-modulus", "arithmetic-guard", "bernoulli-0",
+        "bernoulli-1", "geometric-above-one", "empty-uniform", "pgf-not-univariate",
+        "pgf-not-nonnegative", "row-sum", "short-line", "contraction-above-one"])
 def test_a_malformed_input_file_is_a_one_line_error(command, text, extra, message,
                                                     tmp_path, capsys):
     path = tmp_path / "input.txt"
@@ -224,6 +240,14 @@ class TestSynthesizeCommand:
         rc, rep, _ = invoke(["synthesize", str(path), "--init", "X"])
         assert rc == EXIT_PARTIAL and rep["outcome"] == "no-loop"
 
+    def test_a_bare_block_is_flattened_into_the_sequence(self, tmp_path):
+        path = tmp_path / "program.pgcl"
+        path.write_text("nat x; { x := 1 }; x := x + 1")
+        assert parse(path.read_text()) == parse("nat x; x := 1; x := x + 1")
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X"])
+        assert rc == EXIT_PARTIAL and rep["outcome"] == "no-loop"
+        assert rep["final_measure"] == "X^2"
+
     def test_missing_file_is_error(self):
         rc, _, _ = invoke(["synthesize", "no/such/file.pgcl", "--init", "X"])
         assert rc == EXIT_ERROR
@@ -266,6 +290,14 @@ class TestCheckCommand:
                              "--init", "X", "--invariant", "X"])
         assert rc == EXIT_PARTIAL
         assert rep["verdict"] == "refuted"
+
+    @pytest.mark.parametrize("degree, outcome", [("0", "not-certified:unknown"),
+                                                 ("1", "not-certified:refuted")])
+    def test_a_refutation_needs_a_witness_within_the_refute_degree(self, degree, outcome):
+        # the candidate is not an invariant, and its first wrong coefficient is at degree 1
+        rc, rep, _ = invoke(["check", str(BENCH / "geometric/program.pgcl"), "--init", "X",
+                             "--invariant", "(1+2*X+X*C)/(2-C)", "--refute-degree", degree])
+        assert rc == EXIT_PARTIAL and rep["outcome"] == outcome
 
     FDR = str(BENCH / "fast_dice_roller/program.pgcl")
     HARD = ["--init", "V", "--invariant", "1/2*V + 1/3*V^2*(1 + C) + 1/(3 - C*F*V)"]

@@ -36,11 +36,11 @@ guards = st.recursive(guard_atoms, lambda g: st.one_of(
 
 PGFS = [parse_closed_form(text, ["t"]) for text in ("1/2 + 1/2*T", "1/(2 - T)")]
 dists = st.one_of(
-    st.builds(P.Bernoulli, open_prob),
-    st.builds(P.Geometric, open_prob),
-    small.flatmap(lambda lo: st.builds(P.UniformRange, st.just(lo), st.integers(lo, 5))),
-    st.builds(P.Dirac, st.integers(1, 4)),
-    st.sampled_from(PGFS).map(P.RawPgf),
+    st.builds(P.bernoulli, open_prob),
+    st.builds(P.geometric, open_prob),
+    small.flatmap(lambda lo: st.builds(P.uniform, st.just(lo), st.integers(lo, 5))),
+    st.builds(P.dirac, st.integers(1, 4)),
+    st.sampled_from(PGFS),
 )
 leaves = st.one_of(
     st.just(P.Skip()),

@@ -133,3 +133,33 @@ def test_only_sympy_is_imported_inside_a_function():
                           for name, _ in _imported_names(node)]
     assert found == [("synthesis.py", "_factor_poly", "sympy"),
                      ("synthesis.py", "_factor_poly", "_sort_gens")]
+
+
+NAMED_DISTRIBUTIONS = {"Bernoulli", "Geometric", "UniformRange", "Dirac", "RawPgf",
+                       "bernoulli", "geometric", "uniform", "dirac"}
+
+
+def test_only_the_parser_knows_the_named_distributions():
+    """A draw is its pgf: the named distributions are sugar that ``program.py``
+    rewrites, and no other module names one, as a class or as a builder.  A
+    name counts bare or read off the program module (``P.dirac``), so the
+    oracle's point mass ``SparseMeasure.dirac`` does not."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "program.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        program = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.name == "program"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in program:
+                name = node.attr
+            else:
+                continue
+            if name in NAMED_DISTRIBUTIONS:
+                found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}: {name}")
+    assert not found, "named distributions outside the parser:\n" + "\n".join(found)

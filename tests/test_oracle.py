@@ -15,6 +15,7 @@ from gfinv.oracle import (
     chain_posterior,
     closed_class_witness,
     exec_loopfree,
+    iid_sum_pmf,
     kleene_iterate,
     measure_from_closed_form,
 )
@@ -45,33 +46,52 @@ class TestExecLoopfree:
 
     def test_geometric_tail_goes_to_residual(self):
         m = SparseMeasure.dirac((0, 1))
-        st = P.IidIncrement("x", P.Geometric(F(1, 2)), "c")
+        st = P.IidIncrement("x", P.geometric(F(1, 2)), "c")
         out = exec_loopfree(st, m, ("x", "c"), support_cap=2)
         assert out.entries == {(0, 1): F(1, 2), (1, 1): F(1, 4), (2, 1): F(1, 8)}
         assert out.residual == F(1, 8)
 
     @pytest.mark.parametrize("count", [None, "x", "c"])
     def test_a_dirac_increment_is_the_pushforward_of_its_pmf(self, count):
-        # uniform(k, k) is the same distribution, and goes through the pmf
+        # the shift by k against each state's pmf of count draws from iid_sum_pmf
         rng = random.Random(11)
         for k in range(4):
             entries = {(rng.randrange(4), rng.randrange(4)): F(1, rng.randrange(1, 6))
                        for _ in range(5)}
             m = SparseMeasure(entries, residual=F(1, 7))
-            shift = exec_loopfree(P.IidIncrement("c", P.Dirac(k), count), m, ("x", "c"),
+            shift = exec_loopfree(P.IidIncrement("c", P.dirac(k), count), m, ("x", "c"),
                                   support_cap=2)
-            pmf = exec_loopfree(P.IidIncrement("c", P.UniformRange(k, k), count), m,
-                                ("x", "c"), support_cap=2)
-            assert shift == pmf
+            pmf = {}
+            for (x, c), v in entries.items():
+                n = {None: 1, "x": x, "c": c}[count]
+                probs, tail = iid_sum_pmf(P.dirac(k), n, k * n)
+                assert tail == 0
+                for j, p in enumerate(probs):
+                    if p:
+                        pmf[(x, c + j)] = pmf.get((x, c + j), 0) + v * p
+            assert shift == SparseMeasure(pmf, F(1, 7))
+
+    @pytest.mark.parametrize("dist, pmf, tail", [
+        ("bernoulli(1/3)", {0: F(2, 3), 1: F(1, 3)}, 0),
+        ("geometric(1/3)", {k: F(1, 3) * F(2, 3) ** k for k in range(7)}, F(2, 3) ** 7),
+        ("uniform(1, 3)", {1: F(1, 3), 2: F(1, 3), 3: F(1, 3)}, 0),
+        ("dirac(2)", {2: F(1)}, 0),
+    ], ids=["bernoulli", "geometric", "uniform", "dirac"])
+    def test_a_named_distribution_draws_its_textbook_pmf(self, dist, pmf, tail):
+        # both interpreters read the parser's pgf, so only an independent pmf
+        # catches a wrong one
+        draw = parse(f"nat x;\nx += iid({dist}, 1)").body
+        out = exec_loopfree(draw, SparseMeasure.dirac((0,)), ("x",), support_cap=6)
+        assert out == SparseMeasure({(k,): p for k, p in pmf.items()}, tail)
 
     def test_mass_conservation(self):
         rng = random.Random(3)
         stmts = [
             GEO.body.body,
-            P.Seq((P.Decrement("x"), P.IidIncrement("c", P.Dirac(2), "x"))),
+            P.Seq((P.Decrement("x"), P.IidIncrement("c", P.dirac(2), "x"))),
             P.IfThenElse(P.Not(P.Lt("x", 2)),
                          P.Seq((P.AssignConst("c", 0),
-                                P.IidIncrement("c", P.Geometric(F(1, 3)), None))),
+                                P.IidIncrement("c", P.geometric(F(1, 3)), None))),
                          P.Skip()),
         ]
         for stmt in stmts:

@@ -5,9 +5,7 @@ import pytest
 from gfinv import program as P
 from gfinv.algebra import GfSyntaxError, parse_closed_form
 from gfinv.program import (
-    Bernoulli,
     Choice,
-    Dirac,
     InvalidProbability,
     ProgramError,
     Seq,
@@ -16,6 +14,7 @@ from gfinv.program import (
     UndeclaredVariable,
     While,
     classify,
+    dirac,
     parse,
 )
 
@@ -45,7 +44,7 @@ class TestParse:
         assert loop.guard == P.Eq("x", 1)
         body = loop.body
         assert isinstance(body, Choice) and body.prob == F(1, 2)
-        assert body.left == P.IidIncrement("c", Dirac(1), None)
+        assert body.left == P.IidIncrement("c", dirac(1), None)
         assert body.right == P.AssignConst("x", 0)
 
     def test_skip(self):
@@ -54,7 +53,7 @@ class TestParse:
     def test_fdr_doubling_desugared(self):
         ast = parse(FDR)
         stmts = ast.body.body.stmts
-        assert stmts[0] == P.IidIncrement("v", Dirac(1), "v")
+        assert stmts[0] == P.IidIncrement("v", dirac(1), "v")
 
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredVariable):
@@ -101,7 +100,7 @@ class TestParse:
         # the sampling pair is flattened into the enclosing sequence
         assert parse("nat x; nat y;\ny := 1; x := geometric(1/2)").body == Seq((
             P.AssignConst("y", 1), P.AssignConst("x", 0),
-            P.IidIncrement("x", P.Geometric(F(1, 2)), None)))
+            P.IidIncrement("x", P.geometric(F(1, 2)), None)))
 
     @pytest.mark.parametrize("body, message", [
         ("X", "unknown indeterminate 'X'"),
@@ -127,11 +126,11 @@ class TestParse:
 class TestDesugarAssignments:
     def test_linear_combination(self):
         ast = parse("nat x; nat y;\nx := x + 2*y + 1")
-        assert ast.body == Seq((P.IidIncrement("x", Dirac(2), "y"),
-                                P.IidIncrement("x", Dirac(1), None)))
+        assert ast.body == Seq((P.IidIncrement("x", dirac(2), "y"),
+                                P.IidIncrement("x", dirac(1), None)))
 
     def test_doubling(self):
-        assert parse("nat v;\nv := 2*v").body == P.IidIncrement("v", Dirac(1), "v")
+        assert parse("nat v;\nv := 2*v").body == P.IidIncrement("v", dirac(1), "v")
 
     def test_self_assign_is_skip(self):
         assert parse("nat x;\nx := x").body == Skip()

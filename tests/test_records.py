@@ -43,7 +43,7 @@ def test_fields_are_taken_by_position_or_keyword():
 @pytest.mark.parametrize("record, fields", [
     (P.Lt("x", 1), ("x", 1)),
     (P.Skip(), ()),
-    (P.IidIncrement("x", P.Dirac(2), None), ("x", P.Dirac(2), None)),
+    (P.IidIncrement("x", P.dirac(2), None), ("x", P.dirac(2), None)),
     (P.Seq((P.Skip(), P.Decrement("x"))), ((P.Skip(), P.Decrement("x")),)),
     (X_OVER_ONE, (Polynomial.var("x"), Polynomial.const(1))),
     (ExtendedMass(True, F(3)), (True, F(3))),

@@ -236,7 +236,7 @@ class TestApplyStatement:
         assert equal(got, want)
 
     def test_iid_increment_bernoulli(self):
-        got = apply_statement(P.IidIncrement("x", P.Bernoulli(F(1, 2)), "y"),
+        got = apply_statement(P.IidIncrement("x", P.bernoulli(F(1, 2)), "y"),
                               from_poly(Y))
         assert equal(got, normalize(Y * (ONE + X), Polynomial.const(2)))
 
@@ -265,7 +265,7 @@ class TestApplyStatement:
     def test_a_wide_uniform_pgf_is_built_in_linear_time(self):
         # one monomial added at a time copied the growing sum: 2 s at 20,001 terms
         start = time.monotonic()
-        f = dist_pgf(P.UniformRange(0, 100000), "x")
+        f = dist_pgf(P.uniform(0, 100000), "x")
         assert time.monotonic() - start < 5
         assert len(f.num.terms) == 100001 and f.den == ONE
 
@@ -336,7 +336,7 @@ def max_increment(s) -> int:
     if isinstance(s, P.AssignConst):
         return s.value
     if isinstance(s, P.IidIncrement):
-        return _dist_span(s.dist)
+        return _dist_span(s.pgf)
     if isinstance(s, P.Choice):
         return max(max_increment(s.left), max_increment(s.right))
     if isinstance(s, P.Seq):
@@ -348,78 +348,86 @@ def max_increment(s) -> int:
     return 0
 
 
-def _dist_span(d) -> int:
-    if isinstance(d, P.Dirac):
-        return d.value
-    if isinstance(d, P.UniformRange):
-        return d.hi
-    if isinstance(d, P.Bernoulli):
-        return 1
-    if isinstance(d, P.RawPgf):
-        return max(2, d.form.num.total_degree())
-    return 2  # geometric: truncation handles the tail
+def _dist_span(pgf) -> int:
+    # a polynomial's support ends at its degree; truncation handles a tail
+    degree = pgf.num.total_degree()
+    return degree if pgf.is_polynomial() else max(2, degree)
 
 
 STATEMENTS = [
     ("skip", P.Skip(), False),
     ("assign_const", P.AssignConst("x", 2), True),
     ("decrement", P.Decrement("x"), False),
-    ("iid_dirac", P.IidIncrement("x", P.Dirac(2), "y"), False),
-    ("iid_bernoulli", P.IidIncrement("x", P.Bernoulli(F(1, 3)), "y"), False),
-    ("iid_geometric", P.IidIncrement("x", P.Geometric(F(1, 2)), "y"), False),
-    ("iid_once", P.IidIncrement("x", P.Dirac(1), None), False),
-    ("sample", P.Seq((P.AssignConst("x", 0), P.IidIncrement("x", P.UniformRange(0, 2), None))),
+    ("iid_dirac", P.IidIncrement("x", P.dirac(2), "y"), False),
+    ("iid_bernoulli", P.IidIncrement("x", P.bernoulli(F(1, 3)), "y"), False),
+    ("iid_geometric", P.IidIncrement("x", P.geometric(F(1, 2)), "y"), False),
+    ("iid_once", P.IidIncrement("x", P.dirac(1), None), False),
+    ("sample", P.Seq((P.AssignConst("x", 0), P.IidIncrement("x", P.uniform(0, 2), None))),
      True),
-    ("choice", P.Choice(F(1, 3), P.Decrement("x"), P.IidIncrement("x", P.Dirac(1), None)), False),
-    ("seq", P.Seq((P.Decrement("x"), P.IidIncrement("y", P.Dirac(1), None))), False),
-    ("ite", P.IfThenElse(P.Lt("x", 2), P.IidIncrement("y", P.Dirac(1), None),
+    ("choice", P.Choice(F(1, 3), P.Decrement("x"), P.IidIncrement("x", P.dirac(1), None)), False),
+    ("seq", P.Seq((P.Decrement("x"), P.IidIncrement("y", P.dirac(1), None))), False),
+    ("ite", P.IfThenElse(P.Lt("x", 2), P.IidIncrement("y", P.dirac(1), None),
                          P.Decrement("x")), False),
 ]
 
 MOD_STATEMENTS = [
-    ("ite_mod2", P.IfThenElse(P.ModEq("x", 1, 2), P.IidIncrement("y", P.Dirac(1), None),
+    ("ite_mod2", P.IfThenElse(P.ModEq("x", 1, 2), P.IidIncrement("y", P.dirac(1), None),
                               P.Decrement("x")), False),
     ("ite_mod3", P.IfThenElse(P.ModEq("y", 2, 3), P.Decrement("y"),
-                              P.IidIncrement("x", P.Dirac(1), None)), False),
+                              P.IidIncrement("x", P.dirac(1), None)), False),
     ("ite_mod5", P.IfThenElse(P.ModEq("x", 0, 5), P.Skip(),
-                              P.IidIncrement("y", P.Dirac(2), None)), False),
+                              P.IidIncrement("y", P.dirac(2), None)), False),
 ]
 
 
-# the core node kinds, distributions included, that no list above holds: drawn only by
+# the core node kinds and draw shapes that no list above holds: drawn only by
 # test_statement_matches_oracle, so that the draws of the other tests stay
 CORE_STATEMENTS = [
     ("diverge", P.Diverge(), False),
     ("ite_eq", P.IfThenElse(P.Eq("x", 1), P.Decrement("x"),
-                            P.IidIncrement("y", P.Dirac(1), None)), False),
+                            P.IidIncrement("y", P.dirac(1), None)), False),
     ("ite_and", P.IfThenElse(P.And(P.Lt("x", 3), P.Eq("y", 0)),
-                             P.IidIncrement("y", P.Dirac(2), None), P.Skip()), False),
+                             P.IidIncrement("y", P.dirac(2), None), P.Skip()), False),
     ("ite_or", P.IfThenElse(P.Or(P.Eq("x", 0), P.Lt("y", 2)), P.Decrement("y"),
-                            P.IidIncrement("x", P.Dirac(1), None)), False),
+                            P.IidIncrement("x", P.dirac(1), None)), False),
     ("ite_not", P.IfThenElse(P.Not(P.Lt("x", 2)), P.Diverge(), P.Decrement("x")), False),
-    ("iid_pgf", P.IidIncrement("x", P.RawPgf(parse_closed_form("1/3 + 2/3*T^2", ["t"])), "y"),
+    ("iid_pgf", P.IidIncrement("x", parse_closed_form("1/3 + 2/3*T^2", ["t"]), "y"),
      False),
+    ("iid_geometric_once", P.IidIncrement("y", P.geometric(F(1, 3)), None), False),
 ]
 
 
-def _node_kinds(node):
-    """The classes of a statement's nodes, its guards' nodes included."""
-    yield type(node)
+def _nodes(node):
+    """A statement's nodes, its guards' nodes included."""
+    yield node
     for name in node._fields:
         value = getattr(node, name)
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, Record):
-                yield from _node_kinds(child)
+                yield from _nodes(child)
+
+
+def _draw_shape(pgf) -> str:
+    """The pgf shapes that the oracle draws apart: it shifts by a monomial,
+    keeps a polynomial's whole pmf and truncates a rational form's tail."""
+    if not pgf.is_polynomial():
+        return "rational"
+    return "monomial" if len(pgf.num.terms) == 1 else "polynomial"
 
 
 def test_every_core_node_kind_has_an_oracle_case():
-    # a node kind without a case here is one the two interpreters are never
-    # compared on
-    covered = {k for _, stmt, _ in STATEMENTS + MOD_STATEMENTS + CORE_STATEMENTS
-               for k in _node_kinds(stmt)}
-    kinds = ((set(typing.get_args(P.Statement)) - {P.While}) | set(typing.get_args(P.Guard))
-             | set(typing.get_args(P.DistExpr)))
+    # a node kind or draw shape without a case here is one the two interpreters
+    # are never compared on; each shape is drawn once and a variable number of times
+    nodes = [n for _, stmt, _ in STATEMENTS + MOD_STATEMENTS + CORE_STATEMENTS
+             for n in _nodes(stmt)]
+    kinds = (set(typing.get_args(P.Statement)) - {P.While}) | set(typing.get_args(P.Guard))
+    covered = {type(n) for n in nodes}
     assert kinds <= covered, kinds - covered
+    draws = {(_draw_shape(n.pgf), n.count is None) for n in nodes
+             if isinstance(n, P.IidIncrement)}
+    shapes = {(shape, once) for shape in ("monomial", "polynomial", "rational")
+              for once in (True, False)}
+    assert shapes <= draws, shapes - draws
 
 
 class TestOracleEquivalence:
