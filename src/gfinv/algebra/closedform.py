@@ -3,10 +3,30 @@
 A closed form is a fraction num/den of polynomials whose denominator has a
 nonzero constant term, hence is invertible in the power-series ring.  Every
 form is scaled to an integer-primitive denominator whose constant term
-(leading coefficient, for parametric denominators) is positive.  Forms
-without parameters are also GCD-reduced, so structurally equal series
-normalize to identical representations.  Forms with ``$``-parameters (the
-templates of synthesis) are only scaled; see ``normalize``.
+(leading coefficient, for parametric denominators) is positive.  Forms with
+``$``-parameters (the templates of synthesis) are only scaled; see
+``normalize``.
+
+Forms without parameters are also GCD-reduced, so structurally equal series
+have identical representations.  Their arithmetic relies on that invariant
+and takes a gcd only where a common factor can arise (reduced-fraction
+arithmetic: Henrici, *A subroutine for computations with rational numbers*,
+JACM 3, 1956; Knuth, TAOCP Vol. 2, 4.5.1).  For reduced a/b and c/d:
+
+- p*(a/b) = (p*a)/b for a nonzero rational p, with no gcd;
+- a/b + c/d with g = gcd(b, d): t = a*(d/g) + c*(b/g) is coprime to b/g and
+  to d/g, so t/(b*d/g) is reduced by gcd(t, g) alone, and is reduced as it
+  is when g = 1 (always so when b or d is a constant);
+- (a/b)*(c/d) = ((a/gcd(a,d))*(c/gcd(c,b))) / ((b/gcd(c,b))*(d/gcd(a,d))),
+  and (a/b)/(c/d) likewise with the roles of c and d swapped; a gcd is
+  skipped where one side is a constant, or a monomial against a polynomial
+  with a nonzero constant term, as every denominator is;
+- (a/b)^n = a^n/b^n is reduced, and b^n stays integer-primitive (Gauss's
+  lemma) with a positive constant term.
+
+A sum over one shared denominator keeps its gcd: b may share a factor with
+a + c.  Every other combination with a parametric operand goes through
+``normalize`` as a whole.
 """
 
 from __future__ import annotations
@@ -85,11 +105,16 @@ class ClosedForm(Frozen):
         return self.num.vars() | self.den.vars()
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        if self.den == other.den:
-            return normalize(self.num + other.num, self.den)
-        return normalize(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return normalize(a + c, b)
+        if has_parameters(self) or has_parameters(other):
+            return normalize(a * d + c * b, b * d)
+        if b.is_const() or d.is_const():        # the constant denominator is 1
+            return _scaled(a * d + c * b, b * d)
+        g, b, d = poly_gcd(b, d)
+        t, g = _cancel(a * d + c * b, g)
+        return _scaled(t, b * d * g)
 
     def __neg__(self) -> "ClosedForm":
         return ClosedForm(-self.num, self.den)
@@ -99,16 +124,32 @@ class ClosedForm(Frozen):
 
     def __mul__(self, other) -> "ClosedForm":
         if isinstance(other, (int, Fraction)):     # Choice scales by a probability
-            return normalize(self.num * other, self.den)
-        return normalize(self.num * other.num, self.den * other.den)
+            if has_parameters(self):
+                return normalize(self.num * other, self.den)
+            return ClosedForm(self.num * other, self.den) if other else ZERO
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if has_parameters(self) or has_parameters(other):
+            return normalize(a * c, b * d)
+        if not (a and c):
+            return ZERO
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _scaled(a * c, b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ClosedForm") -> "ClosedForm":
-        return normalize(self.num * other.den, self.den * other.num)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if has_parameters(self) or has_parameters(other) or not (a and c):
+            return normalize(a * d, b * c)
+        a, c = _cancel(a, c)
+        d, b = _cancel(d, b)
+        return _scaled(a * d, b * c)
 
     def __pow__(self, n: int) -> "ClosedForm":
-        return normalize(self.num ** n, self.den ** n)
+        if has_parameters(self):
+            return normalize(self.num ** n, self.den ** n)
+        return ClosedForm(self.num ** n, self.den ** n)
 
 
 def from_poly(p: Polynomial) -> ClosedForm:
@@ -124,40 +165,54 @@ ONE = ClosedForm(Polynomial.const(1), Polynomial.const(1))
 
 
 def normalize(num: Polynomial, den: Polynomial) -> ClosedForm:
-    """Scale-canonicalize num/den, and GCD-reduce it when it has no parameters:
-    num and den become the two cofactors that ``poly_gcd`` returns.
+    """The canonical form of num/den: GCD-reduced when it has no parameters
+    (``_cancel``), then scaled (``_scaled``).  This establishes the invariant
+    that the arithmetic of ``ClosedForm`` keeps (see the module docstring):
+    every form without parameters is reduced, so two of them are the same
+    series exactly when their num and den term dicts are equal.
 
     A form with ``$``-parameters is not reduced: it is only scaled.  Its
     unreduced common factors vanish only where a denominator would be
     identically zero, and synthesis filters such valuations as invalid, so
-    they never change the series a valuation encodes.
+    they never change the series a valuation encodes.  The synthesis systems
+    built from unreduced forms are also smaller (thirds_geometric at degree
+    3: 87 terms against 2,702), and ``ClosedForm.__add__`` keeps their
+    denominators from compounding.
 
     Raises InvalidDenominator when the (reduced) denominator has zero constant
     term (for parametric denominators: when it is identically zero).
     """
     if den.is_zero():
         raise InvalidDenominator("denominator is identically zero")
-    if num.is_zero():
-        _require_invertible(den)
-        return ClosedForm(Polynomial(), Polynomial.const(1))
-    # Parametric pairs are never GCD-reduced: the synthesis systems built
-    # from unreduced forms are smaller (thirds_geometric at degree 3: 87
-    # terms against 2,702), and ClosedForm.__add__ keeps their denominators
-    # from compounding.
-    if not den.is_const() and not num.is_const() \
-            and not _parametric(num) and not _parametric(den):
-        _, num, den = poly_gcd(num, den)
+    if num and not _parametric(num) and not _parametric(den):
+        num, den = _cancel(num, den)
+    return _scaled(num, den)
+
+
+def _cancel(p: Polynomial, q: Polynomial) -> tuple:
+    """(p/g, q/g) for g = gcd(p, q) of nonzero p and q.  No gcd is taken where
+    g is a constant: when p or q is one, or when one is a monomial and the
+    other has a nonzero constant term, which no variable divides."""
+    if len(p.terms) == 1 and (MONO_ONE in p.terms or MONO_ONE in q.terms) \
+            or len(q.terms) == 1 and (MONO_ONE in q.terms or MONO_ONE in p.terms):
+        return p, q
+    return poly_gcd(p, q)[1:]
+
+
+def _scaled(num: Polynomial, den: Polynomial) -> ClosedForm:
+    """num/den scaled so that den is integer-primitive with a positive
+    constant term (leading coefficient, when the constant term is
+    parametric); a zero num gives den 1.  Raises InvalidDenominator as
+    ``normalize`` does."""
     _require_invertible(den)
-    c0 = den.constant_term()
-    if c0:
-        scale = den.content()
-        if c0 < 0:
-            scale = -scale
-    else:
-        # parametric constant term: canonicalize by leading coefficient
-        scale = den.content()
-        if den.leading()[1] < 0:
-            scale = -scale
+    if not num:
+        return ZERO
+    scale = den.content()
+    # a parametric constant term: canonicalize by the leading coefficient
+    if (den.constant_term() or den.leading()[1]) < 0:
+        scale = -scale
+    if scale == 1:
+        return ClosedForm(num, den)
     inv = 1 / scale
     return ClosedForm(num * inv, den * inv)
 

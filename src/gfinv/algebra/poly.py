@@ -23,9 +23,10 @@ leading monomial on a heap of the remainder's keys.
 
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
-``**`` and ``subs_var``), every 1024th term of an evaluation (``_eval_last``,
-under ``poly_gcd``), each step of an exact division (``_quotient``, under
-``poly_gcd`` and ``exact_quotient``), and each column of ``row_reduce``.
+``**`` and ``subs_var``), each group and each split of an evaluation
+(``_eval_last``, under ``poly_gcd``), each step of an exact division
+(``_quotient``, under ``poly_gcd`` and ``exact_quotient``), and each column
+of ``row_reduce``.
 """
 
 from __future__ import annotations
@@ -288,12 +289,9 @@ class Polynomial:
         """Positive rational c with self/c integer-primitive (0 for zero)."""
         if not self.terms:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        cs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in cs)),
+                        math.lcm(*(c.denominator for c in cs)))
 
     def primitive(self, order: Optional[Sequence[str]] = None):
         """(signed content, primitive part) with positive leading coefficient."""
@@ -438,27 +436,45 @@ def _heu_gcd(f: dict, g: dict, vars: list) -> Optional[tuple]:
 def _eval_last(f: dict, xi: int) -> dict:
     """f with its last variable set to xi, zero terms dropped.
 
-    The terms that share all exponents but the last form one group, and each
-    group is summed by Horner over its exponents, highest first; the groups
-    keep the order of their first terms.  Polls ``check_deadline`` at every
-    1024th term of a group: a wide group makes each step a long integer.
+    The terms that share all exponents but the last form one group, summed
+    by ``_eval_group``; the groups keep the order of their first terms.
+    Polls ``check_deadline`` at every group.
     """
     groups: dict = {}
     for e, a in f.items():
         groups.setdefault(e[:-1], []).append((e[-1], a))
     out: dict = {}
     for rest, terms in groups.items():
-        terms.sort(reverse=True)
-        acc, k = 0, terms[0][0]
-        for i, (j, a) in enumerate(terms):
-            if not i % 1024:
-                check_deadline("while taking a polynomial gcd")
-            acc = acc * xi ** (k - j) + a
-            k = j
-        acc *= xi ** k
+        check_deadline("while taking a polynomial gcd")
+        terms.sort()
+        acc = _eval_group(terms, xi, 0)
         if acc:
             out[rest] = acc
     return out
+
+
+def _eval_group(terms: list, xi: int, low: int) -> int:
+    """The sum of a * xi^(j - low) over the (j, a) of terms, which are sorted
+    by j, none below low.
+
+    Up to 64 terms go by Horner, highest first.  A wider group is summed as
+    its low half plus xi^k times its high half, where k is the high half's
+    least exponent, recursively: Horner over n terms multiplies a growing
+    integer n times, quadratic in n, where the halves multiply two integers
+    of about equal size once per split.  Polls ``check_deadline`` at every
+    split.
+    """
+    if len(terms) > 64:
+        check_deadline("while taking a polynomial gcd")
+        mid = len(terms) // 2
+        k = terms[mid][0]
+        return (_eval_group(terms[:mid], xi, low)
+                + xi ** (k - low) * _eval_group(terms[mid:], xi, k))
+    acc, k = 0, terms[-1][0]
+    for j, a in reversed(terms):
+        acc = acc * xi ** (k - j) + a
+        k = j
+    return acc * xi ** (k - low)
 
 
 def exact_quotient(f: Polynomial, d: Polynomial) -> Optional[Polynomial]:

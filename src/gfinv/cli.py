@@ -208,9 +208,10 @@ def cmd_unroll(args) -> Dict:
     source = _read(args.program)
     ast = parse(source)
     loop = _single_loop(ast, "unroll")
-    g = _init_arg(args.init, ast.variables)
-    m = measure_from_closed_form(g, args.init_degree, ast.variables)
-    res = kleene_iterate(loop, m, ast.variables, args.steps, support_cap=args.cap)
+    with time_limit(args.timeout):
+        g = _init_arg(args.init, ast.variables)
+        m = measure_from_closed_form(g, args.init_degree, ast.variables)
+        res = kleene_iterate(loop, m, ast.variables, args.steps, support_cap=args.cap)
     t1 = time.monotonic()
     order = list(ast.variables)
 
@@ -226,8 +227,9 @@ def cmd_unroll(args) -> Dict:
 
 def cmd_expand(args) -> Dict:
     t0 = time.monotonic()
-    f = _parse_form(args.expression)
-    coeffs = series_expand(f, args.degree)
+    with time_limit(args.timeout):
+        f = _parse_form(args.expression)
+        coeffs = series_expand(f, args.degree)
     t1 = time.monotonic()
     order = sorted(f.vars())
     table = {format_monomial(m, order): str(c)
@@ -326,11 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--cap", type=_count, default=64, help="support cap per sampling")
     u.add_argument("--init-degree", type=_count, default=24,
                    help="truncation degree for the initial measure")
+    u.add_argument("--timeout", type=_seconds, default=None,
+                   help="seconds before the unrolling, --init included, stops with an error")
     u.set_defaults(fn=cmd_unroll)
 
     e = sub.add_parser("expand", help="series-expand a closed form")
     e.add_argument("expression")
     e.add_argument("--degree", type=_count, required=True)
+    e.add_argument("--timeout", type=_seconds, default=None,
+                   help="seconds before the expansion, parsing included, stops with an error")
     e.set_defaults(fn=cmd_expand)
 
     ch = sub.add_parser("chain", help="finite-chain expected visiting times")

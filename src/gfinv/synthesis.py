@@ -47,6 +47,7 @@ from .algebra import (
     has_parameters,
     instantiate,
     mono_key,
+    normalize,
     parse_closed_form_with_params,
     row_reduce,
     shape_nonneg,
@@ -135,6 +136,10 @@ def parse_template(text: str, variables: Sequence[str]) -> Template:
         num = form.num.subs_var("$" + name, link_form.num)
         den = form.den.subs_var("$" + name, link_form.num)
         form = ClosedForm(num, den)
+    if not has_parameters(form):
+        # links that pin every parameter leave a form that arithmetic takes
+        # as GCD-reduced and scaled
+        form = normalize(form.num, form.den)
     params = tuple(sorted(v[1:] for v in form.vars() if v.startswith("$")))
     return Template(form, params, "user")
 

@@ -286,15 +286,28 @@ def test_eval_last_is_the_sum_of_the_evaluated_terms(drawn, xi):
     assert list(got) == [rest for rest in dict.fromkeys(e[:-1] for e in f) if rest in want]
 
 
+@given(st.dictionaries(st.integers(0, 5000), st.integers(-10**6, 10**6).filter(bool),
+                       min_size=65, max_size=300),
+       st.integers(2, 10**4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_wide_group_is_summed_by_halves(terms, xi):
+    # group (0,) is wider than 64 terms; group (1,) is 70 terms that cancel
+    f = {(0, j): a for j, a in terms.items()}
+    for k in range(0, 140, 4):
+        f[(1, k + 1)], f[(1, k)] = 5 + k, -(5 + k) * xi
+    assert poly._eval_last(f, xi) == naive_eval_last(f, xi)
+
+
 def test_eval_last_honours_its_deadline():
     with time_limit(0), pytest.raises(TimeoutError, match="polynomial gcd"):
         poly._eval_last({(0, 5): 1, (1, 0): 2}, 31)
 
 
 def test_eval_last_polls_inside_one_wide_group():
-    # Horner over this one group runs for about 0.5 s; a poll per group
-    # would let it finish past the deadline
-    f = {(k,): 1 + k % 7 for k in range(50001)}
+    # this one group spans the exponents 0 to 400,000, and its evaluation
+    # runs for about 0.7 s; a poll per group would let it finish past the
+    # deadline
+    f = {(8 * k,): 1 + k % 7 for k in range(50001)}
     start = time.monotonic()
     with time_limit(0.05), pytest.raises(TimeoutError, match="polynomial gcd"):
         poly._eval_last(f, 37)
@@ -345,6 +358,93 @@ def test_sum_over_one_denominator_matches_cross_multiplication(p, q, d, h):
     got = f + g
     want = normalize(f.num * g.den + g.num * f.den, f.den * g.den)
     assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+def same_form(got, want):
+    return got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+# (2+x)/((2-x)(1-x)) - 9(2-x)/((2+x)(1-x)) = -8(4-x)/((2-x)(2+x)): the
+# shared factor 1 - x of the denominators divides the cross sum
+@given(polys(3, 2), polys(3, 2), polys(3, 2), polys(3, 2), polys(2, 2),
+       st.fractions(-3, 3, max_denominator=3), st.integers(0, 3))
+@example(ONE, -X, -9 * ONE, X, -ONE, F(1, 2), 2)
+@example(Polynomial(), ONE, ONE, ONE, Polynomial(), F(0), 0)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_arithmetic_on_reduced_forms_is_normalize_of_the_cross_product(a, b, c, d, h, q, n):
+    # bd and dd have the constant term 2 and shared has 1; each numerator
+    # shares a factor with the other denominator, and the two denominators
+    # share h*x + 1
+    shared, bd, dd = h * X + 1, b + 2 - b.constant_term(), d + 2 - d.constant_term()
+    f = normalize(a * dd, bd * shared)
+    g = normalize(c * bd, dd * shared)
+    for got, want in ((f + g, normalize(f.num * g.den + g.num * f.den, f.den * g.den)),
+                      (f - g, normalize(f.num * g.den - g.num * f.den, f.den * g.den)),
+                      (f * g, normalize(f.num * g.num, f.den * g.den)),
+                      (f * q, normalize(f.num * q, f.den)),
+                      (q * f, normalize(f.num * q, f.den)),
+                      (f ** n, normalize(f.num ** n, f.den ** n))):
+        assert same_form(got, want)
+    try:
+        want = normalize(f.num * g.den, f.den * g.num)
+    except InvalidDenominator as e:
+        with pytest.raises(InvalidDenominator, match=str(e)):
+            f / g
+    else:
+        assert same_form(f / g, want)
+
+
+def test_scaling_and_adding_a_polynomial_take_no_gcd(monkeypatch):
+    f = normalize(ONE + X, 2 - X - C)
+    p = X * C - 3
+    scaled = normalize((ONE + X) * F(1, 3), 2 - X - C)
+    summed = normalize(ONE + X + p * (2 - X - C), 2 - X - C)
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(closedform, "poly_gcd", counting)
+    assert same_form(f * F(1, 3), scaled) and same_form(F(1, 3) * f, scaled)
+    assert same_form(f + from_poly(p), summed) and same_form(from_poly(p) + f, summed)
+    assert calls == []
+
+
+def test_no_gcd_is_given_up_over_the_check_corpus(corpus, monkeypatch):
+    # the arithmetic relies on reduced operands: a gcd given up leaves a form
+    # that denotes the same series with a different representation
+    from gfinv.invariant import certify
+    from gfinv.program import classify
+
+    outcomes, depth = [], [0]
+
+    def spy(f, g, vars):
+        depth[0] += 1
+        try:
+            found = heu_gcd(f, g, vars)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            outcomes.append(found)
+        return found
+
+    heu_gcd = poly._heu_gcd
+    monkeypatch.setattr(poly, "_heu_gcd", spy)
+    checked = 0
+    for ast, init, expected, d in corpus.values():
+        text = expected.get("invariant")
+        if "invariant_file" in expected:
+            text = (d / expected["invariant_file"]).read_text()
+        if not text or not classify(ast).is_single_loop:
+            continue
+        inv = parse_closed_form(text, ast.variables)
+        first = from_poly(Polynomial.var(ast.variables[0]))
+        for cand in (inv, inv * F(1, 2), inv + const(1), inv * first):
+            certify(ast.body, init, cand)
+            checked += 1
+    assert checked >= 40 and outcomes
+    assert None not in outcomes
 
 
 def reference_add(p, q):

@@ -48,6 +48,13 @@ class TestExpand:
         args = ["expand", "(" * 3000 + "X" + ")" * 3000, "--degree", "2"]
         assert "nesting too deep" in refusal(args, capsys)
 
+    def test_a_deadline_stops_the_expansion(self, capsys):
+        # without a deadline, building the power takes about 1.3 s
+        start = time.monotonic()
+        err = refusal(["expand", "(1+X+Y)^60", "--degree", "1", "--timeout", "0.3"], capsys)
+        assert time.monotonic() - start < 1.5
+        assert err == "gfinv: error: deadline reached while raising a polynomial to the power 60\n"
+
 
 class TestUnknownNames:
     """A lowercase name that is not a program variable would parse as a
@@ -405,6 +412,17 @@ class TestUnrollCommand:
     def test_the_residual_holds_the_cut_off_tail(self):
         rc, rep, _ = invoke(["unroll", GEO, "--init", "1/(2-X)"] + self.CUT)
         assert rc == EXIT_FULL and Fraction(rep["residual"]) >= Fraction(1, 8)
+
+    def test_a_deadline_stops_the_unrolling(self, tmp_path, capsys):
+        # each step widens the counter's support: 30 steps take about 13 s
+        prog = tmp_path / "iid.pgcl"
+        prog.write_text("nat x; nat c;\n"
+                        "while (x = 1) { { c += iid(geometric(1/2), 1) } [1/2] { x := 0 } }\n")
+        start = time.monotonic()
+        err = refusal(["unroll", str(prog), "--init", "X", "--steps", "200",
+                       "--timeout", "0.3"], capsys)
+        assert time.monotonic() - start < 1.5
+        assert err.startswith("gfinv: error: deadline reached while")
 
 
 class TestDivergingBody:

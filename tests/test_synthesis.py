@@ -649,6 +649,15 @@ class TestUserTemplates:
         inst = instantiate(tpl.form, {"b": F(1, 2)})
         assert equal(inst, normalize(2 * X + ONE, ONE - C * F(1, 2)))
 
+    def test_links_that_pin_every_parameter_leave_a_normalized_form(self):
+        # (2*X - 2*X^2)/(2 - 2*X) has the common factor 2*(1 - X), which the
+        # arithmetic on forms without parameters takes as already cancelled
+        tpl = parse_template("(a*X - a*X^2)/(a - b*X)\na = 2\nb = 2\n", ["x"])
+        num, den = 2 * X - 2 * X * X, 2 - 2 * X
+        assert tpl.parameters == ()
+        assert tpl.form == normalize(num, den) and tpl.form.num == X
+        assert tpl.form + from_poly(ONE) == from_poly(ONE + X)
+
     @pytest.mark.parametrize("text, message", [
         ("# a comment only\n", "contains no closed form"),
         ("(a*X + 1)/(1 - b*C)\na = 1/(1 - b)\n", "must be polynomial in parameters"),
