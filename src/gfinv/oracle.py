@@ -8,6 +8,10 @@ expected visiting times of finite Markov chains by sparse exact elimination
 cross-checks closed forms against its runs.  Each Kleene step, each state
 of an iid draw and each row of a pmf convolution poll the time limit.
 
+``finite_chain_invariant`` solves a loop whose polynomial initial measure
+reaches finitely many guard states as such a chain: the guard states, found
+by exact body steps, and o = g + P^T [guard] o on them.
+
 ``closed_class_witness`` proves that a loop has no finite occupation
 invariant: by a bounded exact search, it names a guard state that the
 initial measure reaches with positive probability and that lies in a
@@ -22,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import ClosedForm, Mono, mass, mono_key, row_reduce, series_expand, shape_nonneg
+from .algebra import (ClosedForm, Mono, Polynomial, from_poly, mass, mono_key, row_reduce,
+                       series_expand, shape_nonneg)
 from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
@@ -347,8 +352,8 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
 
     A reachable non-terminal state lies in such a class exactly when every
     state it reaches reaches it back.  On the other reachable non-terminal
-    states, the transient ones, o = iota + P^T o has one solution: one sparse
-    row per state, iota in the last column, reduced by ``row_reduce``.
+    states, the transient ones, o = iota + P^T o has one solution
+    (``_visits``).
     """
     chain.validate()
     edges = {s: [t for t, p in row.items() if p] for s, row in chain.transitions.items()}
@@ -357,16 +362,7 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
            if s in reachable and s in chain.transitions}
     bad = {s for s, seen in fwd.items() if all(s in fwd.get(t, ()) for t in seen)}
     transient = [s for s in fwd if s not in bad]
-    pos = {s: i for i, s in enumerate(transient)}
-    n = len(transient)
-    rows = [{i: Fraction(1), n: chain.initial.get(s, Fraction(0))}
-            for i, s in enumerate(transient)]
-    for j, s in enumerate(transient):
-        for t, p in chain.transitions[s].items():
-            if t in pos:
-                rows[pos[t]][j] = rows[pos[t]].get(j, 0) - p
-    solved = row_reduce([{k: x for k, x in row.items() if x} for row in rows])
-    occ = {s: row.get(n, Fraction(0)) for s, row in zip(transient, solved)}
+    occ = _visits(transient, chain.initial, chain.transitions)
     out: Dict[str, object] = {
         s: None if s in bad else occ.get(s, chain.initial.get(s, Fraction(0)))
         for s in chain.states}
@@ -377,6 +373,27 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
             if t not in chain.transitions:
                 out[t] += p * occ[s]
     return out
+
+
+def _visits(states: List, initial: Dict, transitions: Dict) -> Optional[Dict]:
+    """The expected visits o = initial + P^T o on ``states``, where
+    ``transitions[s]`` maps s's successors to their probabilities and a
+    successor outside ``states`` is never left.  One sparse row per state,
+    the initial mass in the last column, reduced by ``row_reduce``.  None
+    when the system is singular: some states form a closed class.
+    """
+    pos = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    rows = [{i: Fraction(1), n: initial.get(s, Fraction(0))} for i, s in enumerate(states)]
+    for j, s in enumerate(states):
+        for t, p in transitions[s].items():
+            if t in pos:
+                rows[pos[t]][j] = rows[pos[t]].get(j, 0) - p
+    solved = row_reduce([{k: x for k, x in row.items() if x} for row in rows])
+    # nonsingular: row i holds the pivot of column i, and no row is 0 = c
+    if [min(row) for row in solved] != list(range(n)):
+        return None
+    return {s: row.get(n, Fraction(0)) for s, row in zip(states, solved)}
 
 
 def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[str, Fraction]:
@@ -424,32 +441,20 @@ def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str]
     """
     idx = {v: i for i, v in enumerate(vars)}
     order = list(vars)
-    parent: Dict[State, Optional[State]] = {}
-    succ: Dict[State, List[State]] = {}
-    leaks: List[State] = []
     try:
         coeffs = series_expand(g, SOURCE_DEGREE, order=order)
-        for mono in sorted(coeffs, key=lambda m: mono_key(m, order)):
-            s = _mono_state(mono, vars)
-            if coeffs[mono] > 0 and _eval_guard(loop.guard, s, idx):
-                parent[s] = None
-        queue = list(parent)
-        for s in queue:                     # the loop reads what it appends
-            if len(succ) == SEARCH_STATES:
-                break
-            check_deadline("while searching for a closed class")
-            step = _exec(loop.body, SparseMeasure.dirac(s), idx, SEARCH_SUPPORT_CAP)
-            # a step stores no zero entry, so every successor has positive probability
-            inside = [t for t in step.entries if _eval_guard(loop.guard, t, idx)]
-            if len(inside) < len(step.entries) or step.mass() != 1:
-                leaks.append(s)
-            succ[s] = inside
-            for t in inside:
-                if t not in parent:
-                    parent[t] = s
-                    queue.append(t)
+        sources = [_mono_state(m, vars) for m in sorted(coeffs, key=lambda m: mono_key(m, order))
+                   if coeffs[m] > 0]
+        parent, steps = _explore(loop, sources, idx, SEARCH_STATES, SEARCH_SUPPORT_CAP)
     except TimeoutError:
         return None
+    succ: Dict[State, List[State]] = {}
+    leaks: List[State] = []
+    for s, step in steps.items():
+        # a step stores no zero entry, so every successor has positive probability
+        succ[s] = [t for t in step.entries if _eval_guard(loop.guard, t, idx)]
+        if len(succ[s]) < len(step.entries) or step.mass() != 1:
+            leaks.append(s)
     pred: Dict[State, List[State]] = {}
     for s, ts in succ.items():
         for t in ts:
@@ -464,6 +469,65 @@ def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return ClosedClassWitness(path[::-1], sorted(closed))
+
+
+def _explore(loop: P.While, sources: List[State], idx: Dict[str, int], limit: int,
+             cap: int) -> Tuple[Dict[State, Optional[State]], Dict[State, SparseMeasure]]:
+    """Breadth-first exact body steps over the guard states that ``sources``
+    reach: (each reached guard state's parent, None for a source; each
+    expanded state's one-step measure, a draw of infinite support cut off at
+    ``cap``).  At most ``limit`` states are expanded; a reached state left
+    unexpanded has a parent and no step.  Polls ``check_deadline`` per state.
+    """
+    parent = dict.fromkeys(s for s in sources if _eval_guard(loop.guard, s, idx))
+    steps: Dict[State, SparseMeasure] = {}
+    queue = list(parent)
+    for s in queue:                         # the loop reads what it appends
+        if len(steps) == limit:
+            break
+        check_deadline("while exploring guard states")
+        steps[s] = step = _exec(loop.body, SparseMeasure.dirac(s), idx, cap)
+        for t in step.entries:
+            if t not in parent and _eval_guard(loop.guard, t, idx):
+                parent[t] = s
+                queue.append(t)
+    return parent, steps
+
+
+# -- loops with finitely many guard states ----------------------------------------------
+
+CHAIN_STATES = 400        # guard states finite_chain_invariant expands at most
+
+
+def finite_chain_invariant(loop: P.While, g: ClosedForm, vars: Sequence[str]
+                           ) -> Optional[ClosedForm]:
+    """The occupation invariant of a loop from a polynomial g, when g reaches
+    finitely many guard states: a polynomial, or None.
+
+    The guard states that g's terms reach are explored breadth first by
+    exact body steps (``_explore``).  On them the occupation measure o
+    solves o = g + P^T [guard] o (``_visits``), and the invariant is g plus
+    the body step of each guard state, weighted by its o.  None when more
+    than CHAIN_STATES guard states are reached, when a draw has infinite
+    support, or when the system is singular (a closed class).  The caller
+    certifies the result: nothing here is trusted.
+    """
+    idx = {v: i for i, v in enumerate(vars)}
+    order = list(vars)
+    initial = {_mono_state(m, vars): g.num.terms[m]
+               for m in sorted(g.num.terms, key=lambda m: mono_key(m, order))}
+    parent, steps = _explore(loop, list(initial), idx, CHAIN_STATES, 0)
+    if len(steps) < len(parent) or any(step.residual for step in steps.values()):
+        return None
+    visits = _visits(list(steps), initial, {s: step.entries for s, step in steps.items()})
+    if visits is None:
+        return None
+    terms = dict(g.num.terms)
+    for s, step in steps.items():
+        for t, p in step.entries.items():
+            m = _state_mono(t, vars)
+            terms[m] = terms.get(m, 0) + visits[s] * p
+    return from_poly(Polynomial(terms))
 
 
 def best_contraction_bound(chain: FiniteChain, c: Fraction,

@@ -84,7 +84,9 @@ def shift_down(f: ClosedForm, var: str) -> ClosedForm:
     """f * var^{-1} for f with zero constant section in var.
 
     The reduced numerator is exactly divisible by var because the denominator
-    constant term is invertible.
+    constant term is invertible.  num/var over den needs no ``normalize``:
+    den is unchanged, so still scaled, and a factor common to num/var and den
+    would divide gcd(num, den), which is 1 for a form without parameters.
     """
     out = {}
     for m, c in f.num.terms.items():
@@ -95,7 +97,7 @@ def shift_down(f: ClosedForm, var: str) -> ClosedForm:
         if e > 1:
             rest.append((var, e - 1))
         out[tuple(sorted(rest))] = c
-    return normalize(Polynomial(out), f.den)
+    return ClosedForm(Polynomial._of(out), f.den)
 
 
 def marginalize(f: ClosedForm, var: str) -> ClosedForm:

@@ -1,4 +1,14 @@
-"""Template-based synthesis of occupation invariants.
+"""Synthesis of occupation invariants: an exact finite chain, then templates.
+
+When the initial measure g is a polynomial without parameters and a static
+bound (``_guard_state_count``) shows that it reaches at most
+``oracle.CHAIN_STATES`` guard states, the loop is first solved as an
+absorbing Markov chain on them (``oracle.finite_chain_invariant``): the
+occupation measure is the one solution of o = g + P^T [guard] o, and the
+invariant is a polynomial.  ``certify`` judges it, and only an
+``ExactPosterior`` is returned.  Every other case (a denominator, too many
+or unbounded guard states, a closed recurrent class, a weaker certificate)
+falls through to the templates, whose reports it leaves as they were.
 
 Templates are rational closed forms whose coefficients are polynomials in
 symbolic parameters.  Applying the loop's characteristic functional once and
@@ -432,7 +442,8 @@ class Failure(Record):
 
 
 def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] = None):
-    """Search templates, solve, filter, verify; first full certificate wins.
+    """Try the exact finite chain (``_finite_chain``), then search templates,
+    solve, filter, verify; first full certificate wins.
 
     Returns a Certificate on success, else a Failure at the stage of the last
     outcome, with per-template diagnostics; a candidate that several
@@ -465,6 +476,9 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
               else enumerate_templates(variables, cfg.max_den_degree))
 
     with time_limit(cfg.timeout_s):
+        cert = _finite_chain(loop, g, variables)
+        if cert is not None:
+            return cert
         try:
             for template in stream:
                 desc = f"template {template.provenance} {format_closed_form(template.form)}"
@@ -531,6 +545,105 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
         diagnostics.append(probe)
     return Failure(log[-1][0], f"no certifiable invariant found (last stage: {log[-1][0]})",
                    diagnostics, unknown_candidate)
+
+
+def _finite_chain(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[Certificate]:
+    """The exact finite-chain path: an ``ExactPosterior`` certificate of
+    ``oracle.finite_chain_invariant``'s polynomial, or None.
+
+    It runs only when g is a polynomial without parameters and
+    ``_guard_state_count`` bounds the guard states by ``oracle.CHAIN_STATES``.
+    ``certify`` judges the polynomial; every other outcome, the deadline
+    included, is None, and synthesis goes on to the template stream.
+    """
+    if has_parameters(g) or not g.is_polynomial() \
+            or _guard_state_count(loop, g, vars) > oracle.CHAIN_STATES:
+        return None
+    try:
+        candidate = oracle.finite_chain_invariant(loop, g, vars)
+        if candidate is None:
+            return None
+        _, cert = certify(loop, g, candidate)
+    except (TimeoutError, SemanticsError, InvalidDenominator):
+        return None
+    return cert if cert is not None and cert.is_full else None
+
+
+def _guard_state_count(loop: P.While, g: ClosedForm, vars: List[str]) -> float:
+    """A static bound on the number of guard states that g reaches, or inf.
+
+    Each variable gets an upper bound on its value: g's degree in it at
+    first; then, round by round, the body's image of the bounds clipped to
+    the guard's (``_guard_bounds``) joins them (``_bounds_after``).  After
+    len(vars) + 1 rounds, a bound still rising is unbounded, and the bounds
+    must then be stable, else the count is inf.  The count is the product,
+    over the variables, of the clipped bound plus 1.
+    """
+    inf = math.inf
+    guard = _guard_bounds(loop.guard)
+
+    def clip(b: Dict[str, float]) -> Dict[str, float]:
+        return {v: min(x, guard.get(v, inf)) for v, x in b.items()}
+
+    def step(b: Dict[str, float]) -> Dict[str, float]:
+        after = _bounds_after(loop.body, clip(b))
+        return {v: max(x, after[v]) for v, x in b.items()}
+
+    b, last = {v: g.num.degree_in(v) for v in vars}, None
+    for _ in range(len(vars) + 1):
+        if b == last:
+            break
+        b, last = step(b), b
+    b = {v: x if x == last[v] else inf for v, x in b.items()}
+    if step(b) != b:
+        return inf
+    sizes = [max(0, x + 1) for x in clip(b).values()]
+    return 0 if 0 in sizes else math.prod(sizes)
+
+
+def _guard_bounds(gd: P.Guard) -> Dict[str, float]:
+    """The upper bounds a guard puts on its variables: x < k gives k - 1 and
+    x = v gives v; && takes the min and || the max per variable.  A variable
+    left out is unbounded, as under every other guard."""
+    if isinstance(gd, P.Lt):
+        return {gd.var: gd.bound - 1}
+    if isinstance(gd, P.Eq):
+        return {gd.var: gd.value}
+    if isinstance(gd, (P.And, P.Or)):
+        left, right = _guard_bounds(gd.left), _guard_bounds(gd.right)
+        if isinstance(gd, P.Or):
+            return {v: max(left[v], right[v]) for v in left.keys() & right.keys()}
+        return {v: min(left.get(v, math.inf), right.get(v, math.inf))
+                for v in left.keys() | right.keys()}
+    return {}
+
+
+def _bounds_after(stmt: P.Statement, b: Dict[str, float]) -> Dict[str, float]:
+    """Upper bounds on the variables after ``stmt`` from the bounds ``b``
+    before it.  A constant assignment sets the bound, a decrement keeps it, a
+    draw with a polynomial pgf of degree d adds d (times the count's bound),
+    a draw of infinite support makes it inf, the arms of a choice or a
+    conditional are joined by max, and a nested loop makes every bound inf."""
+    if isinstance(stmt, P.AssignConst):
+        return {**b, stmt.var: stmt.value}
+    if isinstance(stmt, P.IidIncrement):
+        if not stmt.pgf.is_polynomial():
+            return {**b, stmt.var: math.inf}
+        d = stmt.pgf.num.total_degree()
+        n = 1 if stmt.count is None else b[stmt.count]
+        return {**b, stmt.var: b[stmt.var] + (d * n if d else 0)}
+    if isinstance(stmt, P.Seq):
+        for s in stmt.stmts:
+            b = _bounds_after(s, b)
+        return b
+    if isinstance(stmt, (P.Choice, P.IfThenElse)):
+        choice = isinstance(stmt, P.Choice)
+        left = _bounds_after(stmt.left if choice else stmt.then, b)
+        right = _bounds_after(stmt.right if choice else stmt.els, b)
+        return {v: max(x, right[v]) for v, x in left.items()}
+    if isinstance(stmt, P.While):
+        return dict.fromkeys(b, math.inf)
+    return b            # skip, diverge and a decrement keep every bound
 
 
 def _divergence_probe(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[str]:

@@ -231,15 +231,28 @@ class TestSynthesizeCommand:
         assert rc == EXIT_PARTIAL and rep["outcome"].startswith("failure:")
         assert any("verification failed: series diverges" in d for d in rep["diagnostics"])
 
+    # from X, its finitely many guard states make it an exact finite chain;
+    # from X/(2 - X), a measure with a denominator, it reaches the templates
+    BOUNDED_Y = "nat x; nat y; while (x > 0 && y <= 2) { {x := 0} [1/2] {y := y + 1} }"
+
     def test_a_negative_coefficient_names_its_monomial(self, tmp_path):
         # the monomial is written as every other report field writes it
         path = tmp_path / "program.pgcl"
-        path.write_text("nat x; nat y; while (x > 0 && y <= 2) { {x := 0} [1/2] {y := y + 1} }")
-        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X", "--max-degree", "1"])
+        path.write_text(self.BOUNDED_Y)
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X/(2 - X)",
+                             "--max-degree", "1"])
         negative = [d.split(": negative coefficient ")[1] for d in rep["diagnostics"]
                     if ": negative coefficient " in d]
         assert "-1 at Y^2" in negative and "-1 at 1" in negative
         assert not any("(" in d for d in negative)
+
+    def test_finitely_many_guard_states_certify_without_a_template(self, tmp_path):
+        path = tmp_path / "program.pgcl"
+        path.write_text(self.BOUNDED_Y)
+        rc, rep, _ = invoke(["synthesize", str(path), "--init", "X", "--max-degree", "1"])
+        assert rc == EXIT_FULL and rep["outcome"] == "ExactPosterior"
+        assert rep["invariant"] == "1/2 + 1/4*Y + X + 1/8*Y^2 + 1/2*X*Y + 1/4*X*Y^2 + 1/8*X*Y^3"
+        assert rep["diagnostics"] == []
 
     def test_a_program_without_a_loop_is_no_loop(self, tmp_path):
         path = tmp_path / "program.pgcl"
@@ -552,11 +565,11 @@ class TestLazySympy:
         assert got["sympy_loaded"] is False
 
     def test_factoring_loads_it(self, tmp_path):
-        # test_a_negative_coefficient_names_its_monomial's program: its
+        # test_a_negative_coefficient_names_its_monomial's call: its
         # degree-1 system reaches the factoring stage
         path = tmp_path / "program.pgcl"
-        path.write_text("nat x; nat y; while (x > 0 && y <= 2) { {x := 0} [1/2] {y := y + 1} }")
-        calls = [["synthesize", str(path), "--init", "X", "--max-degree", "1"]]
+        path.write_text(TestSynthesizeCommand.BOUNDED_Y)
+        calls = [["synthesize", str(path), "--init", "X/(2 - X)", "--max-degree", "1"]]
         got = json.loads(fresh_interpreter(RUN_AND_REPORT, json.dumps(calls)))
         (rc, rep), = got["reports"]
         assert got["sympy_loaded"] is True

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfinv import synthesis, time_limit
+from gfinv import oracle, synthesis, time_limit
 from gfinv.algebra import (
     ClosedForm,
     Polynomial,
@@ -16,13 +16,16 @@ from gfinv.algebra import (
     instantiate,
     mono_key,
     normalize,
+    parse_closed_form,
     series_expand,
     shape_nonneg,
 )
 from gfinv.algebra.poly import exact_quotient
 from gfinv.invariant import CertificateKind
+from gfinv.oracle import kleene_iterate, measure_from_closed_form
 from gfinv.program import While, parse, top_level_segments
 from gfinv.semantics import char_functional
+from support import crosscheck
 from gfinv.synthesis import (
     Failure,
     PolySystem,
@@ -35,6 +38,7 @@ from gfinv.synthesis import (
     solve_system,
     synthesize,
     _factor_poly,
+    _guard_state_count,
     _pivot,
     _rational_roots,
     _row_reduce,
@@ -81,6 +85,11 @@ class TestEnumerate:
 
 def first_loop(ast):
     return next(s for s in top_level_segments(ast) if isinstance(s, While))
+
+
+def bounded_walk(n):
+    """Gambler's ruin on 0..n from X: the loop of the walk_n family."""
+    return parse(f"nat x; while (x > 0 && x < {n}) {{ {{x := x - 1}} [1/2] {{x := x + 1}} }}").body
 
 
 def template_vars(loop, init):
@@ -219,6 +228,22 @@ class TestBuildAndSolve:
         loop = next(s for s in top_level_segments(ast) if isinstance(s, While))
         tpl = list(enumerate_templates(["x"], 3))[3]
         vals = solve_system(build_system(tpl, loop, G_X))
+        assert [(v.assignment, v.free) for v in vals] == [(want, ())]
+
+    def test_the_walk_of_three_isolates_its_numerator(self, monkeypatch):
+        # synthesize solves this walk as a finite chain; its degree-3 system
+        # still needs stage 1 to isolate a numerator parameter of degree 2
+        tpl = list(enumerate_templates(["x"], 3))[3]
+        system = build_system(tpl, bounded_walk(3), G_X)
+        assert system.numerator == ("a0", "a1", "a2", "a3")
+        picked = []
+        real = synthesis._pivot
+        monkeypatch.setattr(synthesis, "_pivot",
+                            lambda eqs, block: picked.append(real(eqs, block)) or picked[-1])
+        vals = solve_system(system)
+        assert any(p is not None and p[0].total_degree() == 2 for p in picked)
+        want = {"a0": F(2, 3), "a1": F(4, 3), "a2": F(2, 3), "a3": F(1, 3),
+                "b1": 0, "b2": 0, "b3": 0}
         assert [(v.assignment, v.free) for v in vals] == [(want, ())]
 
     def test_past_deadline_raises(self):
@@ -634,6 +659,100 @@ class TestSynthesize:
         assert time.monotonic() - start < 0.5 + 1
         assert isinstance(res, Failure) and res.stage == "timeout"
         assert "infinite coefficient" not in res.diagnostics[-1]
+
+
+def oracle_agrees(loop, g, cert, vars, steps, degree):
+    """Criterion 4: the certificate's invariant and posterior dominate the
+    Kleene lower bounds, the posterior within the oracle's residual."""
+    kl = kleene_iterate(loop, measure_from_closed_form(g, degree, vars), vars, steps)
+    post = crosscheck(cert.posterior, kl.post_lower, degree, vars)
+    occ = crosscheck(cert.invariant, kl.occ_lower, degree, vars)
+    return post.ok and post.max_gap <= post.residual and occ.ok
+
+
+class TestFiniteChain:
+    """A loop whose polynomial initial measure reaches finitely many guard
+    states is solved as an exact finite chain before any template."""
+
+    PGF_LOOP = "nat x; nat c; while (x = 1) { { c := pgf(1/3 + 2/3*T^2) } [1/2] { x := 0 } }"
+
+    def test_the_bounded_walk_of_200_certifies_in_under_two_seconds(self):
+        n = 200
+        loop = bounded_walk(n)
+        start = time.monotonic()
+        res = synthesize(loop, G_X, SynthesisConfig(max_den_degree=3))
+        assert time.monotonic() - start < 2.0
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        post = Polynomial.const(F(n - 1, n)) + Polynomial.var("x", n) * F(1, n)
+        assert equal(res.posterior, from_poly(post))
+        assert oracle_agrees(loop, G_X, res, ["x"], 400, n)
+
+    def test_the_exploration_stops_at_the_cap_and_the_deadline(self, monkeypatch):
+        explore = oracle.finite_chain_invariant
+        assert explore(bounded_walk(oracle.CHAIN_STATES + 1), G_X, ["x"]) is not None
+        assert explore(bounded_walk(oracle.CHAIN_STATES + 2), G_X, ["x"]) is None
+        with time_limit(0), pytest.raises(TimeoutError):
+            explore(bounded_walk(3), G_X, ["x"])
+        polls = []
+        monkeypatch.setattr(oracle, "check_deadline", polls.append)
+        explore(bounded_walk(3), G_X, ["x"])
+        assert polls == ["while exploring guard states"] * 2     # x = 1 and x = 2
+
+    def test_only_an_exact_posterior_is_kept(self):
+        # the diverging half of the mass makes the chain's exact invariant
+        # X + 1/2 an UpperBoundOnly certificate, which the templates report
+        loop = parse("nat x; while (x = 1) { {x := 0} [1/2] {diverge} }").body
+        assert oracle.finite_chain_invariant(loop, G_X, ["x"]) == from_poly(X + F(1, 2))
+        assert synthesis._finite_chain(loop, G_X, ["x"]) is None
+
+    def test_the_pgf_loop_certifies_its_polynomial_invariant(self):
+        ast = parse(self.PGF_LOOP)
+        want = parse_closed_form("2/3 + 4/3*X + 1/3*C^2 + 2/3*C^2*X", ast.variables)
+        for _ in range(3):
+            res = synthesize(ast.body, G_X, SynthesisConfig(max_den_degree=2))
+            assert res.kind == CertificateKind.EXACT_POSTERIOR
+            assert res.invariant == want
+        assert oracle_agrees(ast.body, G_X, res, list(ast.variables), 40, 6)
+
+    def test_a_closed_class_falls_through_to_the_templates_unchanged(self, monkeypatch):
+        loop = parse("nat x;\nwhile (x = 1) { skip }").body
+        g = normalize(X + Polynomial.var("x", 2), Polynomial.const(2))
+        cfg = SynthesisConfig(max_den_degree=2)
+        found = []
+        real = oracle.finite_chain_invariant
+        monkeypatch.setattr(oracle, "finite_chain_invariant",
+                            lambda *a: found.append(real(*a)) or found[-1])
+        res = synthesize(loop, g, cfg)
+        assert found == [None]          # the system is singular: x=1 recurs
+        monkeypatch.setattr(synthesis, "_finite_chain", lambda *a: None)
+        assert synthesize(loop, g, cfg) == res
+
+    def test_an_unbounded_counter_explores_no_state(self, monkeypatch, corpus):
+        steps = []
+        real = oracle._exec
+        monkeypatch.setattr(oracle, "_exec", lambda *a: steps.append(a[0]) or real(*a))
+        res = synthesize(GEO.body, G_X, SynthesisConfig(max_den_degree=1))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR and steps == []
+        ast, init, _, _ = corpus["cond_and_corrected"]
+        res = synthesize(ast.body, init, SynthesisConfig(max_den_degree=2))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR and steps
+
+    @pytest.mark.parametrize("source, init, count", [
+        ("nat x; nat c; while (x = 1) { { c := c + 1 } [1/2] { x := 0 } }", "X", float("inf")),
+        (PGF_LOOP, "X", 6),                 # x = 1 and c <= 2
+        ("nat x; while (x > 0 && x < 3) { {x := x - 1} [1/2] {x := x + 1} }", "X", 3),
+        ("nat x; nat y; while (x > 0 && y > 0) { {x := x - 1} [1/2] {y := y - 1} }", "X*Y", 4),
+        ("nat x; while (x = 1 mod 2) { x := x + 2 }", "X", float("inf")),
+        ("nat x; while (x = 1 || x = 3) { x := x + 1 }", "X", 4),
+        ("nat x; while (x < 0) { x := x + 1 }", "X", 0),
+        ("nat x; nat y; while (x < 2) { x := y; y := y + 1 }", "1", float("inf")),
+        ("nat x; nat y; while (x < 2) { while (y < 1) { y := 1 }; x := 2 }", "1", float("inf")),
+    ], ids=["counter", "pgf", "walk", "cond_and", "modulo", "or", "empty", "feed", "nested"])
+    def test_the_gate_bounds_the_guard_states(self, source, init, count):
+        ast = parse(source)
+        loop = first_loop(ast)
+        g = parse_closed_form(init, ast.variables)
+        assert _guard_state_count(loop, g, template_vars(loop, g)) == count
 
 
 class TestUserTemplates:
