@@ -10,7 +10,11 @@ of an iid draw and each row of a pmf convolution poll the time limit.
 
 ``finite_chain_invariant`` solves a loop whose polynomial initial measure
 reaches finitely many guard states as such a chain: the guard states, found
-by exact body steps, and o = g + P^T [guard] o on them.
+by exact body steps, and o = g + P^T [guard] o on them.  A variable that the
+loop only shifts (``shift_moduli``) is kept as its residue class, and its
+shifts weigh the chain's edges as monomials: the system is then solved over
+Q(X), as in the transfer-matrix method (Stanley, *Enumerative Combinatorics
+I*, 4.7).
 
 ``closed_class_witness`` proves that a loop has no finite occupation
 invariant: by a bounded exact search, it names a guard state that the
@@ -23,11 +27,12 @@ States are tuples of naturals, one slot per declared program variable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (ClosedForm, Mono, Polynomial, from_poly, mass, mono_key, row_reduce,
-                       series_expand, shape_nonneg)
+from .algebra import (ONE, ZERO, ClosedForm, Mono, Polynomial, from_poly, mass, mono_key,
+                       row_reduce, series_expand, shape_nonneg)
 from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
@@ -377,10 +382,14 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
 
 def _visits(states: List, initial: Dict, transitions: Dict) -> Optional[Dict]:
     """The expected visits o = initial + P^T o on ``states``, where
-    ``transitions[s]`` maps s's successors to their probabilities and a
-    successor outside ``states`` is never left.  One sparse row per state,
-    the initial mass in the last column, reduced by ``row_reduce``.  None
-    when the system is singular: some states form a closed class.
+    ``transitions[s]`` maps s's successors to their weights and a successor
+    outside ``states`` is never left.  One sparse row per state, the initial
+    mass in the last column.  Rational weights go to ``row_reduce``.
+    Polynomial weights (a chain with shifted variables) are reduced over
+    Q(X) here, each pivot a unit of the power-series ring (a nonzero
+    constant term), and o is a closed form.  None when the system is
+    singular, or has no power-series solution: some states form a closed
+    class.
     """
     pos = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -389,11 +398,33 @@ def _visits(states: List, initial: Dict, transitions: Dict) -> Optional[Dict]:
         for t, p in transitions[s].items():
             if t in pos:
                 rows[pos[t]][j] = rows[pos[t]].get(j, 0) - p
-    solved = row_reduce([{k: x for k, x in row.items() if x} for row in rows])
-    # nonsingular: row i holds the pivot of column i, and no row is 0 = c
-    if [min(row) for row in solved] != list(range(n)):
-        return None
-    return {s: row.get(n, Fraction(0)) for s, row in zip(states, solved)}
+    rows = [{k: x for k, x in row.items() if x} for row in rows]
+    if not any(isinstance(x, Polynomial) for x in initial.values()):
+        solved = row_reduce(rows)
+        # nonsingular: row i holds the pivot of column i, and no row is 0 = c
+        if [min(row) for row in solved] != list(range(n)):
+            return None
+        return {s: row.get(n, Fraction(0)) for s, row in zip(states, solved)}
+    rows = [{k: from_poly(x if isinstance(x, Polynomial) else Polynomial.const(x))
+             for k, x in row.items()} for row in rows]
+    for col in range(n):                    # forward elimination
+        check_deadline("while solving")
+        piv = next((r for r in range(col, n)
+                    if col in rows[r] and rows[r][col].num.constant_term()), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = ONE / rows[col].pop(col)
+        prow = rows[col] = {j: x * inv for j, x in rows[col].items()}
+        for row in rows[col + 1:]:
+            f = row.pop(col, None)
+            if f is not None:
+                for j, y in prow.items():
+                    row[j] = row.get(j, ZERO) - f * y
+    out: List[ClosedForm] = [ZERO] * (n + 1)
+    for i in reversed(range(n)):            # back substitution, out[n] = 0
+        out[i] = rows[i].get(n, ZERO) - sum((y * out[j] for j, y in rows[i].items()), ZERO)
+    return dict(zip(states, out))
 
 
 def chain_posterior(chain: FiniteChain, occupation: Dict[str, object]) -> Dict[str, Fraction]:
@@ -472,12 +503,14 @@ def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str]
 
 
 def _explore(loop: P.While, sources: List[State], idx: Dict[str, int], limit: int,
-             cap: int) -> Tuple[Dict[State, Optional[State]], Dict[State, SparseMeasure]]:
+             cap: int, rep=None) -> Tuple[Dict[State, Optional[State]], Dict[State, SparseMeasure]]:
     """Breadth-first exact body steps over the guard states that ``sources``
     reach: (each reached guard state's parent, None for a source; each
     expanded state's one-step measure, a draw of infinite support cut off at
     ``cap``).  At most ``limit`` states are expanded; a reached state left
-    unexpanded has a parent and no step.  Polls ``check_deadline`` per state.
+    unexpanded has a parent and no step.  ``rep``, when given, maps each
+    successor to the representative of its class, which is expanded in its
+    stead.  Polls ``check_deadline`` per state.
     """
     parent = dict.fromkeys(s for s in sources if _eval_guard(loop.guard, s, idx))
     steps: Dict[State, SparseMeasure] = {}
@@ -487,7 +520,7 @@ def _explore(loop: P.While, sources: List[State], idx: Dict[str, int], limit: in
             break
         check_deadline("while exploring guard states")
         steps[s] = step = _exec(loop.body, SparseMeasure.dirac(s), idx, cap)
-        for t in step.entries:
+        for t in step.entries if rep is None else map(rep, step.entries):
             if t not in parent and _eval_guard(loop.guard, t, idx):
                 parent[t] = s
                 queue.append(t)
@@ -499,35 +532,105 @@ def _explore(loop: P.While, sources: List[State], idx: Dict[str, int], limit: in
 CHAIN_STATES = 400        # guard states finite_chain_invariant expands at most
 
 
+def shift_moduli(loop: P.While, vars: Sequence[str]) -> Dict[str, int]:
+    """The loop's shifted variables, each with its modulus.
+
+    A variable is shifted when no < or = test reads it, in the guard or in
+    an ``if``, when it counts no iid draw, and when every write to it is an
+    iid increment by a polynomial pgf without a count (``x := x + k`` among
+    them).  Its modulus is the lcm of the moduli of the ``mod`` tests that
+    read it, 1 if none does.  The body then moves a shifted variable by
+    draws that depend only on its residue, so a chain state keeps only the
+    residue.  A nested loop shifts nothing.  Every other variable is
+    enumerated.
+    """
+    moduli = dict.fromkeys(vars, 1)
+    enumerated = set()
+
+    def read(gd: P.Guard) -> None:
+        if isinstance(gd, (P.Lt, P.Eq)):
+            enumerated.add(gd.var)
+        elif isinstance(gd, P.ModEq):
+            moduli[gd.var] = math.lcm(moduli[gd.var], gd.modulus)
+        elif isinstance(gd, (P.And, P.Or)):
+            read(gd.left)
+            read(gd.right)
+        elif isinstance(gd, P.Not):
+            read(gd.inner)
+        else:
+            raise TypeError(f"unknown guard {gd!r}")
+
+    read(loop.guard)
+    for s in P._stmts(loop.body):
+        if isinstance(s, P.IfThenElse):
+            read(s.guard)
+        elif isinstance(s, P.IidIncrement):
+            if s.count is not None or not s.pgf.is_polynomial():
+                enumerated.update((s.var, s.count))
+        elif isinstance(s, (P.AssignConst, P.Decrement)):
+            enumerated.add(s.var)
+        elif isinstance(s, P.While):
+            return {}
+        elif not isinstance(s, (P.Skip, P.Diverge, P.Choice, P.Seq)):
+            raise TypeError(f"unknown statement {s!r}")
+    return {v: m for v, m in moduli.items() if v not in enumerated}
+
+
 def finite_chain_invariant(loop: P.While, g: ClosedForm, vars: Sequence[str]
                            ) -> Optional[ClosedForm]:
     """The occupation invariant of a loop from a polynomial g, when g reaches
-    finitely many guard states: a polynomial, or None.
+    finitely many guard states: a closed form, or None.
 
-    The guard states that g's terms reach are explored breadth first by
-    exact body steps (``_explore``).  On them the occupation measure o
-    solves o = g + P^T [guard] o (``_visits``), and the invariant is g plus
-    the body step of each guard state, weighted by its o.  None when more
-    than CHAIN_STATES guard states are reached, when a draw has infinite
-    support, or when the system is singular (a closed class).  The caller
-    certifies the result: nothing here is trusted.
+    A chain state holds the enumerated variables' values and each shifted
+    variable's residue (``shift_moduli``).  The states that g's terms reach
+    are explored breadth first by exact body steps from each class's
+    representative (``_explore``).  A step from representative r to the raw
+    state t in the class of representative r_t is the edge r -> r_t of
+    weight p*X^(t - r_t), a monomial in the shifted variables, and the
+    occupation measure of the class of r is X^r*O_r, where O solves
+    O = G + A(X)^T [guard] O (``_visits``, over Q when no variable is
+    shifted, else over Q(X)).  The invariant is g plus O_r*p*X^t for every
+    step.  None when more than CHAIN_STATES states are reached, when a draw
+    has infinite support, or when the system has no solution in power
+    series (a closed class).  The caller certifies the result: nothing here
+    is trusted.
     """
     idx = {v: i for i, v in enumerate(vars)}
     order = list(vars)
-    initial = {_mono_state(m, vars): g.num.terms[m]
-               for m in sorted(g.num.terms, key=lambda m: mono_key(m, order))}
-    parent, steps = _explore(loop, list(initial), idx, CHAIN_STATES, 0)
+    shifted = [(idx[v], m) for v, m in shift_moduli(loop, vars).items()]
+
+    def rep(s: State) -> State:
+        r = list(s)
+        for i, m in shifted:
+            r[i] %= m
+        return tuple(r)
+
+    def add(into: Dict[State, object], t: State, p: Fraction) -> None:
+        """into[rep(t)] += p*X^(t - rep(t)), a Polynomial once a variable
+        is shifted."""
+        r = rep(t)
+        w = Polynomial({_state_mono(tuple(a - b for a, b in zip(t, r)), vars): p}) \
+            if shifted else p
+        into[r] = into[r] + w if r in into else w
+
+    initial: Dict[State, object] = {}
+    for m in sorted(g.num.terms, key=lambda m: mono_key(m, order)):
+        add(initial, _mono_state(m, vars), g.num.terms[m])
+    parent, steps = _explore(loop, list(initial), idx, CHAIN_STATES, 0, rep)
     if len(steps) < len(parent) or any(step.residual for step in steps.values()):
         return None
-    visits = _visits(list(steps), initial, {s: step.entries for s, step in steps.items()})
-    if visits is None:
-        return None
-    terms = dict(g.num.terms)
+    edges: Dict[State, Dict[State, object]] = {s: {} for s in steps}
     for s, step in steps.items():
         for t, p in step.entries.items():
-            m = _state_mono(t, vars)
-            terms[m] = terms.get(m, 0) + visits[s] * p
-    return from_poly(Polynomial(terms))
+            add(edges[s], t, p)
+    visits = _visits(list(steps), initial, edges)
+    if visits is None:
+        return None
+    out = g
+    for s, step in steps.items():
+        moved = Polynomial({_state_mono(t, vars): p for t, p in step.entries.items()})
+        out = out + visits[s] * from_poly(moved)
+    return out
 
 
 def best_contraction_bound(chain: FiniteChain, c: Fraction,

@@ -2,13 +2,18 @@
 
 When the initial measure g is a polynomial without parameters and a static
 bound (``_guard_state_count``) shows that it reaches at most
-``oracle.CHAIN_STATES`` guard states, the loop is first solved as an
-absorbing Markov chain on them (``oracle.finite_chain_invariant``): the
-occupation measure is the one solution of o = g + P^T [guard] o, and the
-invariant is a polynomial.  ``certify`` judges it, and only an
-``ExactPosterior`` is returned.  Every other case (a denominator, too many
-or unbounded guard states, a closed recurrent class, a weaker certificate)
-falls through to the templates, whose reports it leaves as they were.
+``oracle.CHAIN_STATES`` chain states, the loop is first solved as an
+absorbing Markov chain on them (``oracle.finite_chain_invariant``).  A
+variable that no < or = test reads, that counts no draw and that the body
+only shifts by polynomial draws is not enumerated: a chain state keeps its
+residue modulo the ``mod`` tests that read it, and its shifts become
+monomial weights on the chain's edges.  The occupation measure is the one
+power-series solution of O = G + A(X)^T [guard] O, a finite linear system
+over Q, or over Q(X) once a variable is shifted.  ``certify`` judges the
+invariant it gives, and only an ``ExactPosterior`` is returned.  Every
+other case (a denominator, too many or unbounded chain states, a closed
+recurrent class, a weaker certificate) falls through to the templates,
+whose reports it leaves as they were.
 
 Templates are rational closed forms whose coefficients are polynomials in
 symbolic parameters.  Applying the loop's characteristic functional once and
@@ -549,11 +554,11 @@ def synthesize(loop: P.While, g: ClosedForm, config: Optional[SynthesisConfig] =
 
 def _finite_chain(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[Certificate]:
     """The exact finite-chain path: an ``ExactPosterior`` certificate of
-    ``oracle.finite_chain_invariant``'s polynomial, or None.
+    ``oracle.finite_chain_invariant``'s invariant, or None.
 
     It runs only when g is a polynomial without parameters and
-    ``_guard_state_count`` bounds the guard states by ``oracle.CHAIN_STATES``.
-    ``certify`` judges the polynomial; every other outcome, the deadline
+    ``_guard_state_count`` bounds the chain states by ``oracle.CHAIN_STATES``.
+    ``certify`` judges the invariant; every other outcome, the deadline
     included, is None, and synthesis goes on to the template stream.
     """
     if has_parameters(g) or not g.is_polynomial() \
@@ -570,26 +575,30 @@ def _finite_chain(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[Cer
 
 
 def _guard_state_count(loop: P.While, g: ClosedForm, vars: List[str]) -> float:
-    """A static bound on the number of guard states that g reaches, or inf.
+    """A static bound on the number of chain states that g reaches, or inf.
 
-    Each variable gets an upper bound on its value: g's degree in it at
-    first; then, round by round, the body's image of the bounds clipped to
-    the guard's (``_guard_bounds``) joins them (``_bounds_after``).  After
-    len(vars) + 1 rounds, a bound still rising is unbounded, and the bounds
-    must then be stable, else the count is inf.  The count is the product,
-    over the variables, of the clipped bound plus 1.
+    A shifted variable (``oracle.shift_moduli``) counts its residues.  Each
+    enumerated variable gets an upper bound on its value: g's degree in it
+    at first; then, round by round, the body's image of the bounds clipped
+    to the guard's (``_guard_bounds``) joins them (``_bounds_after``).
+    After len(vars) + 1 rounds, a bound still rising is unbounded, and the
+    bounds must then be stable, else the count is inf.  The count is the
+    product of the moduli and, over the enumerated variables, of the
+    clipped bound plus 1.
     """
     inf = math.inf
     guard = _guard_bounds(loop.guard)
+    shifted = oracle.shift_moduli(loop, vars)
 
     def clip(b: Dict[str, float]) -> Dict[str, float]:
         return {v: min(x, guard.get(v, inf)) for v, x in b.items()}
 
     def step(b: Dict[str, float]) -> Dict[str, float]:
+        # a shifted variable's bound stays 0: no enumerated bound reads it
         after = _bounds_after(loop.body, clip(b))
-        return {v: max(x, after[v]) for v, x in b.items()}
+        return {v: 0 if v in shifted else max(x, after[v]) for v, x in b.items()}
 
-    b, last = {v: g.num.degree_in(v) for v in vars}, None
+    b, last = {v: 0 if v in shifted else g.num.degree_in(v) for v in vars}, None
     for _ in range(len(vars) + 1):
         if b == last:
             break
@@ -597,24 +606,30 @@ def _guard_state_count(loop: P.While, g: ClosedForm, vars: List[str]) -> float:
     b = {v: x if x == last[v] else inf for v, x in b.items()}
     if step(b) != b:
         return inf
-    sizes = [max(0, x + 1) for x in clip(b).values()]
+    sizes = [shifted[v] if v in shifted else max(0, x + 1) for v, x in clip(b).items()]
     return 0 if 0 in sizes else math.prod(sizes)
 
 
-def _guard_bounds(gd: P.Guard) -> Dict[str, float]:
-    """The upper bounds a guard puts on its variables: x < k gives k - 1 and
-    x = v gives v; && takes the min and || the max per variable.  A variable
-    left out is unbounded, as under every other guard."""
+def _guard_bounds(gd: P.Guard, negated: bool = False) -> Dict[str, float]:
+    """The upper bounds a guard (its negation, when ``negated``) puts on its
+    variables: x < k gives k - 1 and x = v gives v; && takes the min and ||
+    the max per variable.  ! is pushed inward first: !!a is a, !(a && b) is
+    !a || !b and !(a || b) is !a && !b.  A variable left out is unbounded,
+    as under a negated test and a mod test."""
+    if isinstance(gd, P.Not):
+        return _guard_bounds(gd.inner, not negated)
+    if isinstance(gd, (P.And, P.Or)):
+        left, right = _guard_bounds(gd.left, negated), _guard_bounds(gd.right, negated)
+        if isinstance(gd, P.Or) != negated:
+            return {v: max(left[v], right[v]) for v in left.keys() & right.keys()}
+        return {v: min(left.get(v, math.inf), right.get(v, math.inf))
+                for v in left.keys() | right.keys()}
+    if negated:
+        return {}
     if isinstance(gd, P.Lt):
         return {gd.var: gd.bound - 1}
     if isinstance(gd, P.Eq):
         return {gd.var: gd.value}
-    if isinstance(gd, (P.And, P.Or)):
-        left, right = _guard_bounds(gd.left), _guard_bounds(gd.right)
-        if isinstance(gd, P.Or):
-            return {v: max(left[v], right[v]) for v in left.keys() & right.keys()}
-        return {v: min(left.get(v, math.inf), right.get(v, math.inf))
-                for v in left.keys() | right.keys()}
     return {}
 
 

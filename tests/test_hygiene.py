@@ -163,3 +163,22 @@ def test_only_the_parser_knows_the_named_distributions():
             if name in NAMED_DISTRIBUTIONS:
                 found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}: {name}")
     assert not found, "named distributions outside the parser:\n" + "\n".join(found)
+
+
+def test_the_shift_classifier_has_a_case_for_every_kind():
+    """``oracle.shift_moduli`` names every statement and guard class that
+    ``program.py`` puts in its ``Statement`` and ``Guard`` unions, so that a
+    new kind cannot silently count as a shift (the classifier raises on a
+    kind it does not name)."""
+    kinds = set()
+    for node in ast.parse((SRC / "program.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and \
+                getattr(node.targets[0], "id", None) in ("Statement", "Guard"):
+            kinds |= {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    kinds.discard("Union")
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    classifier = next(n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "shift_moduli")
+    named = {n.attr for n in ast.walk(classifier)
+             if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "P"}
+    assert len(kinds) == 15 and kinds <= named, sorted(kinds - named)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gfinv import program as P, time_limit
+from gfinv import Frozen, program as P, time_limit
 from gfinv.algebra import Polynomial, from_poly, normalize, parse_closed_form, series_expand
 from gfinv.oracle import (
     Diverges,
@@ -18,6 +18,7 @@ from gfinv.oracle import (
     iid_sum_pmf,
     kleene_iterate,
     measure_from_closed_form,
+    shift_moduli,
 )
 from gfinv.program import parse
 
@@ -480,3 +481,34 @@ class TestClosedClassWitness:
         # g's series converges at X = 1, to the sums of its coefficients
         initial_mass = sum(g.num.terms.values()) / sum(g.den.terms.values())
         assert res.occ_lower.entries[w.path[-1]] > 4 * initial_mass
+
+
+class TestShiftModuli:
+    """Which variables the chain keeps as residue classes."""
+
+    @pytest.mark.parametrize("source, want", [
+        ("nat x; nat c; while (x = 1) { { c := c + 1 } [1/2] { x := 0 } }", {"c": 1}),
+        ("nat x; while (x = 1 mod 2 && !(x = 0 mod 3)) { x := x + 2 }", {"x": 6}),
+        ("nat x; nat c; while (x < 2) { if (c = 1 mod 2) { x := x + 1 } else "
+         "{ c += iid(bernoulli(1/2), 1) } }", {"c": 2}),
+        ("nat x; nat c; while (x < 2) { if (c < 1) { x := x + 1 } else { c := c + 1 } }", {}),
+        ("nat x; nat c; while (x < 2) { c := 2*c }", {}),                # c counts its own draw
+        ("nat x; nat c; while (x < 2) { x := x + c }", {}),              # c counts x's draw
+        ("nat x; nat c; while (x < 2) { c += iid(geometric(1/2), 1) }", {}),
+        ("nat x; nat c; while (x < 2) { c := c + 1; c := 0 }", {}),
+        ("nat x; nat c; while (x < 2) { c--; skip; diverge }", {}),
+        ("nat x; nat c; while (x < 2) { while (c < 1) { c := c + 1 } }", {}),
+    ], ids=["counter", "lcm", "if_mod", "if_lt", "self_count", "count", "infinite_draw",
+            "reset", "decrement", "nested"])
+    def test_a_variable_is_shifted_only_by_polynomial_draws(self, source, want):
+        ast = parse(source)
+        assert shift_moduli(ast.body, sorted(ast.variables)) == want
+
+    def test_an_unknown_kind_is_refused(self):
+        class Jump(Frozen):
+            pass
+
+        with pytest.raises(TypeError, match="unknown statement"):
+            shift_moduli(P.While(P.Lt("x", 1), Jump()), ["x"])
+        with pytest.raises(TypeError, match="unknown guard"):
+            shift_moduli(P.While(Jump(), P.Skip()), ["x"])

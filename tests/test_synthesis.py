@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfinv import oracle, synthesis, time_limit
+from gfinv import program as P
 from gfinv.algebra import (
     ClosedForm,
     Polynomial,
@@ -728,31 +729,216 @@ class TestFiniteChain:
         assert synthesize(loop, g, cfg) == res
 
     def test_an_unbounded_counter_explores_no_state(self, monkeypatch, corpus):
+        # x > 0 reads x, so x is enumerated, and no bound above holds it
         steps = []
         real = oracle._exec
         monkeypatch.setattr(oracle, "_exec", lambda *a: steps.append(a[0]) or real(*a))
-        res = synthesize(GEO.body, G_X, SynthesisConfig(max_den_degree=1))
-        assert res.kind == CertificateKind.EXACT_POSTERIOR and steps == []
+        ast, init, _, _ = corpus["random_walk_counter_unbounded"]
+        assert synthesis._finite_chain(ast.body, init, template_vars(ast.body, init)) is None
+        assert steps == []
         ast, init, _, _ = corpus["cond_and_corrected"]
-        res = synthesize(ast.body, init, SynthesisConfig(max_den_degree=2))
+        res = synthesis._finite_chain(ast.body, init, template_vars(ast.body, init))
         assert res.kind == CertificateKind.EXACT_POSTERIOR and steps
 
     @pytest.mark.parametrize("source, init, count", [
-        ("nat x; nat c; while (x = 1) { { c := c + 1 } [1/2] { x := 0 } }", "X", float("inf")),
+        ("nat x; nat c; while (x = 1) { { c := c + 1 } [1/2] { x := 0 } }", "X", 2),
         (PGF_LOOP, "X", 6),                 # x = 1 and c <= 2
         ("nat x; while (x > 0 && x < 3) { {x := x - 1} [1/2] {x := x + 1} }", "X", 3),
         ("nat x; nat y; while (x > 0 && y > 0) { {x := x - 1} [1/2] {y := y - 1} }", "X*Y", 4),
-        ("nat x; while (x = 1 mod 2) { x := x + 2 }", "X", float("inf")),
+        ("nat x; while (x = 1 mod 2) { x := x + 2 }", "X", 2),      # two residues
         ("nat x; while (x = 1 || x = 3) { x := x + 1 }", "X", 4),
         ("nat x; while (x < 0) { x := x + 1 }", "X", 0),
         ("nat x; nat y; while (x < 2) { x := y; y := y + 1 }", "1", float("inf")),
         ("nat x; nat y; while (x < 2) { while (y < 1) { y := 1 }; x := 2 }", "1", float("inf")),
-    ], ids=["counter", "pgf", "walk", "cond_and", "modulo", "or", "empty", "feed", "nested"])
+        ("nat x; nat y; while (x = 1 mod 2 && !(y = 0 mod 3)) { y := y + 1 }", "X*Y", 6),
+        ("nat x; nat y; while (x > 0 && !(y >= 3)) { {x := 0} [1/2] {y := y + 1} }", "X", 6),
+        ("nat x; nat y; while (!(x < 1 || y > 2)) { {x := 0} [1/2] {y := y + 1} }", "X", 6),
+        ("nat x; nat y; while (!!(y < 3) && x > 0) { {x := 0} [1/2] {y := y + 1} }", "X", 6),
+        ("nat x; while (!(x = 2 && x < 9)) { x := x + 1 }", "1", float("inf")),
+    ], ids=["counter", "pgf", "walk", "cond_and", "modulo", "or", "empty", "feed", "nested",
+            "lcm", "not", "de_morgan", "double_not", "not_and"])
     def test_the_gate_bounds_the_guard_states(self, source, init, count):
         ast = parse(source)
         loop = first_loop(ast)
         g = parse_closed_form(init, ast.variables)
         assert _guard_state_count(loop, g, template_vars(loop, g)) == count
+
+
+# loops for the chain's differential test: x is bounded by the guard, r is
+# read only by mod tests, c by nothing, and the body shifts c and r by
+# polynomial draws
+POLY_DRAWS = [P.dirac(1), P.dirac(2), P.bernoulli(F(1, 2)), P.uniform(0, 2)]
+_x_tests = st.one_of(st.builds(P.Lt, st.just("x"), st.integers(1, 4)),
+                     st.builds(P.Eq, st.just("x"), st.integers(0, 2)))
+_r_tests = st.integers(2, 3).flatmap(
+    lambda d: st.builds(P.ModEq, st.just("r"), st.integers(0, d - 1), st.just(d)))
+_chain_guards = st.one_of(_x_tests, st.builds(P.And, _x_tests, st.one_of(_r_tests,
+                                                                          _r_tests.map(P.Not))))
+_chain_leaves = st.one_of(
+    st.just(P.Skip()),
+    st.builds(P.AssignConst, st.just("x"), st.integers(0, 3)),
+    st.just(P.Decrement("x")),
+    st.just(P.IidIncrement("x", P.dirac(1), None)),
+    st.builds(P.IidIncrement, st.just("c"), st.sampled_from(POLY_DRAWS), st.none()),
+    st.builds(P.IidIncrement, st.just("r"), st.sampled_from(POLY_DRAWS[:3]), st.none()),
+)
+_chain_bodies = st.recursive(_chain_leaves, lambda s: st.one_of(
+    st.builds(P.Choice, st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]), s, s),
+    st.lists(s, min_size=2, max_size=3).map(lambda ss: P.Seq(tuple(ss))),
+    st.builds(P.IfThenElse, st.one_of(_x_tests, _r_tests), s, s),
+), max_leaves=6)
+CHAIN_INITS = ["X", "X*C", "X*R", "1/2*X + 1/2*X^2*R", "1/3 + 2/3*X*C*R^2"]
+
+
+class TestShiftedVariables:
+    """A variable that the loop only shifts is kept as its residue class, and
+    its shifts weigh the chain's edges: the chain then solves counters and
+    residue classes without a template."""
+
+    @staticmethod
+    def no_templates(monkeypatch):
+        monkeypatch.setattr(synthesis, "build_system",
+                            lambda *a: pytest.fail("a template was built"))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_the_residue_family_certifies_without_a_template(self, monkeypatch, k):
+        self.no_templates(monkeypatch)
+        loop = parse(f"nat x; while (x = 1 mod {k}) {{ {{x := x + {k}}} [1/2] {{x := x + 1}} }}").body
+        res = synthesize(loop, G_X, SynthesisConfig(max_den_degree=k))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        assert equal(res.invariant, parse_closed_form(f"(2*X + X^2)/(2 - X^{k})", ["x"]))
+        assert oracle_agrees(loop, G_X, res, ["x"], 40, 3 * k)
+
+    @pytest.mark.parametrize("name", ["thirds_geometric", "random_walk_counter",
+                                      "modulo_geometric", "geometric", "geometric_counter",
+                                      "subdist_enter"])
+    def test_corpus_loops_certify_their_invariants_without_a_template(self, monkeypatch, corpus,
+                                                                      name):
+        # random_walk_counter and modulo_geometric need no template.txt
+        self.no_templates(monkeypatch)
+        ast, init, expected, _ = corpus[name]
+        res = synthesize(ast.body, init, SynthesisConfig(max_den_degree=1))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        assert equal(res.invariant, parse_closed_form(expected["invariant"], ast.variables))
+        assert equal(res.posterior, parse_closed_form(expected["posterior"], ast.variables))
+
+    def test_the_first_of_the_sequential_loops_takes_the_chain(self, corpus):
+        ast, init, _, _ = corpus["sequential_loops"]
+        loop = first_loop(ast)
+        res = synthesis._finite_chain(loop, init, template_vars(loop, init))
+        assert res.kind == CertificateKind.EXACT_POSTERIOR and equal(res.invariant, OCC)
+
+    # solve_system's valuation lists on the corpus loops left to the templates,
+    # in order, as before shifted variables joined the chain; only the first
+    # of the sequential loops, which the chain now solves, took one more list
+    TEMPLATE_VALUATIONS = [
+        ("faulty_decrement", []),
+        ("faulty_decrement", [{"a0": 1, "a1": F(1, 2), "b1": F(-1, 2)}]),
+        ("nontermination", []),
+        ("nontermination", []),
+        ("random_walk", [{"a0": 1, "a1": 1, "b1": -1}]),
+        ("random_walk_counter_unbounded", []),
+        ("random_walk_counter_unbounded", []),
+        ("sequential_loops", []),
+        ("sequential_loops", []),
+        ("sequential_loops", [{"a0": 1, "a1": F(-1, 2), "a2": F(1, 2), "b1": F(-3, 2),
+                               "b2": F(1, 2)}]),
+    ]
+
+    def test_the_loops_left_to_templates_solve_the_same_systems(self, monkeypatch, corpus):
+        seen = []
+        real = solve_system
+        monkeypatch.setattr(synthesis, "solve_system", lambda system: seen.append(
+            (name, real(system))) or seen[-1][1])
+        for name in dict(self.TEMPLATE_VALUATIONS):
+            ast, init, expected, _ = corpus[name]
+            analyze_program(ast, init, SynthesisConfig(max_den_degree=expected["max_degree"]))
+        assert [(n, [v.assignment for v in vals]) for n, vals in seen] == self.TEMPLATE_VALUATIONS
+        assert all(v.free == () for _, vals in seen for v in vals)
+
+    @pytest.mark.parametrize("source", [
+        "nat x; nat c; while (x = 1) { c := c + 1 }",
+        "nat x; nat c; while (x = 1) { {c += iid(geometric(1/2), 1)} [1/2] {x := 0} }",
+        "nat x; nat c; while (x = 1) { {c := c + 1} [1/2] {x := 0; c := 0} }",
+        "nat x; nat c; while (x = 1) { {c := c + 2} [1/2] {x := 0}; c := c - 1 }",
+        "nat x; nat c; nat y; while (x = 1) { {c := c + 1} [1/2] {x := 0}; "
+        "y += iid(bernoulli(1/2), c) }",
+    ], ids=["never_leaves", "geometric_draw", "reset", "decrement", "count"])
+    def test_what_the_chain_does_not_certify_falls_through_unchanged(self, monkeypatch,
+                                                                     source):
+        loop = parse(source).body
+        vars = template_vars(loop, G_X)
+        cfg = SynthesisConfig(max_den_degree=1)
+        if "c := c + 1 }" in source:
+            # c is shifted; the chain's exact invariant X/(1 - C) has infinite
+            # mass, so no ExactPosterior certifies it
+            assert oracle.shift_moduli(loop, vars) == {"c": 1}
+            assert equal(oracle.finite_chain_invariant(loop, G_X, vars),
+                         normalize(X, ONE - C))
+        else:
+            assert "c" not in oracle.shift_moduli(loop, vars)
+            assert _guard_state_count(loop, G_X, vars) == float("inf")
+        res = synthesize(loop, G_X, cfg)
+        assert getattr(res, "kind", None) != CertificateKind.EXACT_POSTERIOR
+        monkeypatch.setattr(synthesis, "_finite_chain", lambda *a: None)
+        assert synthesize(loop, G_X, cfg) == res
+
+    def test_a_closed_class_without_shifts_has_no_power_series_solution(self):
+        # c is shifted by nothing: the class x = 1 returns to itself with
+        # probability 1 and weight 1, so no pivot has a constant term
+        loop = parse("nat x; nat c; while (x = 1) { skip }").body
+        g = from_poly(X * C)
+        assert oracle.shift_moduli(loop, ["c", "x"]) == {"c": 1}
+        assert oracle.finite_chain_invariant(loop, g, ["c", "x"]) is None
+
+    COUNTED_RUN = "nat x; nat c; while (x > 0 && x < {n}) {{ x := x + 1; c := c + 1 }}"
+
+    def test_a_shifted_chain_stops_at_the_cap_and_the_deadline(self, monkeypatch):
+        def run(n):
+            loop = parse(self.COUNTED_RUN.format(n=n)).body
+            return oracle.finite_chain_invariant(loop, G_X, ["c", "x"])
+        # x = 1 .. n - 1, each visited once, the c-th after c steps
+        n = oracle.CHAIN_STATES + 1
+        want = sum((Polynomial.var("x", k) * Polynomial.var("c", k - 1) for k in range(2, n + 1)), X)
+        assert run(n) == from_poly(want)
+        assert run(n + 1) is None
+        with time_limit(0), pytest.raises(TimeoutError):
+            run(3)
+        polls = []
+        monkeypatch.setattr(oracle, "check_deadline", polls.append)
+        run(3)
+        assert polls == ["while exploring guard states"] * 2 + ["while solving"] * 2
+
+    def test_a_negated_bound_counts_as_the_bound(self, monkeypatch):
+        self.no_templates(monkeypatch)
+        body = "{ {x := 0} [1/2] {y := y + 1} }"
+        loops = [parse(f"nat x; nat y; while ({g}) {body}").body
+                 for g in ("x > 0 && y <= 2", "x > 0 && !(y >= 3)")]
+        counts = [_guard_state_count(loop, G_X, ["x", "y"]) for loop in loops]
+        assert counts == [6, 6]
+        invariants = []
+        for loop in loops:
+            res = synthesize(loop, G_X, SynthesisConfig(max_den_degree=2))
+            assert res.kind == CertificateKind.EXACT_POSTERIOR
+            invariants.append(res.invariant)
+        assert invariants[0] == invariants[1]
+
+    def test_chain_certificates_agree_with_the_oracle(self):
+        certified = []
+
+        @settings(derandomize=True, max_examples=150, deadline=None)
+        @given(_chain_guards, _chain_bodies, st.sampled_from(CHAIN_INITS))
+        def check(guard, body, init):
+            loop = P.While(guard, body)
+            g = parse_closed_form(init, ["c", "r", "x"])
+            vars = template_vars(loop, g)
+            cert = synthesis._finite_chain(loop, g, vars)
+            if cert is not None:
+                certified.append(bool(oracle.shift_moduli(loop, vars)))
+                assert oracle_agrees(loop, g, cert, vars, 40, 6)
+
+        check()
+        assert certified.count(True) >= 50
 
 
 class TestUserTemplates:
