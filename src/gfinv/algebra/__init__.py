@@ -3,7 +3,6 @@
 from .closedform import (
     ClosedForm,
     ExtendedMass,
-    INFINITE_MASS,
     AlgebraError,
     InvalidDenominator,
     UnknownSign,
@@ -32,12 +31,8 @@ from .poly import (
     MONO_ONE,
     Mono,
     Polynomial,
-    mono_degree,
-    mono_degree_in,
     mono_key,
-    mono_mul,
     poly_gcd,
-    row_reduce,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,9 +24,8 @@ leading monomial on a heap of the remainder's keys.
 The loops that one call can keep running for seconds poll the time limit
 (``check_deadline``): each row of a product (``_mul_into``, under ``*``,
 ``**`` and ``subs_var``), each group and each split of an evaluation
-(``_eval_last``, under ``poly_gcd``), each step of an exact division
-(``_quotient``, under ``poly_gcd`` and ``exact_quotient``), and each column
-of ``row_reduce``.
+(``_eval_last``, under ``poly_gcd``), and each step of an exact division
+(``_quotient``, under ``poly_gcd`` and ``exact_quotient``).
 """
 
 from __future__ import annotations
@@ -543,35 +542,3 @@ def _quotient(d: dict, f: dict, where="while taking a polynomial gcd") -> Option
                     del r[m]
     return q
 
-
-# -- sparse exact elimination ------------------------------------------------
-
-def row_reduce(rows: list) -> list:
-    """Reduced row echelon form of sparse rows over Q (exact Gauss-Jordan).
-
-    A row is a ``{column: Fraction}`` dict over integer columns and stores no
-    zero: a row is a pivot candidate for a column exactly when it holds that
-    key.  Columns are pivoted in increasing order and each pivot is scaled to
-    1.  The nonzero rows come back in elimination order, row i holding the
-    i-th pivot, each with its columns in increasing order.  The rows passed
-    in are reduced in place.  Polls ``check_deadline`` at every column.
-    """
-    pivot_row = 0
-    for col in sorted({j for row in rows for j in row}):
-        check_deadline("while solving")
-        piv = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        prow = {j: x * inv for j, x in rows[pivot_row].items()}
-        rows[pivot_row] = prow
-        for r, row in enumerate(rows):
-            f = row.get(col)
-            if f is not None and r != pivot_row:
-                f = -f
-                _add_into(row, {j: f * y for j, y in prow.items()})
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [dict(sorted(row.items())) for row in rows if row]

@@ -3,8 +3,8 @@
 Executes loop-free statements exactly on finite maps from states to
 rationals, tracks every truncated probability tail in an explicit residual,
 iterates loops Kleene-style to certified lower bounds, computes exact
-expected visiting times of finite Markov chains by sparse exact elimination
-(``row_reduce``, the template solver's kernel); ``tests/support.py``
+expected visiting times of finite Markov chains by sparse forward
+elimination and back substitution (``_visits``); ``tests/support.py``
 cross-checks closed forms against its runs.  Each Kleene step, each state
 of an iid draw and each row of a pmf convolution poll the time limit.
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (ONE, ZERO, ClosedForm, Mono, Polynomial, from_poly, mass, mono_key,
-                       row_reduce, series_expand, shape_nonneg)
+                       series_expand, shape_nonneg)
 from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
@@ -299,19 +299,6 @@ class FiniteChain(Record):
     transitions: Dict[str, Dict[str, Fraction]]  # absent key = terminal state
     initial: Dict[str, Fraction]
 
-    def validate(self) -> None:
-        for src, row in self.transitions.items():
-            for dst, p in row.items():
-                if not 0 <= p <= 1:
-                    raise OracleError(f"transition {src} -> {dst} has probability {p}, "
-                                      "outside [0, 1]")
-            total = sum(row.values(), Fraction(0))
-            if total != 1:
-                raise OracleError(f"transition row of {src} sums to {total}, not 1")
-        for s, value in self.initial.items():
-            if value < 0:
-                raise OracleError(f"initial mass of {s} is {value}, which is negative")
-
     @staticmethod
     def parse(text: str) -> "FiniteChain":
         transitions: Dict[str, Dict[str, Fraction]] = {}
@@ -333,9 +320,18 @@ class FiniteChain(Record):
                 states[head] = states[state] = None
                 row = transitions.setdefault(head, {})
                 row[state] = row.get(state, Fraction(0)) + value
-        chain = FiniteChain(list(states), transitions, initial)
-        chain.validate()
-        return chain
+        for src, row in transitions.items():
+            for dst, p in row.items():
+                if not 0 <= p <= 1:
+                    raise OracleError(f"transition {src} -> {dst} has probability {p}, "
+                                      "outside [0, 1]")
+            total = sum(row.values(), Fraction(0))
+            if total != 1:
+                raise OracleError(f"transition row of {src} sums to {total}, not 1")
+        for s, value in initial.items():
+            if value < 0:
+                raise OracleError(f"initial mass of {s} is {value}, which is negative")
+        return FiniteChain(list(states), transitions, initial)
 
 
 def _forward(successors: Dict, sources) -> set:
@@ -351,22 +347,28 @@ def _forward(successors: Dict, sources) -> set:
     return seen
 
 
+def _recurrent(successors: Dict, states: List) -> List:
+    """The states among ``states`` that every state they reach along
+    ``successors`` reaches back, in order: those of closed recurrent (bottom)
+    classes.  A state outside ``states`` reaches nothing back."""
+    fwd = {s: _forward(successors, [s]) for s in states}
+    return [s for s in states if all(s in fwd.get(t, ()) for t in fwd[s])]
+
+
 def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
     """Expected total visits per state; Infinite (None) on states of reachable
     closed recurrent classes.
 
     A reachable non-terminal state lies in such a class exactly when every
-    state it reaches reaches it back.  On the other reachable non-terminal
-    states, the transient ones, o = iota + P^T o has one solution
-    (``_visits``).
+    state it reaches reaches it back (``_recurrent``).  On the other
+    reachable non-terminal states, the transient ones, o = iota + P^T o has
+    one solution (``_visits``).
     """
-    chain.validate()
     edges = {s: [t for t, p in row.items() if p] for s, row in chain.transitions.items()}
     reachable = _forward(edges, [s for s in chain.states if chain.initial.get(s)])
-    fwd = {s: _forward(edges, [s]) for s in chain.states
-           if s in reachable and s in chain.transitions}
-    bad = {s for s, seen in fwd.items() if all(s in fwd.get(t, ()) for t in seen)}
-    transient = [s for s in fwd if s not in bad]
+    live = [s for s in chain.states if s in reachable and s in chain.transitions]
+    bad = set(_recurrent(edges, live))
+    transient = [s for s in live if s not in bad]
     occ = _visits(transient, chain.initial, chain.transitions)
     out: Dict[str, object] = {
         s: None if s in bad else occ.get(s, chain.initial.get(s, Fraction(0)))
@@ -383,13 +385,14 @@ def chain_occupation(chain: FiniteChain) -> Dict[str, object]:
 def _visits(states: List, initial: Dict, transitions: Dict) -> Optional[Dict]:
     """The expected visits o = initial + P^T o on ``states``, where
     ``transitions[s]`` maps s's successors to their weights and a successor
-    outside ``states`` is never left.  One sparse row per state, the initial
-    mass in the last column.  Rational weights go to ``row_reduce``.
-    Polynomial weights (a chain with shifted variables) are reduced over
-    Q(X) here, each pivot a unit of the power-series ring (a nonzero
-    constant term), and o is a closed form.  None when the system is
-    singular, or has no power-series solution: some states form a closed
-    class.
+    outside ``states`` is never left: one sparse row per state, the initial
+    mass in the last column, solved by forward elimination and back
+    substitution.  Rational weights stay ``Fraction``s; polynomial weights
+    (a chain with shifted variables) are reduced over Q(X), and o is a
+    closed form.  A pivot is the first remaining row whose entry is a unit:
+    nonzero over Q, of nonzero constant term over Q(X).  None when a column
+    has none: the system is singular, or has no power-series solution (some
+    states form a closed class).  Polls ``check_deadline`` at every column.
     """
     pos = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -399,31 +402,28 @@ def _visits(states: List, initial: Dict, transitions: Dict) -> Optional[Dict]:
             if t in pos:
                 rows[pos[t]][j] = rows[pos[t]].get(j, 0) - p
     rows = [{k: x for k, x in row.items() if x} for row in rows]
-    if not any(isinstance(x, Polynomial) for x in initial.values()):
-        solved = row_reduce(rows)
-        # nonsingular: row i holds the pivot of column i, and no row is 0 = c
-        if [min(row) for row in solved] != list(range(n)):
-            return None
-        return {s: row.get(n, Fraction(0)) for s, row in zip(states, solved)}
-    rows = [{k: from_poly(x if isinstance(x, Polynomial) else Polynomial.const(x))
-             for k, x in row.items()} for row in rows]
+    zero, one, unit = Fraction(0), Fraction(1), bool
+    if any(isinstance(x, Polynomial) for x in initial.values()):
+        zero, one = ZERO, ONE
+        unit = lambda x: x.num.constant_term()
+        rows = [{k: from_poly(x if isinstance(x, Polynomial) else Polynomial.const(x))
+                 for k, x in row.items()} for row in rows]
     for col in range(n):                    # forward elimination
         check_deadline("while solving")
-        piv = next((r for r in range(col, n)
-                    if col in rows[r] and rows[r][col].num.constant_term()), None)
+        piv = next((r for r in range(col, n) if col in rows[r] and unit(rows[r][col])), None)
         if piv is None:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ONE / rows[col].pop(col)
+        inv = one / rows[col].pop(col)
         prow = rows[col] = {j: x * inv for j, x in rows[col].items()}
         for row in rows[col + 1:]:
             f = row.pop(col, None)
             if f is not None:
                 for j, y in prow.items():
-                    row[j] = row.get(j, ZERO) - f * y
-    out: List[ClosedForm] = [ZERO] * (n + 1)
+                    row[j] = row.get(j, zero) - f * y
+    out = [zero] * (n + 1)
     for i in reversed(range(n)):            # back substitution, out[n] = 0
-        out[i] = rows[i].get(n, ZERO) - sum((y * out[j] for j, y in rows[i].items()), ZERO)
+        out[i] = rows[i].get(n, zero) - sum((y * out[j] for j, y in rows[i].items()), zero)
     return dict(zip(states, out))
 
 
@@ -494,9 +494,7 @@ def closed_class_witness(loop: P.While, g: ClosedForm, vars: Sequence[str]
     closed = [s for s in succ if s not in leaky]
     if not closed:
         return None
-    fwd = {s: _forward(succ, [s]) for s in closed}
-    state = next(s for s in closed if all(s in fwd[t] for t in fwd[s]))
-    path = [state]
+    path = [_recurrent(succ, closed)[0]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return ClosedClassWitness(path[::-1], sorted(closed))
@@ -643,7 +641,6 @@ def best_contraction_bound(chain: FiniteChain, c: Fraction,
     """
     if not (0 < c < 1):
         raise ValueError("contraction factor must be in (0,1)")
-    chain.validate()
     nu = {s: chain.initial.get(s, Fraction(0)) for s in chain.states}
     bound = sum(chain.initial.values(), Fraction(0)) / (c * (1 - c)) + 1
     for _ in range(max_iter):

@@ -1,19 +1,20 @@
 """Synthesis of occupation invariants: an exact finite chain, then templates.
 
 When the initial measure g is a polynomial without parameters and a static
-bound (``_guard_state_count``) shows that it reaches at most
-``oracle.CHAIN_STATES`` chain states, the loop is first solved as an
-absorbing Markov chain on them (``oracle.finite_chain_invariant``).  A
-variable that no < or = test reads, that counts no draw and that the body
-only shifts by polynomial draws is not enumerated: a chain state keeps its
-residue modulo the ``mod`` tests that read it, and its shifts become
-monomial weights on the chain's edges.  The occupation measure is the one
-power-series solution of O = G + A(X)^T [guard] O, a finite linear system
-over Q, or over Q(X) once a variable is shifted.  ``certify`` judges the
-invariant it gives, and only an ``ExactPosterior`` is returned.  Every
-other case (a denominator, too many or unbounded chain states, a closed
-recurrent class, a weaker certificate) falls through to the templates,
-whose reports it leaves as they were.
+bound (``_guard_state_count``) shows that it reaches finitely many chain
+states, the loop is first solved as an absorbing Markov chain on them
+(``oracle.finite_chain_invariant``, whose exploration gives up beyond
+``oracle.CHAIN_STATES`` states).  A variable that no < or = test reads,
+that counts no draw and that the body only shifts by polynomial draws is
+not enumerated: a chain state keeps its residue modulo the ``mod`` tests
+that read it, and its shifts become monomial weights on the chain's edges.
+The occupation measure is the one power-series solution of
+O = G + A(X)^T [guard] O, a finite linear system over Q, or over Q(X) once
+a variable is shifted.  ``certify`` judges the invariant it gives, and only
+an ``ExactPosterior`` is returned.  Every other case (a denominator, too
+many or unbounded chain states, a closed recurrent class, a weaker
+certificate) falls through to the templates, whose reports it leaves as
+they were.
 
 Templates are rational closed forms whose coefficients are polynomials in
 symbolic parameters.  Applying the loop's characteristic functional once and
@@ -64,11 +65,10 @@ from .algebra import (
     mono_key,
     normalize,
     parse_closed_form_with_params,
-    row_reduce,
     shape_nonneg,
 )
 from .algebra.closedform import _monomials_of_degree
-from .algebra.poly import _int_primitive, exact_quotient
+from .algebra.poly import _add_into, _int_primitive, exact_quotient
 from .invariant import Certificate, CertificateKind, certify
 from . import Frozen, Record, check_deadline, oracle, program as P, time_limit
 from .semantics import SemanticsError, apply_statement, char_functional
@@ -298,13 +298,34 @@ def _divisors(n: int) -> List[int]:
 
 
 def _row_reduce(eqs: List[Polynomial]) -> List[Polynomial]:
-    """``row_reduce`` over the parameter-monomial basis, column i holding the
-    i-th highest monomial: pivoting on the highest monomials first surfaces
-    low-degree (often linear) consequences of nonlinear equations."""
+    """Reduced row echelon form of the equations over the parameter-monomial
+    basis (exact sparse Gauss-Jordan), column i holding the i-th highest
+    monomial: pivoting on the highest monomials first surfaces low-degree
+    (often linear) consequences of nonlinear equations.  A sparse row stores
+    no zero; each pivot is scaled to 1, and the nonzero rows come back in
+    elimination order, row i holding the i-th pivot.  Polls
+    ``check_deadline`` at every column."""
     monos = sorted({m for e in eqs for m in e.terms}, key=mono_key, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
-    rows = row_reduce([{pos[m]: c for m, c in e.terms.items()} for e in eqs])
-    return [Polynomial({monos[i]: c for i, c in row.items()}) for row in rows]
+    rows = [{pos[m]: c for m, c in e.terms.items()} for e in eqs]
+    done = 0                                # pivot rows so far
+    for col in range(len(monos)):
+        check_deadline("while solving")
+        piv = next((r for r in range(done, len(rows)) if col in rows[r]), None)
+        if piv is None:
+            continue
+        rows[done], rows[piv] = rows[piv], rows[done]
+        inv = 1 / rows[done][col]
+        prow = rows[done] = {j: x * inv for j, x in rows[done].items()}
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if f is not None and r != done:
+                f = -f
+                _add_into(row, {j: f * y for j, y in prow.items()})
+        done += 1
+        if done == len(rows):
+            break
+    return [Polynomial({monos[i]: row[i] for i in sorted(row)}) for row in rows if row]
 
 
 def _canonical(eqs: List[Polynomial]) -> frozenset:
@@ -557,12 +578,14 @@ def _finite_chain(loop: P.While, g: ClosedForm, vars: List[str]) -> Optional[Cer
     ``oracle.finite_chain_invariant``'s invariant, or None.
 
     It runs only when g is a polynomial without parameters and
-    ``_guard_state_count`` bounds the chain states by ``oracle.CHAIN_STATES``.
-    ``certify`` judges the invariant; every other outcome, the deadline
-    included, is None, and synthesis goes on to the template stream.
+    ``_guard_state_count`` bounds the chain states.  That bound decides
+    finiteness only: it is a box, which may count states that the guard
+    excludes, so the size is left to the exploration's own cap.  ``certify``
+    judges the invariant; every other outcome, the deadline included, is
+    None, and synthesis goes on to the template stream.
     """
     if has_parameters(g) or not g.is_polynomial() \
-            or _guard_state_count(loop, g, vars) > oracle.CHAIN_STATES:
+            or _guard_state_count(loop, g, vars) == math.inf:
         return None
     try:
         candidate = oracle.finite_chain_invariant(loop, g, vars)

@@ -69,6 +69,24 @@ def test_every_module_level_definition_is_named_somewhere():
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)
 
 
+def test_every_algebra_re_export_is_imported_through_the_package():
+    """A name that ``gfinv/algebra/__init__.py`` re-exports is imported
+    from ``gfinv.algebra`` (``.algebra`` inside the package) by some module
+    outside the algebra package: a re-export that nothing reads is dead."""
+    init = SRC / "algebra" / "__init__.py"
+    exported = {name for name, _ in _imported_names(ast.parse(init.read_text(encoding="utf-8")))}
+    imported = set()
+    for d in USERS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path.is_relative_to(SRC / "algebra"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+                        ("gfinv.algebra", 0), ("algebra", 1)):
+                    imported |= {alias.name for alias in node.names}
+    assert sorted(exported - imported) == []
+
+
 def test_no_module_level_definition_serves_only_the_tests():
     """What only tests call lives in ``tests/support.py``: every module-level
     definition of a ``src/gfinv`` module is named by another part of the

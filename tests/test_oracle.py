@@ -3,9 +3,12 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfinv import Frozen, program as P, time_limit
-from gfinv.algebra import Polynomial, from_poly, normalize, parse_closed_form, series_expand
+from gfinv.algebra import (Polynomial, equal, from_poly, normalize, parse_closed_form,
+                           series_expand)
 from gfinv.oracle import (
     Diverges,
     FiniteChain,
@@ -19,6 +22,7 @@ from gfinv.oracle import (
     kleene_iterate,
     measure_from_closed_form,
     shift_moduli,
+    _visits,
 )
 from gfinv.program import parse
 
@@ -320,6 +324,106 @@ def dense_chain_occupation(chain):
         else:
             out[s] = F(0)
     return out
+
+
+@st.composite
+def visit_systems(draw, shifts):
+    """(states, initial, transitions) for ``_visits`` on states 0..n-1.  A
+    row has 0-3 successors, n among them for one outside the states, and
+    total mass 1 (three times in five), 1/2 or 2/3: a set of rows of mass 1
+    that stay inside is a closed class.  With ``shifts``, every weight p is
+    p*X^k, k in 0..2, and half the rows keep k = 0."""
+    n = draw(st.integers(1, 5))
+
+    def weight(p, ks=st.integers(0, 2)):
+        return Polynomial.var("x", draw(ks)) * p if shifts else p
+
+    transitions = {}
+    for s in range(n):
+        succ = draw(st.lists(st.integers(0, n), max_size=3, unique=True))
+        ws = [draw(st.integers(1, 3)) for _ in succ]
+        total = draw(st.sampled_from([F(1), F(1), F(1), F(1, 2), F(2, 3)]))
+        ks = draw(st.sampled_from([st.just(0), st.integers(0, 2)]))
+        transitions[s] = {t: weight(total * w / sum(ws), ks) for t, w in zip(succ, ws)}
+    init = draw(st.lists(st.integers(0, n - 1), min_size=1 if shifts else 0, max_size=3,
+                         unique=True))
+    initial = {s: weight(F(draw(st.integers(1, 3)), draw(st.integers(1, 4)))) for s in init}
+    return list(range(n)), initial, transitions
+
+
+def dense_visits(states, initial, transitions):
+    """Reference: Gauss-Jordan on dense lists of Fractions for
+    (I - P^T) o = initial, None when I - P^T is singular."""
+    n = len(states)
+    m = [[F(int(i == j)) for j in range(n)] + [initial.get(s, F(0))]
+         for i, s in enumerate(states)]
+    for j, s in enumerate(states):
+        for t, p in transitions[s].items():
+            if t < n:
+                m[t][j] -= p
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return {s: m[i][n] for i, s in enumerate(states)}
+
+
+class TestVisits:
+    """``_visits`` solves o = initial + P^T o by one elimination, over Q and
+    over Q(X)."""
+
+    def test_rational_systems_match_the_dense_reference(self):
+        singular = []
+
+        @settings(derandomize=True, max_examples=200, deadline=None)
+        @given(visit_systems(shifts=False))
+        def check(system):
+            want = dense_visits(*system)
+            assert _visits(*system) == want
+            singular.append(want is None)
+
+        check()
+        assert 20 <= singular.count(True) <= 180, singular.count(True)
+
+    def test_polynomial_systems_solve_their_equations_in_power_series(self):
+        # a power-series solution exists exactly when the system at X = 0 is
+        # nonsingular; a closed class that no shift weighs makes it singular
+        solved = []
+
+        @settings(derandomize=True, max_examples=120, deadline=None)
+        @given(visit_systems(shifts=True))
+        def check(system):
+            states, initial, transitions = system
+            at_zero = ({s: p.constant_term() for s, p in initial.items()},
+                       {s: {t: p.constant_term() for t, p in row.items()}
+                        for s, row in transitions.items()})
+            got = _visits(states, initial, transitions)
+            assert (got is None) == (dense_visits(states, *at_zero) is None)
+            solved.append(got is not None)
+            if got is None:
+                return
+            for s in states:
+                rhs = from_poly(initial.get(s, Polynomial()))
+                for t in states:
+                    if s in transitions[t]:
+                        rhs = rhs + from_poly(transitions[t][s]) * got[t]
+                assert equal(got[s], rhs)
+
+        check()
+        assert 10 <= solved.count(False) and 60 <= solved.count(True), solved.count(False)
+
+    def test_a_closed_class_that_no_shift_weighs_has_no_solution(self):
+        x = Polynomial.var("x")
+        initial = {0: x}
+        assert _visits([0, 1], initial, {0: {1: x}, 1: {1: Polynomial.const(1)}}) is None
+        got = _visits([0, 1], initial, {0: {1: x}, 1: {1: x}})
+        assert equal(got[1], normalize(x * x, Polynomial.const(1) - x))
 
 
 class TestContraction:

@@ -688,6 +688,18 @@ class TestFiniteChain:
         assert equal(res.posterior, from_poly(post))
         assert oracle_agrees(loop, G_X, res, ["x"], 400, n)
 
+    def test_the_exploration_alone_decides_the_size(self):
+        # the gate's box counts x = 0 .. N - 1, one state more than the N - 1
+        # guard states that the exploration reaches and caps
+        n = oracle.CHAIN_STATES + 1
+        loop = bounded_walk(n)
+        assert _guard_state_count(loop, G_X, ["x"]) == n
+        start = time.monotonic()
+        res = synthesize(loop, G_X, SynthesisConfig(max_den_degree=3, timeout_s=5.0))
+        assert time.monotonic() - start < 1.0
+        assert res.kind == CertificateKind.EXACT_POSTERIOR
+        assert oracle_agrees(loop, G_X, res, ["x"], 2 * n, n)
+
     def test_the_exploration_stops_at_the_cap_and_the_deadline(self, monkeypatch):
         explore = oracle.finite_chain_invariant
         assert explore(bounded_walk(oracle.CHAIN_STATES + 1), G_X, ["x"]) is not None
@@ -697,7 +709,8 @@ class TestFiniteChain:
         polls = []
         monkeypatch.setattr(oracle, "check_deadline", polls.append)
         explore(bounded_walk(3), G_X, ["x"])
-        assert polls == ["while exploring guard states"] * 2     # x = 1 and x = 2
+        # x = 1 and x = 2, each explored, then solved
+        assert polls == ["while exploring guard states"] * 2 + ["while solving"] * 2
 
     def test_only_an_exact_posterior_is_kept(self):
         # the diverging half of the mass makes the chain's exact invariant
@@ -990,6 +1003,26 @@ class TestUserTemplates:
         res = synthesize(GEO.body, G_X, SynthesisConfig(user_template=tpl))
         assert res.kind == CertificateKind.EXACT_POSTERIOR
         assert equal(res.invariant, OCC)
+
+    def test_a_valuation_that_zeroes_the_denominator_is_reported(self, monkeypatch, corpus):
+        # the template holds (2 + X)/(2 - X) at e = 2, d = -1, but its
+        # equations are homogeneous in the parameters and the solver's 0/1
+        # branching finds only e = 0: five valuations leave a denominator
+        # d*X, and b = d = 1 cancels to the constant 1, which is refuted
+        ast, _, _, _ = corpus["faulty_decrement"]
+        g = parse_closed_form("1/(2 - X)", ast.variables)
+        tpl = parse_template("(a + b*X)/(e + d*X)", ast.variables)
+        found = []
+        real = solve_system
+        monkeypatch.setattr(synthesis, "solve_system",
+                            lambda system: found.extend(real(system)) or found)
+        res = synthesize(ast.body, g, SynthesisConfig(user_template=tpl))
+        assert len(found) == 6 and all(v.assignment["e"] == 0 for v in found)
+        assert isinstance(res, Failure) and res.stage == "instantiate"
+        lines = [line.removeprefix("template user (a + X*b)/(e + X*d): ")
+                 for line in res.diagnostics]
+        assert sorted(lines) == ["valuation makes denominator invalid"] * 5 \
+            + ["verification verdict refuted"]
 
 
 class TestAnalyzeProgram:
