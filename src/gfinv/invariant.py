@@ -3,8 +3,10 @@
 A candidate measure I is an occupation superinvariant of a loop w.r.t. an
 initial measure g when Phi(I) <= I for the loop's characteristic functional
 Phi(I) = g + body([guard]*I); equality makes it an invariant.  A finite-mass
-superinvariant whose guard-violating restriction has the same mass as g
-certifies the exact posterior (and positive almost-sure termination).
+superinvariant whose guard-violating restriction I - [guard]*I has the same
+mass as g certifies the exact posterior (and positive almost-sure
+termination).  ``certify`` computes [guard]*I once: it serves both Phi(I)
+and the posterior bound I - [guard]*I.
 
 Verdicts are three-valued: Refuted only ever comes from an exact series
 witness, never from a failed heuristic.
@@ -25,7 +27,7 @@ from .algebra import (
     shape_nonneg,
 )
 from . import Frozen, program as P
-from .semantics import char_functional, restrict_guard
+from .semantics import apply_statement, restrict_guard
 
 DEFAULT_REFUTE_DEGREE = 25
 
@@ -66,16 +68,17 @@ class Certificate(Frozen):
         return self.mass_invariant
 
 
-def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
+def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm, inside: ClosedForm,
            refute_degree: int = DEFAULT_REFUTE_DEGREE) -> Verdict:
-    """Classify a fully instantiated candidate against the fixed point equation.
+    """Classify a fully instantiated candidate I, given inside = [guard]*I,
+    against the fixed point equation Phi(I) = g + body(inside).
 
     Exact when the difference I - Phi(I) is zero; Super when it passes the
     nonnegativity shape check; Refuted when some series coefficient of the
     difference up to refute_degree is negative; otherwise Unknown.  The
     series search raises TimeoutError past the deadline.
     """
-    diff = candidate - char_functional(loop, g, candidate)
+    diff = candidate - (g + apply_statement(loop.body, inside))
     if diff.is_zero():
         return Verdict.EXACT
     if shape_nonneg(diff):
@@ -85,16 +88,12 @@ def verify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
     return Verdict.UNKNOWN
 
 
-def posterior_upper_bound(loop: P.While, invariant: ClosedForm) -> ClosedForm:
-    """[not guard] * I: an upper bound on the loop's posterior measure."""
-    return invariant - restrict_guard(invariant, loop.guard)
-
-
 def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
-                    verdict: Verdict) -> Certificate:
+                    inside: ClosedForm, verdict: Verdict) -> Certificate:
     """Build the strongest certificate the mass checks support.
 
-    Requires a prior verify() verdict of EXACT or SUPER.  The exact-posterior
+    Requires a prior verify() verdict of EXACT or SUPER.  [not guard]*I =
+    I - inside, inside = [guard]*I, bounds the posterior.  The exact-posterior
     rule needs |I| finite and |[not guard]*I| = |g|; a finite-mass mismatch
     still witnesses PAST, and infinite mass leaves an upper bound only.  So
     does a ``diverge`` in the body: both rules assume a body that loses no
@@ -105,7 +104,7 @@ def exact_posterior(loop: P.While, g: ClosedForm, invariant: ClosedForm,
     """
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         raise ValueError("exact_posterior needs a verified (super)invariant")
-    bound = posterior_upper_bound(loop, invariant)
+    bound = invariant - inside
     try:
         mass_i, mass_g = mass(invariant), mass(g)
         exact_rule = (mass_g.finite and mass_i.finite
@@ -132,15 +131,18 @@ def certify(loop: P.While, g: ClosedForm, candidate: ClosedForm,
             refute_degree: int = DEFAULT_REFUTE_DEGREE):
     """The shape test, verify and exact_posterior in one step.
 
-    Returns (verdict, certificate-or-None).  A candidate that fails the
-    nonnegativity shape check is never certified: Refuted by a negative
-    series coefficient up to refute_degree, else Unknown.  Every layer
-    raises TimeoutError past the deadline of the innermost ``time_limit``.
+    [guard]*I is computed once and serves both Phi(I) in verify and the
+    posterior bound in exact_posterior.  Returns (verdict, certificate or
+    None).  A candidate that fails the nonnegativity shape check is never
+    certified: Refuted by a negative series coefficient up to refute_degree,
+    else Unknown.  Every layer raises TimeoutError past the deadline of the
+    innermost ``time_limit``.
     """
     if not shape_nonneg(candidate):
         neg = find_negative_coefficient(candidate, refute_degree)
         return (Verdict.REFUTED if neg is not None else Verdict.UNKNOWN), None
-    verdict = verify(loop, g, candidate, refute_degree)
+    inside = restrict_guard(candidate, loop.guard)
+    verdict = verify(loop, g, candidate, inside, refute_degree)
     if verdict not in (Verdict.EXACT, Verdict.SUPER):
         return verdict, None
-    return verdict, exact_posterior(loop, g, candidate, verdict)
+    return verdict, exact_posterior(loop, g, candidate, inside, verdict)

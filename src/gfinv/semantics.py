@@ -1,10 +1,10 @@
 """Forward measure semantics of loop-free statements on rational closed forms.
 
-Implements the primitive series operations (restriction, downward shift,
-substitution) on closed forms, guard restriction including modulo guards
-(filtered over the norm of the denominator, in rational arithmetic), the
-statement transformer, and the loop characteristic functional
-Phi(I) = g + transform(body, [guard] * I).
+Implements the primitive series operations (restriction below a bound, the
+one Taylor section at var = k, downward shift, substitution) on closed forms,
+guard restriction including modulo guards (filtered over the norm of the
+denominator, in rational arithmetic), the statement transformer, and the loop
+characteristic functional Phi(I) = g + transform(body, [guard] * I).
 
 Forms may contain template parameters ($-prefixed indeterminates); in that
 case convergence checks for marginalization are deferred, and certification
@@ -48,29 +48,34 @@ def dist_pgf(pgf: ClosedForm, var: str) -> ClosedForm:
 
 # -- primitive closed-form operations -------------------------------------------
 
-def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
-    """Closed form of the terms with exponent of var strictly below bound.
-
-    Taylor sections in var: with num = sum N_i v^i and den = sum D_j v^j the
-    series coefficients are A_i = B_i / D_0^(i+1) where
-    B_i = N_i*D_0^i - sum_{j>=1} D_j*B_{i-j}*D_0^(j-1).
+def _taylor(f: ClosedForm, var: str, n: int) -> tuple:
+    """([B_0, ..., B_(n-1)], D_0): the Taylor sections of f in var are
+    A_i var^i = B_i var^i / D_0^(i+1).  With num = sum N_i v^i and
+    den = sum D_j v^j, B_i = N_i*D_0^i - sum_{j>=1} D_j*B_{i-j}*D_0^(j-1).
     """
-    if bound <= 0:
-        return ZERO
-    if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
-        return f
     num_by = _layers(f.num, var)
     den_by = _layers(f.den, var)
     d0 = Polynomial._of(den_by.pop(0, {}))
     higher = [(j, Polynomial._of(den_by[j])) for j in sorted(den_by)]
     b: list = []
-    for i in range(bound):
+    for i in range(n):
         acc = Polynomial._of(num_by.get(i, {})) * d0 ** i
         for j, dj in higher:
             if j > i:
                 break
             acc = acc - dj * b[i - j] * d0 ** (j - 1)
         b.append(acc)
+    return b, d0
+
+
+def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
+    """Closed form of the terms with exponent of var strictly below bound:
+    the sum of the Taylor sections below it, over D_0^bound."""
+    if bound <= 0:
+        return ZERO
+    if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
+        return f
+    b, d0 = _taylor(f, var, bound)
     num_out = Polynomial()
     for i in range(bound):
         if b[i].is_zero():
@@ -157,15 +162,19 @@ def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
     """Closed form of [g] * f."""
     if isinstance(g, P.Lt):
         return restrict(f, g.var, g.bound)
-    if isinstance(g, P.Eq):
-        return restrict(f, g.var, g.value + 1) - restrict(f, g.var, g.value)
+    if isinstance(g, P.Eq):     # the one Taylor section B_k var^k / D_0^(k+1)
+        v, k = g.var, g.value
+        if k < 0 or f.num.degree_in(v) == 0 and f.den.degree_in(v) == 0:
+            return f if k == 0 else ZERO
+        b, d0 = _taylor(f, v, k + 1)
+        return normalize(b[k] * Polynomial.var(v, k), d0 ** (k + 1))
     if isinstance(g, P.ModEq):
         return mod_filter(f, g.var, g.residue, g.modulus)
     if isinstance(g, P.And):
         return restrict_guard(restrict_guard(f, g.left), g.right)
     if isinstance(g, P.Or):
         left = restrict_guard(f, g.left)
-        return left + restrict_guard(f, g.right) - restrict_guard(left, g.right)
+        return left + restrict_guard(f - left, g.right)
     if isinstance(g, P.Not):
         return f - restrict_guard(f, g.inner)
     raise TypeError(f"unknown guard {g!r}")

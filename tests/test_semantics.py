@@ -129,6 +129,31 @@ class TestRestrictGuard:
             assert instantiate(mod_filter(t, "x", r, d), val) \
                 == mod_filter(instantiate(t, val), "x", r, d), (d, r, val)
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_the_eq_section_is_the_difference_of_two_restrictions(self, k):
+        # [v = k] * f is read as one Taylor section, [v < k+1] f - [v < k] f
+        # as two restrictions and a subtraction; both are reduced forms
+        rng = random.Random(200 + k)
+        for _ in range(4):
+            f = _random_bivariate_form(rng)
+            for v in ("x", "y"):
+                old = restrict(f, v, k + 1) - restrict(f, v, k)
+                for guard, want in ((P.Eq(v, k), old), (P.Not(P.Eq(v, k)), f - old)):
+                    got = restrict_guard(f, guard)
+                    assert (got.num.terms, got.den.terms) == \
+                        (want.num.terms, want.den.terms), (guard, f)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_the_eq_section_commutes_with_instantiation(self, k):
+        rng = random.Random(300 + k)
+        for _ in range(4):
+            t, params = _random_template(rng)
+            val = {p: F(rng.randrange(-3, 4), rng.randrange(1, 4)) for p in params}
+            val["$b0"] = F(rng.randrange(1, 4))
+            for guard in (P.Eq("x", k), P.Not(P.Eq("x", k))):
+                assert instantiate(restrict_guard(t, guard), val) \
+                    == restrict_guard(instantiate(t, val), guard), (guard, val)
+
     def test_eq_and_neq_match_their_rectangular_rewrites(self):
         # the oracle and the closed-form semantics both read Eq directly; Eq
         # and its negation must agree with their rewrites over Lt, and the two
