@@ -99,7 +99,7 @@ class ClosedForm(Frozen):
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial.const(1)
+        return self.den.terms == {MONO_ONE: 1}
 
     def vars(self) -> set:
         return self.num.vars() | self.den.vars()

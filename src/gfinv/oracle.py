@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (ONE, ZERO, ClosedForm, Mono, Polynomial, from_poly, mass, mono_key,
-                       series_expand, shape_nonneg)
+                       normalize, series_expand, shape_nonneg)
+from .algebra.poly import exact_quotient
 from . import Record, check_deadline, program as P
 
 State = Tuple[int, ...]
@@ -624,11 +625,16 @@ def finite_chain_invariant(loop: P.While, g: ClosedForm, vars: Sequence[str]
     visits = _visits(list(steps), initial, edges)
     if visits is None:
         return None
-    out = g
+    common = Polynomial.const(1)    # a multiple of O's denominators: one normalize
+    for d in dict.fromkeys(o.den for o in visits.values() if isinstance(o, ClosedForm)):
+        if exact_quotient(common, d) is None:
+            common = d if exact_quotient(d, common) is not None else common * d
+    num = g.num * common
     for s, step in steps.items():
-        moved = Polynomial({_state_mono(t, vars): p for t, p in step.entries.items()})
-        out = out + visits[s] * from_poly(moved)
-    return out
+        o = visits[s]
+        o = o.num * exact_quotient(common, o.den) if isinstance(o, ClosedForm) else o
+        num = num + o * Polynomial({_state_mono(t, vars): p for t, p in step.entries.items()})
+    return normalize(num, common)
 
 
 def best_contraction_bound(chain: FiniteChain, c: Fraction,

@@ -6,6 +6,12 @@ guard restriction including modulo guards (filtered over the norm of the
 denominator, in rational arithmetic), the statement transformer, and the loop
 characteristic functional Phi(I) = g + transform(body, [guard] * I).
 
+A denominator D is blind to a guard G when no variable of a < or = test of G
+occurs in D, and the variable of a mod m test occurs in D only to powers
+divisible by m.  Every monomial of the series 1/D is a product of D's
+monomials, so it leaves G's value unchanged; hence [G]*(N/D) = ([G]N)/D,
+where [G]N keeps the terms of N whose exponents satisfy G.
+
 Forms may contain template parameters ($-prefixed indeterminates); in that
 case convergence checks for marginalization are deferred, and certification
 always re-runs concretely on instantiated candidates.
@@ -13,7 +19,7 @@ always re-runs concretely on instantiated candidates.
 
 from __future__ import annotations
 
-from .algebra import ClosedForm, Polynomial, ZERO, from_poly, has_parameters, normalize
+from .algebra import ClosedForm, Mono, Polynomial, ZERO, from_poly, has_parameters, normalize
 from .algebra.closedform import _constant_section, geometric_den
 from .algebra.poly import _layers, mono_degree_in, mono_div
 from . import program as P
@@ -73,8 +79,6 @@ def restrict(f: ClosedForm, var: str, bound: int) -> ClosedForm:
     the sum of the Taylor sections below it, over D_0^bound."""
     if bound <= 0:
         return ZERO
-    if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
-        return f
     b, d0 = _taylor(f, var, bound)
     num_out = Polynomial()
     for i in range(bound):
@@ -159,13 +163,19 @@ def _subst_poly(p: Polynomial, var: str, h: ClosedForm):
 # -- guard restriction -----------------------------------------------------------
 
 def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
-    """Closed form of [g] * f."""
+    """Closed form of [g] * f.  When f = N/D and D is blind to g (no < or = test
+    of g reads a variable of D, a mod m test only powers divisible by m), each
+    monomial of 1/D leaves g's value unchanged, so [g]*f is N's terms that
+    satisfy g, over D.  Else Taylor sections, or ``mod_filter``'s norm of D."""
+    if _blind(f, g):
+        kept = {m: c for m, c in f.num.terms.items() if _holds(g, m)}
+        return f if len(kept) == len(f.num.terms) else normalize(Polynomial._of(kept), f.den)
     if isinstance(g, P.Lt):
         return restrict(f, g.var, g.bound)
     if isinstance(g, P.Eq):     # the one Taylor section B_k var^k / D_0^(k+1)
         v, k = g.var, g.value
-        if k < 0 or f.num.degree_in(v) == 0 and f.den.degree_in(v) == 0:
-            return f if k == 0 else ZERO
+        if k < 0:
+            return ZERO
         b, d0 = _taylor(f, v, k + 1)
         return normalize(b[k] * Polynomial.var(v, k), d0 ** (k + 1))
     if isinstance(g, P.ModEq):
@@ -178,6 +188,32 @@ def restrict_guard(f: ClosedForm, g: P.Guard) -> ClosedForm:
     if isinstance(g, P.Not):
         return f - restrict_guard(f, g.inner)
     raise TypeError(f"unknown guard {g!r}")
+
+
+def _blind(f: ClosedForm, g: P.Guard) -> bool:
+    """Whether f's denominator is blind to g; a form with parameters only
+    where g reads none of its variables, so synthesis keeps its systems."""
+    if isinstance(g, (P.And, P.Or)):
+        return _blind(f, g.left) and _blind(f, g.right)
+    if isinstance(g, P.Not):
+        return _blind(f, g.inner)
+    if has_parameters(f):
+        return f.num.degree_in(g.var) == 0 and f.den.degree_in(g.var) == 0
+    if isinstance(g, P.ModEq):
+        return all(mono_degree_in(m, g.var) % g.modulus == 0 for m in f.den.terms)
+    return f.den.degree_in(g.var) == 0
+
+
+def _holds(g: P.Guard, m: Mono) -> bool:
+    """Whether g holds in the state of monomial m's exponents."""
+    if isinstance(g, (P.And, P.Or)):
+        return (all if isinstance(g, P.And) else any)(_holds(h, m) for h in (g.left, g.right))
+    if isinstance(g, P.Not):
+        return not _holds(g.inner, m)
+    e = mono_degree_in(m, g.var)
+    if isinstance(g, P.Lt):
+        return e < g.bound
+    return e == g.value if isinstance(g, P.Eq) else e % g.modulus == g.residue
 
 
 def mod_filter(f: ClosedForm, var: str, residue: int, modulus: int) -> ClosedForm:
@@ -198,8 +234,6 @@ def mod_filter(f: ClosedForm, var: str, residue: int, modulus: int) -> ClosedFor
     the two methods return identical terms, for parametric forms too.
     """
     d = modulus
-    if f.num.degree_in(var) == 0 and f.den.degree_in(var) == 0:
-        return f if residue % d == 0 else ZERO
     den_parts = _residue_parts(f.den, var, d)
     num_parts = _residue_parts(f.num, var, d)
     shifted = [p * Polynomial.var(var, d) for p in den_parts]
@@ -259,7 +293,7 @@ def apply_statement(stmt: P.Statement, f: ClosedForm) -> ClosedForm:
         g = marginalize(f, stmt.var)
         return g * from_poly(Polynomial.var(stmt.var, stmt.value)) if stmt.value else g
     if isinstance(stmt, P.Decrement):
-        low = restrict(f, stmt.var, 1)
+        low = restrict_guard(f, P.Lt(stmt.var, 1))
         high = f - low
         if high.is_zero():
             return f

@@ -13,6 +13,7 @@ from gfinv.algebra import (
     InvalidDenominator,
     Polynomial,
     UnknownSign,
+    ZERO,
     const,
     equal,
     find_negative_coefficient,
@@ -720,3 +721,12 @@ class TestPrintParse:
         assert "X_foo" in text
         back = parse_closed_form(text, ["foo"])
         assert back.num == f.num
+
+
+def test_a_polynomial_form_has_the_denominator_one():
+    x = Polynomial.var("x")
+    for f, want in ((ZERO, True), (from_poly(x), True), (normalize(x, Polynomial.const(2)), True),
+                    (ClosedForm(x, Polynomial.const(2)), False), (normalize(x, 2 - x), False),
+                    (ClosedForm(x, x + 1), False)):
+        assert f.is_polynomial() is want, f
+        assert want == (f.den == Polynomial.const(1)), f

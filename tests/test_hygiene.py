@@ -200,3 +200,21 @@ def test_the_shift_classifier_has_a_case_for_every_kind():
     named = {n.attr for n in ast.walk(classifier)
              if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "P"}
     assert len(kinds) == 15 and kinds <= named, sorted(kinds - named)
+
+
+def test_the_oracle_and_the_semantics_import_nothing_from_each_other():
+    """The Kleene oracle is the differential ground truth of the closed-form
+    semantics, so neither borrows from the other: the numerator filter has
+    its own guard evaluator."""
+    found = []
+    for name, other in (("semantics", "oracle"), ("oracle", "semantics")):
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == other for m in modules):
+                found.append(f"{name}.py:{node.lineno}")
+    assert not found, "cross imports:\n" + "\n".join(found)

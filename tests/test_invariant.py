@@ -274,3 +274,27 @@ class TestOneRestrictionPerVerdict:
         first, second = certify(GEO, G, OCC), certify(GEO, G, OCC)
         assert first == second and first[1].is_full
         assert [c for c in calls if c == (OCC, GEO.guard)] == [(OCC, GEO.guard)] * 2
+
+
+@pytest.mark.parametrize("source, candidate, inside", [
+    ("nat x; nat c;\nwhile (x = 1) { { c := c + 1 } [1/2] { x := 0 } }", "(1+2*X)/(2-C)",
+     "2*X/(2 - C)"),
+    ("nat x;\nwhile (x = 1 mod 3) { {x := x + 3} [1/2] {x := x + 1} }", "(2*X+X^2)/(2-X^3)",
+     "2*X/(2 - X^3)"),
+], ids=["eq", "mod"])
+def test_a_denominator_blind_to_the_guard_restricts_by_filtering(monkeypatch, source, candidate,
+                                                                 inside):
+    # 2 - C reads no x, and 2 - X^3 reads x only to powers of x^3: the
+    # restriction keeps the numerator's terms in the guard over the same
+    # denominator, with no Taylor section and no norm
+    calls = []
+    for name in ("_taylor", "mod_filter"):
+        real = getattr(gfinv.semantics, name)
+        monkeypatch.setattr(gfinv.semantics, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    ast = parse(source)
+    cand = parse_closed_form(candidate, ast.variables)
+    assert format_closed_form(restrict_guard(cand, ast.body.guard), ast.variables) == inside
+    verdict, cert = certify(ast.body, G, cand)
+    assert verdict == Verdict.EXACT and cert.kind == CertificateKind.EXACT_POSTERIOR
+    assert calls == []

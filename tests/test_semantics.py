@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import typing
@@ -6,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gfinv.semantics
 from gfinv import Record, program as P
 from gfinv.algebra import (
     Polynomial,
@@ -172,6 +174,142 @@ class TestRestrictGuard:
                 want = {_mono(vars, s): c for s, c in m.entries.items()
                         if eval_guard(guard, s, vars)}
                 assert series_expand(taken, 10, order=vars) == want, guard
+
+
+class TestNumeratorFilter:
+    """A denominator blind to the guard (no variable of a < or = test occurs
+    in it, and the variable of a mod m test only to powers divisible by m)
+    restricts by filtering the numerator; every other one takes the Taylor
+    sections and the norm filter."""
+
+    VARS = ["x", "y"]
+    # the series of f moves x, so the numerator's terms alone do not decide
+    NOT_BLIND = [
+        (normalize(ONE + Y, ONE - X), P.Lt("x", 2)),
+        (normalize(X + Y, ONE - X * X), P.ModEq("x", 1, 3)),
+        (normalize(X + Y, ONE - X * X), P.And(P.ModEq("x", 1, 3), P.Lt("y", 1))),
+        (normalize(ONE + X * Y, ONE - Y - X * X), P.Not(P.ModEq("x", 0, 3))),
+    ]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("_taylor", "mod_filter"):
+            real = getattr(gfinv.semantics, name)
+            monkeypatch.setattr(gfinv.semantics, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        return calls
+
+    def _check(self, f, guard, calls):
+        """Check [guard]*f against the general path, the filtered series and
+        the partition of f; return the general-path calls it made."""
+        calls.clear()
+        got = restrict_guard(f, guard)
+        made = list(calls)
+        want = _general_restriction(f, guard)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), (f, guard)
+        series = series_expand(f, 8, order=self.VARS)
+        assert series_expand(got, 8, order=self.VARS) == {
+            m: c for m, c in series.items()
+            if eval_guard(guard, _state(self.VARS, m), self.VARS)}, (f, guard)
+        assert got + restrict_guard(f, P.Not(guard)) == f, (f, guard)
+        return made
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_filter_agrees_with_the_general_path_and_the_series(self, seed, monkeypatch):
+        rng = random.Random(500 + seed)
+        calls = self._spy(monkeypatch)
+        blind = 0
+        for i in range(60):
+            guard = _random_guard(rng, 2)
+            f = _random_form_in_xy(rng, guard if i % 3 else None)
+            made = self._check(f, guard, calls)
+            if _blind_to(f.den, guard):
+                blind += 1
+                assert made == [], (f, guard)
+        assert blind >= 30
+
+    @pytest.mark.parametrize("case", range(len(NOT_BLIND)))
+    def test_a_denominator_that_sees_the_guard_takes_the_general_path(self, case,
+                                                                      monkeypatch):
+        f, guard = self.NOT_BLIND[case]
+        assert not _blind_to(f.den, guard)
+        assert self._check(f, guard, self._spy(monkeypatch))
+
+
+def _atoms(g):
+    if isinstance(g, (P.And, P.Or)):
+        return _atoms(g.left) + _atoms(g.right)
+    if isinstance(g, P.Not):
+        return _atoms(g.inner)
+    return [g]
+
+
+def _blind_to(den, guard):
+    """Whether every monomial of den leaves the guard's value unchanged."""
+    return all(all(dict(m).get(a.var, 0) % a.modulus == 0 if isinstance(a, P.ModEq)
+                   else a.var not in dict(m) for m in den.terms)
+               for a in _atoms(guard))
+
+
+def _general_restriction(f, g):
+    """[g]*f by Taylor sections and the norm filter alone, combined as
+    ``restrict_guard`` combines them."""
+    if isinstance(g, P.Lt):
+        return restrict(f, g.var, g.bound)
+    if isinstance(g, P.Eq):
+        return restrict(f, g.var, g.value + 1) - restrict(f, g.var, g.value)
+    if isinstance(g, P.ModEq):
+        return mod_filter(f, g.var, g.residue, g.modulus)
+    if isinstance(g, P.And):
+        return _general_restriction(_general_restriction(f, g.left), g.right)
+    if isinstance(g, P.Or):
+        left = _general_restriction(f, g.left)
+        return left + _general_restriction(f - left, g.right)
+    return f - _general_restriction(f, g.inner)
+
+
+def _random_guard(rng, depth):
+    """A guard on x and y of <, =, mod, !, && and || tests."""
+    if depth == 0 or rng.random() < 0.35:
+        v = rng.choice("xy")
+        kind = rng.randrange(3)
+        if kind == 0:
+            return P.Lt(v, rng.randrange(4))
+        if kind == 1:
+            return P.Eq(v, rng.randrange(3))
+        d = rng.choice((2, 3))
+        return P.ModEq(v, rng.randrange(d), d)
+    op = rng.randrange(3)
+    if op == 0:
+        return P.Not(_random_guard(rng, depth - 1))
+    return (P.And if op == 1 else P.Or)(_random_guard(rng, depth - 1),
+                                        _random_guard(rng, depth - 1))
+
+
+def _random_form_in_xy(rng, guard=None):
+    """num/den in x and y without parameters; with a guard, den is built
+    blind to it (before ``normalize``, which may cancel a factor)."""
+    atoms = _atoms(guard) if guard is not None else []
+    moduli = {v: math.lcm(*(a.modulus for a in atoms if isinstance(a, P.ModEq) and a.var == v))
+              for v in "xy"}
+    steps = {v: [0] if any(a.var == v and not isinstance(a, P.ModEq) for a in atoms)
+             else [0, moduli[v]] if moduli[v] > 1 else [0, 1, 2] for v in "xy"}
+    monos = [Polynomial.monomial(tuple((v, e) for v, e in (("x", i), ("y", j)) if e))
+             for i in steps["x"] for j in steps["y"] if i or j]
+    den = ONE
+    for m in rng.sample(monos, min(len(monos), rng.randrange(1, 3))):
+        den = den - m * F(rng.choice([-2, -1, 1, 2]), 4)
+    num = Polynomial()
+    for _ in range(rng.randrange(2, 5)):
+        m = tuple((v, e) for v, e in (("x", rng.randrange(4)), ("y", rng.randrange(4))) if e)
+        num = num + Polynomial.monomial(m, F(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                             rng.randrange(1, 4)))
+    return normalize(num if num else ONE, den)
+
+
+def _state(vars, mono):
+    return tuple(dict(mono).get(v, 0) for v in vars)
 
 
 XY_MONOS = [Polynomial.monomial(m) for m in

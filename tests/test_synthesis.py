@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from gfinv.algebra import (
     series_expand,
     shape_nonneg,
 )
+from gfinv.algebra import closedform
 from gfinv.algebra.poly import exact_quotient
 from gfinv.invariant import CertificateKind
 from gfinv.oracle import kleene_iterate, measure_from_closed_form
@@ -903,6 +905,43 @@ class TestShiftedVariables:
         g = from_poly(X * C)
         assert oracle.shift_moduli(loop, ["c", "x"]) == {"c": 1}
         assert oracle.finite_chain_invariant(loop, g, ["c", "x"]) is None
+
+    # the formatted invariants of the bounded walk and of the walk with a
+    # step counter, as summing one closed form per chain state gave them
+    STEP_COUNTED_WALK = ("nat x; nat c; while (x > 0 && x < {n}) "
+                         "{{ {{x := x - 1}} [1/2] {{x := x + 1}}; c := c + 1 }}")
+    CHAIN_SUMS = [
+        ("walk", 3, "2/3 + 4/3*X + 2/3*X^2 + 1/3*X^3"),
+        ("walk", 50, "sha256:949bd876c67f43d0"),
+        ("walk", 200, "sha256:1aa06c86485030ad"),
+        ("counted", 4, "(C + 2*X - 1/4*C^3 - 1/2*C^2*X + C*X^2 + 1/2*C^2*X^3 + 1/4*C^3*X^4)"
+                       "/(2 - C^2)"),
+        ("counted", 20, "sha256:8c187c0bdd23c66b"),
+    ]
+
+    @pytest.mark.parametrize("kind, n, want", CHAIN_SUMS,
+                             ids=[f"{k}_n{n}" for k, n, _ in CHAIN_SUMS])
+    def test_the_chain_sum_is_normalized_once(self, monkeypatch, kind, n, want):
+        if kind == "walk":
+            loop, vars = bounded_walk(n), ["x"]
+        else:
+            loop, vars = parse(self.STEP_COUNTED_WALK.format(n=n)).body, ["x", "c"]
+        solved, gcds = [], []
+        real_visits, real_gcd = oracle._visits, closedform.poly_gcd
+
+        def visits(*a):
+            out = real_visits(*a)
+            solved.append(1)            # the gcds of the sum come after the solve
+            return out
+        monkeypatch.setattr(oracle, "_visits", visits)
+        monkeypatch.setattr(closedform, "poly_gcd",
+                            lambda *a: solved and gcds.append(1) or real_gcd(*a))
+        got = format_closed_form(oracle.finite_chain_invariant(loop, G_X, vars), vars)
+        # a rational chain sums polynomials; one over Q(C) normalizes once
+        assert solved == [1] and len(gcds) <= (1 if kind == "counted" else 0)
+        if want.startswith("sha256:"):
+            got = "sha256:" + hashlib.sha256(got.encode()).hexdigest()[:16]
+        assert got == want
 
     COUNTED_RUN = "nat x; nat c; while (x > 0 && x < {n}) {{ x := x + 1; c := c + 1 }}"
 
